@@ -25,9 +25,11 @@
 //!    maintainers (k-cores, NSF levels, forwarding sets) on a
 //!    `TrackedCursor` must equal their from-scratch oracles at every t of
 //!    the dense edge-Markovian trace, and on a sparse, fragmented trace
-//!    each must perform *strictly fewer counted node touches* than per-t
-//!    rebuilds (the `maintain` block in `BENCH_kernels.json` carries both
-//!    wall times and touch counts).
+//!    the NSF and forwarding maintainers must perform *strictly fewer
+//!    counted node touches* than per-t rebuilds, and the cores maintainer
+//!    (one `core_numbers` pass per changing batch) no more (the `maintain`
+//!    block in `BENCH_kernels.json` carries both wall times and touch
+//!    counts).
 //! 6. **Scale tier (`--scale`)** — runs *instead of* the tiers above: the
 //!    million-node substrate gates (streamed compact CSR ≡ adjacency build,
 //!    sampled centrality ≡ exact at full sampling and within the documented
@@ -133,6 +135,8 @@ struct BenchKernels {
     cursor_matches_rebuild: bool,
     faulted_run_deterministic: bool,
     maintain_matches_scratch: bool,
+    /// The NSF and forwarding sweeps touch strictly fewer nodes than their
+    /// rebuild floors, and the cores sweep at most its floor.
     maintain_fewer_touches: bool,
     maintain: Vec<MaintainRow>,
     timings: Vec<Timing>,
@@ -1611,10 +1615,12 @@ fn main() {
         }
     }
 
-    // Counted-touch tier: on a sparse, fragmented trace each incremental
-    // sweep must perform strictly fewer node touches than per-t rebuilds —
-    // counted, not just timed, so the O(affected) claim is verifiable on a
-    // noisy 1-core box. Rebuild accounting is conservative (a floor): n per
+    // Counted-touch tier: on a sparse, fragmented trace the NSF and
+    // forwarding sweeps must perform strictly fewer node touches than per-t
+    // rebuilds — counted, not just timed, so their O(affected) claim is
+    // verifiable on a noisy 1-core box. The cores sweep recomputes once per
+    // changing batch, so it may reach its floor but never pass it. Rebuild
+    // accounting is conservative (a floor): n per
     // step for cores and forwarding (any rebuild visits every node at least
     // once) and rounds·n for NSF (each peel round scans all nodes). Per-t
     // structure checksums double as an agreement re-check.
@@ -1734,7 +1740,12 @@ fn main() {
             );
             maintain_match = false;
         }
-        if row.incremental_node_touches >= row.rebuild_node_touches {
+        let over_floor = if row.structure == "cores" {
+            row.incremental_node_touches > row.rebuild_node_touches
+        } else {
+            row.incremental_node_touches >= row.rebuild_node_touches
+        };
+        if over_floor {
             eprintln!(
                 "FAIL: incremental {} touched {} nodes, rebuild floor is {}",
                 row.structure, row.incremental_node_touches, row.rebuild_node_touches
@@ -1900,7 +1911,7 @@ fn main() {
     println!("kernel smoke OK: scratch arenas bit-identical; snapshot cursor equals rebuilds");
     println!("fault smoke OK: faulted Bellman-Ford runs bit-identical per seed");
     println!(
-        "maintain smoke OK: cores/NSF/forwarding maintainers equal scratch at every t \
-         with strictly fewer node touches"
+        "maintain smoke OK: cores/NSF/forwarding maintainers equal scratch at every t; \
+         NSF/forwarding touch strictly fewer nodes than rebuilds, cores no more"
     );
 }

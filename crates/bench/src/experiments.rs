@@ -349,9 +349,10 @@ pub fn e2_fig2_temporal_paths(out: &mut Report) {
         "A connected to C at starting times: {:?}",
         (0..eg.horizon()).filter(|&t| is_connected_at(&eg, A, C, t)).collect::<Vec<_>>()
     ));
-    // Tracked incremental sweep: one maintained snapshot with the k-core
-    // maintainer riding along, O(Δ_t + affected) per step instead of a
-    // rebuild + full decomposition.
+    // Tracked sweep: one maintained snapshot with the k-core maintainer
+    // riding along — O(Δ_t) edge updates per step plus one decomposition
+    // per step that changed the graph, instead of rebuilding each snapshot
+    // before decomposing it.
     let mut cur = csn_core::temporal::TrackedCursor::new(&eg);
     let cores = cur.register(Box::new(csn_core::graph::cores::IncrementalCores::default()));
     let mut instantaneous = false;

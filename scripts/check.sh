@@ -69,7 +69,7 @@ if [ "$want" != "$have" ]; then
   exit 1
 fi
 
-echo "==> perf smoke (scratch/parallel/cursor kernels bit-identical; incremental maintainers equal scratch with strictly fewer counted touches; timings to BENCH_csr.json + BENCH_kernels.json)"
+echo "==> perf smoke (scratch/parallel/cursor kernels bit-identical; maintainers equal scratch, NSF + forwarding with strictly fewer counted touches than rebuilds, cores with no more; timings to BENCH_csr.json + BENCH_kernels.json)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke
 
 echo "==> scale smoke (small-n: streamed CSR + sampled-kernel ε-gates; committed BENCH_scale.json untouched)"
@@ -89,4 +89,7 @@ cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
   --scenario --scenario-nodes 220 --scenario-pubsub-nodes 3000 \
   --scenario-out target/BENCH_scenario_check.json
 
-echo "OK: fmt, clippy, doc, test, perf smoke, scale smoke, serve smoke, distsim smoke, scenario smoke all clean"
+echo "==> benchmark package (its own fmt, clippy, tests and a smoke run of all five workloads, built against the library API)"
+bash benchmark/check.sh
+
+echo "OK: fmt, clippy, doc, test, perf smoke, scale smoke, serve smoke, distsim smoke, scenario smoke, benchmark all clean"
