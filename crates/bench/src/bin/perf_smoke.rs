@@ -1578,7 +1578,7 @@ fn main() {
     // from-scratch oracles at *every* t of the dense churn trace above.
     use csn_core::graph::cores::{core_numbers, IncrementalCores};
     use csn_core::graph::Graph;
-    use csn_core::layering::nsf::{degree_levels, nsf_levels, IncrementalNsf};
+    use csn_core::layering::nsf::{nsf_levels, IncrementalNsf};
     use csn_core::temporal::TrackedCursor;
     use csn_core::trimming::incremental::{forwarding_sets_at, IncrementalForwarding};
 
@@ -1599,9 +1599,8 @@ fn main() {
             let g = mcur.graph();
             let cores_ok = mcur.view::<IncrementalCores>(hc).expect("cores").core_numbers()
                 == core_numbers(g).as_slice();
-            let nsf = mcur.view::<IncrementalNsf>(hn).expect("nsf");
-            let nsf_ok = nsf.nsf_levels() == nsf_levels(g).as_slice()
-                && nsf.degree_levels() == degree_levels(g);
+            let nsf_ok = mcur.view::<IncrementalNsf>(hn).expect("nsf").nsf_levels()
+                == nsf_levels(g).as_slice();
             let fwd_ok = mcur.view::<IncrementalForwarding>(hf).expect("fwd").forwarding_sets()
                 == &forwarding_sets_at(g, &trimmed)[..];
             if !(cores_ok && nsf_ok && fwd_ok) {

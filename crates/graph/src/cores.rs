@@ -10,9 +10,10 @@
 //! # Performance
 //!
 //! [`core_numbers`] is a from-scratch `O(n + m)` pass, and it is also how
-//! the dynamic twin [`IncrementalCores`] stays current: it applies a whole
-//! delta batch to its graph, then runs [`core_numbers`] once, so a step
-//! costs `O(n + m)` however many edges changed. Per-edge repair (the
+//! the dynamic twin [`IncrementalCores`] stays current: after every step
+//! of a tracked sweep that changed the graph it runs [`core_numbers`] once
+//! on the sweep's snapshot, so a step costs `O(n + m)` however many edges
+//! changed. Per-edge repair (the
 //! subcore/purecore insert and demotion-cascade delete of Sarıyüce et al.'s
 //! streaming k-core algorithms) was measured against this and lost: every
 //! inserted edge walks the whole same-core region of its cheaper endpoint,
@@ -98,33 +99,33 @@ pub fn k_core_mask<G: GraphView>(g: &G, k: usize) -> Vec<bool> {
 }
 
 /// Core numbers kept current under edge churn: the dynamic twin of
-/// [`core_numbers`], a state machine over edge deltas instead of a function
-/// over a frozen graph.
+/// [`core_numbers`], a state machine over snapshot steps instead of a
+/// function over a frozen graph.
 ///
-/// The engine owns its working copy of the graph and the current core
-/// numbers. [`IncrementalCores::apply_edges`] applies one batch of edge
-/// mutations and, if the batch changed the graph, recomputes every core
-/// number with one [`core_numbers`] pass. The [module docs](self#performance)
-/// give the measurements that ruled out per-edge repair.
+/// The engine holds only the current core numbers and its touch counter;
+/// the graph belongs to the sweep that drives it, normally a
+/// `csn_temporal::TrackedCursor` (`csn-temporal` holds the engine's
+/// `StructureMaintainer` impl). After a step that changed the graph,
+/// [`IncrementalCores::recompute`] brings every core number up to date
+/// with one [`core_numbers`] pass. The [module docs](self#performance) give
+/// the measurements that ruled out per-edge repair.
 ///
 /// # Examples
 ///
 /// ```
-/// use csn_graph::{generators, cores::{core_numbers, IncrementalCores}};
+/// use csn_graph::{cores::{core_numbers, IncrementalCores}, generators};
 ///
-/// let g = generators::path(4);
+/// let mut g = generators::path(4);
 /// let mut inc = IncrementalCores::new(&g);
 /// assert_eq!(inc.core_numbers(), &[1, 1, 1, 1]);
-/// inc.apply_edges(&[], &[(0, 3)]); // close the cycle: everyone rises to core 2
+/// g.add_edge(0, 3); // close the cycle: everyone rises to core 2
+/// inc.recompute(&g);
 /// assert_eq!(inc.core_numbers(), &[2, 2, 2, 2]);
-/// inc.apply_edges(&[(1, 2)], &[(0, 2)]); // break it, add a chord: 1 hangs off
-/// assert_eq!(inc.core_numbers(), &[2, 1, 2, 2]);
-/// assert_eq!(inc.core_numbers(), core_numbers(inc.graph()).as_slice());
-/// assert_eq!(inc.touched_nodes(), 8); // one pass over 4 nodes per batch
+/// assert_eq!(inc.core_numbers(), core_numbers(&g).as_slice());
+/// assert_eq!(inc.touched_nodes(), 4); // one pass over 4 nodes
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalCores {
-    g: Graph,
     core: Vec<usize>,
     touched: u64,
 }
@@ -132,66 +133,28 @@ pub struct IncrementalCores {
 impl IncrementalCores {
     /// Seeds the engine from a graph: one [`core_numbers`] oracle call.
     pub fn new(g: &Graph) -> Self {
-        IncrementalCores { core: core_numbers(g), g: g.clone(), touched: 0 }
+        IncrementalCores { core: core_numbers(g), touched: 0 }
     }
 
     /// The maintained core number of every node — equal to
-    /// `core_numbers(self.graph())` at all times.
+    /// `core_numbers(g)` on the last graph the engine was seeded from or
+    /// recomputed on.
     pub fn core_numbers(&self) -> &[usize] {
         &self.core
     }
 
-    /// The maintained `k`-core keep-mask.
-    pub fn k_core_mask(&self, k: usize) -> Vec<bool> {
-        self.core.iter().map(|&c| c >= k).collect()
-    }
-
-    /// The maintained degeneracy (maximum core number).
-    pub fn degeneracy(&self) -> usize {
-        self.core.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The engine's working copy of the graph.
-    pub fn graph(&self) -> &Graph {
-        &self.g
-    }
-
-    /// Nodes examined since construction (or the last
-    /// [`IncrementalCores::reset_touched`]): `node_count` for every batch
-    /// that changed the graph, the nodes one [`core_numbers`] pass visits.
+    /// Nodes examined since construction: `node_count` for every
+    /// [`recompute`](Self::recompute), the nodes one [`core_numbers`] pass
+    /// visits.
     pub fn touched_nodes(&self) -> u64 {
         self.touched
     }
 
-    /// Resets the touch counter (e.g. between benchmark phases).
-    pub fn reset_touched(&mut self) {
-        self.touched = 0;
-    }
-
-    /// Applies one batch of edge mutations (removals first, as a snapshot
-    /// cursor steps) and, if any of them changed the graph, recomputes the
-    /// core numbers with one [`core_numbers`] pass. Duplicate additions and
-    /// missing removals are no-ops, so a batch of only those touches no
-    /// node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range, or if an addition is a
-    /// self-loop, as in [`Graph::add_edge`].
-    pub fn apply_edges(&mut self, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
-        let n = self.g.node_count();
-        let mut changed = false;
-        for &(u, v) in removed {
-            assert!(u < n && v < n, "node out of range");
-            changed |= self.g.remove_edge(u, v);
-        }
-        for &(u, v) in added {
-            changed |= self.g.add_edge(u, v);
-        }
-        if changed {
-            self.core = core_numbers(&self.g);
-            self.touched += n as u64;
-        }
+    /// Recomputes the core numbers on `g`, the graph after a step that
+    /// changed it, with one [`core_numbers`] pass.
+    pub fn recompute(&mut self, g: &Graph) {
+        self.core = core_numbers(g);
+        self.touched += g.node_count() as u64;
     }
 }
 
@@ -263,59 +226,26 @@ mod tests {
 
     #[test]
     fn incremental_matches_oracle_while_building_a_clique() {
-        let mut inc = IncrementalCores::new(&Graph::new(6));
+        let mut g = Graph::new(6);
+        let mut inc = IncrementalCores::new(&g);
         for u in 0..6 {
             for v in (u + 1)..6 {
-                inc.apply_edges(&[], &[(u, v)]);
-                assert_eq!(inc.core_numbers(), core_numbers(inc.graph()).as_slice());
+                g.add_edge(u, v);
+                inc.recompute(&g);
+                assert_eq!(inc.core_numbers(), core_numbers(&g).as_slice());
             }
         }
         assert_eq!(inc.core_numbers(), &[5; 6]);
-        assert_eq!(inc.degeneracy(), 5);
         // And back down again.
         for u in 0..6 {
             for v in (u + 1)..6 {
-                inc.apply_edges(&[(u, v)], &[]);
-                assert_eq!(inc.core_numbers(), core_numbers(inc.graph()).as_slice());
+                g.remove_edge(u, v);
+                inc.recompute(&g);
+                assert_eq!(inc.core_numbers(), core_numbers(&g).as_slice());
             }
         }
         assert_eq!(inc.core_numbers(), &[0; 6]);
-        assert_eq!(inc.touched_nodes(), 2 * 15 * 6, "one pass per changing batch");
-    }
-
-    #[test]
-    fn incremental_duplicate_and_missing_edges_are_noops() {
-        let g = generators::path(4);
-        let mut inc = IncrementalCores::new(&g);
-        inc.apply_edges(&[], &[(0, 1)]); // duplicate addition
-        inc.apply_edges(&[(0, 2)], &[]); // absent removal
-        inc.apply_edges(&[(0, 2), (3, 1)], &[(1, 0), (2, 3)]); // all no-ops
-        inc.apply_edges(&[], &[]);
-        assert_eq!(inc.touched_nodes(), 0, "no-ops must not touch nodes");
-        assert_eq!(inc.graph(), &g);
-        assert_eq!(inc.core_numbers(), core_numbers(&g).as_slice());
-    }
-
-    #[test]
-    fn incremental_batch_recomputes_once_per_change() {
-        let g = generators::complete(4);
-        let mut inc = IncrementalCores::new(&g);
-        // One edge removed and re-added in the same batch: both mutations
-        // happen, so the batch counts as a change, and the cores come back.
-        inc.apply_edges(&[(0, 1)], &[(1, 0)]);
-        assert_eq!(inc.touched_nodes(), 4);
-        assert_eq!(inc.core_numbers(), &[3; 4]);
-        // No-ops mixed into a changing batch cost nothing extra.
-        inc.apply_edges(&[(0, 1), (0, 1), (2, 2)], &[(2, 3), (0, 1)]);
-        assert_eq!(inc.touched_nodes(), 8);
-        assert_eq!(inc.core_numbers(), core_numbers(inc.graph()).as_slice());
-        assert_eq!(inc.core_numbers(), &[3; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "node out of range")]
-    fn incremental_out_of_range_removal_panics() {
-        IncrementalCores::new(&generators::path(3)).apply_edges(&[(0, 3)], &[]);
+        assert_eq!(inc.touched_nodes(), 2 * 15 * 6, "one pass per recompute");
     }
 
     #[test]
@@ -323,37 +253,24 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let n = 30;
-        let mut inc = IncrementalCores::new(&Graph::new(n));
+        let mut g = Graph::new(n);
+        let mut inc = IncrementalCores::new(&g);
         for step in 0..600 {
-            let (mut removed, mut added) = (Vec::new(), Vec::new());
+            let mut changed = false;
             for _ in 0..rng.gen_range(1..4) {
                 let u = rng.gen_range(0..n);
                 let v = rng.gen_range(0..n);
                 if u == v {
                     continue;
                 }
-                if rng.gen::<f64>() < 0.65 {
-                    added.push((u, v));
-                } else {
-                    removed.push((u, v));
-                }
+                changed |=
+                    if rng.gen::<f64>() < 0.65 { g.add_edge(u, v) } else { g.remove_edge(u, v) };
             }
-            inc.apply_edges(&removed, &added);
-            assert_eq!(
-                inc.core_numbers(),
-                core_numbers(inc.graph()).as_slice(),
-                "diverged at step {step} after -{removed:?} +{added:?}"
-            );
+            if changed {
+                inc.recompute(&g);
+            }
+            assert_eq!(inc.core_numbers(), core_numbers(&g).as_slice(), "diverged at step {step}");
         }
         assert!(inc.touched_nodes() > 0);
-    }
-
-    #[test]
-    fn incremental_mask_matches_free_function() {
-        let g = generators::erdos_renyi(80, 0.06, 3).unwrap();
-        let inc = IncrementalCores::new(&g);
-        for k in 0..=inc.degeneracy() {
-            assert_eq!(inc.k_core_mask(k), k_core_mask(&g, k), "k={k}");
-        }
     }
 }

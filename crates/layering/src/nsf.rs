@@ -20,20 +20,19 @@
 //! [`IncrementalNsf`]: because a node's peel round depends only on its own
 //! connected component (local-minimum tests never cross components, and the
 //! global round counter advances in lockstep everywhere), an edge delta can
-//! only change levels inside the components — *in the mutated graph* — that
-//! contain a changed endpoint. `IncrementalNsf` finds that dirty region by
-//! BFS from the changed endpoints and re-peels only it, leaving every other
-//! component's levels untouched, and keeps the degree multiset so
-//! [`IncrementalNsf::degree_levels`] materializes in `O(n + max_degree)`
-//! without a sort. On fragmented graphs under sparse churn this touches a
+//! only change levels inside the components — *of the post-step snapshot*
+//! — that contain a changed endpoint. `IncrementalNsf` finds that dirty
+//! region by BFS from the changed endpoints over the snapshot its sweep
+//! hands it and re-peels only that region, leaving every other component's
+//! levels untouched. On fragmented graphs under sparse churn this touches a
 //! small fraction of the nodes per step (the counter behind
 //! [`IncrementalNsf::touched_nodes`] is the verifiable evidence);
-//! `nsf_levels` on the mutated graph remains the oracle it is gated
-//! against, bitwise, in `maintain_props`.
+//! `nsf_levels` on the snapshot remains the oracle it is gated against,
+//! bitwise, in `maintain_props`.
 
 use csn_graph::powerlaw::{self, PowerLawFit};
 use csn_graph::{Graph, GraphView, NodeId};
-use csn_temporal::maintain::{EdgeDelta, StructureMaintainer};
+use csn_temporal::maintain::StructureMaintainer;
 use std::collections::VecDeque;
 
 /// Nodes that are local minima of the current (adjusted) degree among the
@@ -157,32 +156,37 @@ pub fn top_fraction_mask(g: &Graph, fraction: f64) -> Vec<bool> {
     keep
 }
 
-/// Incrementally maintained NSF labeling: [`nsf_levels`] +
-/// [`degree_levels`]-equivalent state kept up to date under edge churn. See
-/// the [module docs](self#performance) for the dirty-region argument.
+/// Incrementally maintained NSF labeling: [`nsf_levels`] kept up to date
+/// under edge churn by a `TrackedCursor` sweep, which owns the graph and
+/// hands each step's snapshot and delta to the [`StructureMaintainer`]
+/// impl. See the [module docs](self#performance) for the dirty-region
+/// argument.
 ///
 /// # Examples
 ///
 /// ```
-/// use csn_graph::{generators, Graph};
-/// use csn_layering::nsf::{degree_levels, nsf_levels, IncrementalNsf};
+/// use csn_layering::nsf::{nsf_levels, IncrementalNsf};
+/// use csn_temporal::{TimeEvolvingGraph, TrackedCursor};
 ///
-/// let g = generators::barabasi_albert(60, 2, 9).unwrap();
-/// let mut inc = IncrementalNsf::new(&g);
-/// inc.apply_edges(&[(0, 1)], &[]); // drop one hub contact
-/// assert_eq!(inc.nsf_levels(), nsf_levels(inc.graph()).as_slice());
-/// assert_eq!(inc.degree_levels(), degree_levels(inc.graph()));
+/// // A path 0-1-2-3 whose middle contact drops out at t = 1.
+/// let mut eg = TimeEvolvingGraph::new(4, 3);
+/// eg.add_periodic(0, 1, 0, 1);
+/// eg.add_contact(1, 2, 0);
+/// eg.add_periodic(2, 3, 0, 1);
+/// let mut cur = TrackedCursor::new(&eg);
+/// let h = cur.register(Box::new(IncrementalNsf::default()));
+/// assert_eq!(cur.view::<IncrementalNsf>(h).unwrap().nsf_levels(), &[1, 2, 2, 1]);
+/// cur.advance();
+/// let inc: &IncrementalNsf = cur.view(h).expect("registered");
+/// assert_eq!(inc.nsf_levels(), &[1, 1, 1, 1]);
+/// assert_eq!(inc.nsf_levels(), nsf_levels(cur.graph()).as_slice());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalNsf {
-    g: Graph,
     level: Vec<usize>,
     /// `level_counts[l - 1]`: nodes currently at level `l` (the peel
     /// frontier sizes), trailing zeros trimmed.
     level_counts: Vec<usize>,
-    /// `degree_count[d]`: nodes currently of degree `d` (may carry trailing
-    /// zero buckets).
-    degree_count: Vec<usize>,
     touched: u64,
     /// Epoch-stamped node marks: `epoch + 1` = in the dirty set (still
     /// unassigned), `epoch + 2` = re-assigned during the current re-peel.
@@ -201,16 +205,9 @@ impl IncrementalNsf {
         for &l in &level {
             level_counts[l - 1] += 1;
         }
-        let degrees = g.degrees();
-        let mut degree_count = vec![0usize; degrees.iter().copied().max().unwrap_or(0) + 1];
-        for &d in &degrees {
-            degree_count[d] += 1;
-        }
         IncrementalNsf {
-            g: g.clone(),
             level,
             level_counts,
-            degree_count,
             touched: 0,
             mark: vec![0; n],
             epoch: 0,
@@ -218,24 +215,10 @@ impl IncrementalNsf {
         }
     }
 
-    /// The maintained NSF levels — equal to `nsf_levels(self.graph())`.
+    /// The maintained NSF levels — equal to `nsf_levels` of the latest
+    /// snapshot.
     pub fn nsf_levels(&self) -> &[usize] {
         &self.level
-    }
-
-    /// The plain degree labeling, materialized from the maintained degree
-    /// multiset in `O(n + max_degree)` — equal to
-    /// `degree_levels(self.graph())`.
-    pub fn degree_levels(&self) -> Vec<usize> {
-        let mut rank = vec![0usize; self.degree_count.len()];
-        let mut r = 0;
-        for d in 0..self.degree_count.len() {
-            if self.degree_count[d] > 0 {
-                r += 1;
-            }
-            rank[d] = r;
-        }
-        (0..self.g.node_count()).map(|u| rank[self.g.neighbors(u).len()]).collect()
     }
 
     /// Nodes per level (the peel frontier sizes): `level_histogram()[l - 1]`
@@ -250,71 +233,20 @@ impl IncrementalNsf {
     }
 
     /// Number of nodes at the top level — equal to
-    /// `top_level_count(&nsf_levels(self.graph()))`.
+    /// [`top_level_count`]`(self.nsf_levels())`.
     pub fn top_level_count(&self) -> usize {
         self.level_counts.last().copied().unwrap_or(0)
     }
 
-    /// The maintained graph.
-    pub fn graph(&self) -> &Graph {
-        &self.g
-    }
-
-    /// Nodes examined by incremental repair since construction or the last
-    /// [`reset_touched`](Self::reset_touched) (dirty-set discovery plus one
-    /// count per node per re-peel round).
+    /// Nodes examined by incremental repair since the last re-seed
+    /// (dirty-set discovery plus one count per node per re-peel round).
     pub fn touched_nodes(&self) -> u64 {
         self.touched
     }
 
-    /// Zeroes the touched-node counter.
-    pub fn reset_touched(&mut self) {
-        self.touched = 0;
-    }
-
-    fn bucket_move(&mut self, old: usize, new: usize) {
-        self.degree_count[old] -= 1;
-        if new >= self.degree_count.len() {
-            self.degree_count.resize(new + 1, 0);
-        }
-        self.degree_count[new] += 1;
-    }
-
-    /// Applies one batch of edge mutations (removals first, mirroring
-    /// [`csn_temporal::SnapshotCursor::advance`]) and repairs the levels of
-    /// the affected components only. Duplicate additions and missing
-    /// removals are no-ops; out-of-range endpoints panic, as in
-    /// [`Graph::add_edge`].
-    pub fn apply_edges(&mut self, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
-        let mut seeds: Vec<NodeId> = Vec::new();
-        for &(u, v) in removed {
-            let du = self.g.neighbors(u).len();
-            let dv = self.g.neighbors(v).len();
-            if self.g.remove_edge(u, v) {
-                self.bucket_move(du, du - 1);
-                self.bucket_move(dv, dv - 1);
-                seeds.push(u);
-                seeds.push(v);
-            }
-        }
-        for &(u, v) in added {
-            let du = self.g.neighbors(u).len();
-            let dv = self.g.neighbors(v).len();
-            if self.g.add_edge(u, v) {
-                self.bucket_move(du, du + 1);
-                self.bucket_move(dv, dv + 1);
-                seeds.push(u);
-                seeds.push(v);
-            }
-        }
-        if !seeds.is_empty() {
-            self.repeel(&seeds);
-        }
-    }
-
-    /// Re-peels exactly the components (in the mutated graph) containing a
-    /// seed node; every other component's levels are provably unchanged.
-    fn repeel(&mut self, seeds: &[NodeId]) {
+    /// Re-peels exactly the components of `g` containing a seed node; every
+    /// other component's levels are provably unchanged.
+    fn repeel(&mut self, g: &Graph, seeds: impl Iterator<Item = NodeId>) {
         self.epoch += 2;
         let e_dirty = self.epoch - 1;
         let e_done = self.epoch;
@@ -322,7 +254,7 @@ impl IncrementalNsf {
         // Dirty-set discovery: BFS from the changed endpoints.
         let mut dirty: Vec<NodeId> = Vec::new();
         let mut queue: VecDeque<NodeId> = VecDeque::new();
-        for &s in seeds {
+        for s in seeds {
             if self.mark[s] != e_dirty {
                 self.mark[s] = e_dirty;
                 queue.push_back(s);
@@ -331,7 +263,7 @@ impl IncrementalNsf {
         while let Some(u) = queue.pop_front() {
             self.touched += 1;
             dirty.push(u);
-            for &v in self.g.neighbors(u) {
+            for &v in g.neighbors(u) {
                 if self.mark[v] != e_dirty {
                     self.mark[v] = e_dirty;
                     queue.push_back(v);
@@ -342,7 +274,7 @@ impl IncrementalNsf {
         // Retract the dirty nodes' old levels from the frontier histogram.
         for &u in &dirty {
             self.level_counts[self.level[u] - 1] -= 1;
-            self.adeg[u] = self.g.neighbors(u).len();
+            self.adeg[u] = g.neighbors(u).len();
         }
 
         // Peel the dirty region. Because components are closed under
@@ -356,12 +288,7 @@ impl IncrementalNsf {
             for &u in &remaining {
                 self.touched += 1;
                 let au = self.adeg[u];
-                if self
-                    .g
-                    .neighbors(u)
-                    .iter()
-                    .all(|&v| self.mark[v] != e_dirty || au <= self.adeg[v])
-                {
+                if g.neighbors(u).iter().all(|&v| self.mark[v] != e_dirty || au <= self.adeg[v]) {
                     minima.push(u);
                 }
             }
@@ -375,7 +302,7 @@ impl IncrementalNsf {
                 self.level_counts[current - 1] += 1;
             }
             for &u in &minima {
-                for &v in self.g.neighbors(u) {
+                for &v in g.neighbors(u) {
                     if self.mark[v] == e_dirty {
                         self.adeg[v] -= 1;
                     }
@@ -399,16 +326,16 @@ impl StructureMaintainer for IncrementalNsf {
         *self = IncrementalNsf::new(g);
     }
 
-    fn apply(&mut self, delta: &EdgeDelta) {
-        self.apply_edges(&delta.removed, &delta.added);
+    /// Re-peels the components of `g` that contain an endpoint of a
+    /// changed edge.
+    fn apply(&mut self, g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
+        if !(removed.is_empty() && added.is_empty()) {
+            self.repeel(g, removed.iter().chain(added).flat_map(|&(u, v)| [u, v]));
+        }
     }
 
     fn touched_nodes(&self) -> u64 {
         self.touched
-    }
-
-    fn reset_touched(&mut self) {
-        self.touched = 0;
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -461,6 +388,7 @@ pub fn nsf_report(g: &Graph, min_nodes: usize, min_tail: usize) -> NsfReport {
 mod tests {
     use super::*;
     use csn_graph::generators;
+    use csn_temporal::{TimeEvolvingGraph, TrackedCursor};
 
     /// The paper's Fig. 7 six-node example: a hub with a two-level tail.
     /// Node 0 is the hub (degree 4); 1, 2, 3 leaves; 4 bridges to 5.
@@ -567,28 +495,53 @@ mod tests {
         assert_eq!(degree_levels(&g), degree_levels(&csr));
     }
 
+    /// Sweeps an [`IncrementalNsf`] over `eg`, checking it against the
+    /// oracle at every `t`; returns its touched-node count.
+    fn assert_nsf_tracked(eg: &TimeEvolvingGraph) -> u64 {
+        let mut cur = TrackedCursor::new(eg);
+        let h = cur.register(Box::new(IncrementalNsf::default()));
+        loop {
+            let inc: &IncrementalNsf = cur.view(h).expect("registered");
+            let (g, t) = (cur.graph(), cur.time());
+            assert_eq!(inc.nsf_levels(), nsf_levels(g).as_slice(), "levels diverged at t={t}");
+            assert_eq!(inc.top_level_count(), top_level_count(inc.nsf_levels()), "t={t}");
+            assert_eq!(
+                inc.level_histogram().len(),
+                inc.nsf_levels().iter().copied().max().unwrap_or(0),
+                "histogram must end at the top level (t={t})"
+            );
+            if !cur.advance() {
+                return cur.touched_nodes();
+            }
+        }
+    }
+
     #[test]
     fn incremental_nsf_handles_component_splits_and_merges() {
-        // Path 0-1-2 plus a far component 3-4; splitting and re-joining the
-        // path must leave the untouched component's levels alone.
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
-        let mut inc = IncrementalNsf::new(&g);
-        assert_eq!(inc.nsf_levels(), nsf_levels(&g).as_slice());
-        inc.apply_edges(&[(1, 2)], &[]); // split: 2 isolated
-        assert_eq!(inc.nsf_levels(), nsf_levels(inc.graph()).as_slice());
-        inc.apply_edges(&[], &[(2, 3)]); // merge the components
-        assert_eq!(inc.nsf_levels(), nsf_levels(inc.graph()).as_slice());
-        assert_eq!(inc.degree_levels(), degree_levels(inc.graph()));
-        assert_eq!(inc.top_level_count(), top_level_count(inc.nsf_levels()));
+        // Path 0-1-2 plus a far component 3-4; the path splits at t = 1 (2
+        // isolated) and joins the far component at t = 2. Re-peeling must
+        // leave the untouched component's levels alone.
+        let mut eg = TimeEvolvingGraph::new(5, 3);
+        eg.add_periodic(0, 1, 0, 1);
+        eg.add_contact(1, 2, 0);
+        eg.add_periodic(3, 4, 0, 1);
+        eg.add_contact(2, 3, 2);
+        let touched = assert_nsf_tracked(&eg);
+        // t = 1 finds {0, 1, 2} and peels it in one round; t = 2 finds
+        // {2, 3, 4} and peels it in two rounds (3 + 1 nodes). Neither step
+        // visits the component it did not change.
+        assert_eq!(touched, (3 + 3) + (3 + 3 + 1));
     }
 
     #[test]
     fn incremental_nsf_noops_do_not_touch() {
+        // Fig. 7's edges are always on, so no step changes the graph.
         let g = fig7_like();
-        let mut inc = IncrementalNsf::new(&g);
-        inc.apply_edges(&[(1, 2)], &[(0, 1)]); // absent removal, dup addition
-        assert_eq!(inc.touched_nodes(), 0);
-        assert_eq!(inc.nsf_levels(), nsf_levels(&g).as_slice());
+        let mut eg = TimeEvolvingGraph::new(g.node_count(), 4);
+        for (u, v) in g.edges() {
+            eg.add_periodic(u, v, 0, 1);
+        }
+        assert_eq!(assert_nsf_tracked(&eg), 0);
     }
 
     #[test]
@@ -597,7 +550,6 @@ mod tests {
         // should examine far fewer nodes than `horizon * n` (what per-t
         // rebuilds must walk at least once).
         use csn_temporal::markovian::EdgeMarkovian;
-        use csn_temporal::TrackedCursor;
         let eg = EdgeMarkovian::new(60, 0.3, 0.002).generate(80, 5);
         let mut cur = TrackedCursor::new(&eg);
         cur.register(Box::new(IncrementalNsf::default()));
@@ -612,40 +564,27 @@ mod tests {
 
     #[test]
     fn incremental_nsf_random_churn_matches_oracle() {
+        // One random edge toggle per step on top of an ER graph.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let n = 40;
-        let g = generators::erdos_renyi(n, 0.06, 8).unwrap();
-        let mut inc = IncrementalNsf::new(&g);
-        for step in 0..300 {
+        let (n, horizon) = (40, 300);
+        let mut g = generators::erdos_renyi(n, 0.06, 8).unwrap();
+        let mut eg = TimeEvolvingGraph::new(n, horizon);
+        for t in 0..horizon {
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
-            if u == v {
-                continue;
+            if t > 0 && u != v {
+                if rng.gen::<f64>() < 0.5 {
+                    g.add_edge(u, v);
+                } else {
+                    g.remove_edge(u, v);
+                }
             }
-            if rng.gen::<f64>() < 0.5 {
-                inc.apply_edges(&[], &[(u, v)]);
-            } else {
-                inc.apply_edges(&[(u, v)], &[]);
+            for (u, v) in g.edges() {
+                eg.add_contact(u, v, t);
             }
-            assert_eq!(
-                inc.nsf_levels(),
-                nsf_levels(inc.graph()).as_slice(),
-                "levels diverged at step {step} on ({u}, {v})"
-            );
-            assert_eq!(
-                inc.degree_levels(),
-                degree_levels(inc.graph()),
-                "degree levels diverged at step {step}"
-            );
-            assert_eq!(inc.top_level_count(), top_level_count(inc.nsf_levels()));
-            assert_eq!(
-                inc.level_histogram().len(),
-                inc.nsf_levels().iter().copied().max().unwrap_or(0),
-                "histogram must end at the top level"
-            );
         }
-        assert!(inc.touched_nodes() > 0);
+        assert!(assert_nsf_tracked(&eg) > 0);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use csn_graph::traversal::bfs_distances_into;
 use csn_graph::{GraphView, LandmarkIndex, NodeId};
 use csn_labeling::safety::SafetyLevels;
 use csn_temporal::{SnapshotCursor, TimeEvolvingGraph};
+use csn_trimming::incremental::push_forwarding_set;
 use std::collections::HashSet;
 
 /// Build-time knobs for [`ServeIndex::build`]. Every field has a sensible
@@ -129,19 +130,12 @@ impl<G: GraphView> ServeIndex<G> {
         }
 
         // Live forwarding sets under the frozen trim overlay, flattened.
-        // Mirrors `csn_trimming::incremental::forwarding_sets_at` (which is
-        // `&Graph`-only) for any `GraphView`: neighbors of `u` with the arc
-        // `u → v` not trimmed, sorted ascending.
         let cut: HashSet<(NodeId, NodeId)> = cfg.trimmed_arcs.iter().copied().collect();
         let mut fwd_off = Vec::with_capacity(n + 1);
         let mut fwd = Vec::new();
-        let mut set: Vec<NodeId> = Vec::new();
         fwd_off.push(0);
         for u in g.nodes() {
-            set.clear();
-            set.extend(g.neighbors(u).filter(|&v| !cut.contains(&(u, v))));
-            set.sort_unstable();
-            fwd.extend_from_slice(&set);
+            push_forwarding_set(&g, &cut, u, &mut fwd);
             fwd_off.push(fwd.len());
         }
 

@@ -63,5 +63,5 @@ pub mod weighted;
 
 pub use graph::{Contact, TemporalEdge, TimeEvolvingGraph, TimeUnit};
 pub use journey::Journey;
-pub use maintain::{EdgeDelta, StructureMaintainer, TrackedCursor};
+pub use maintain::{StructureMaintainer, TrackedCursor};
 pub use snapshot::SnapshotCursor;

@@ -1,28 +1,30 @@
-//! Incremental structure maintenance under churn: [`StructureMaintainer`],
-//! [`EdgeDelta`], and the [`TrackedCursor`].
+//! Incremental structure maintenance under churn: [`StructureMaintainer`]
+//! and the [`TrackedCursor`].
 //!
 //! The paper's useful structures — k-core decompositions, NSF levels,
 //! forwarding sets — are consumed in *dynamic* environments (§II-B), yet a
 //! naive temporal sweep recomputes each of them from scratch at every
 //! snapshot even though [`SnapshotCursor`] already delivers `O(Δ_t)` edge
 //! deltas per step. This module turns those structures into *state machines
-//! over deltas*: a [`StructureMaintainer`] is re-seeded once from a frozen
+//! over deltas*: a [`StructureMaintainer`] is re-seeded once from a
 //! snapshot and thereafter brings its maintained state up to date on each
-//! [`EdgeDelta`], with whichever update measured cheapest for its structure.
+//! step, given the post-step snapshot and the step's exact delta, with
+//! whichever update measured cheapest for its structure.
 //!
 //! Three first-class maintainers implement the trait:
 //!
 //! * [`csn_graph::cores::IncrementalCores`] — core numbers, recomputed by
-//!   one `core_numbers` pass per delta batch (impl lives in this module;
+//!   one `core_numbers` pass per changing step (impl lives in this module;
 //!   [`csn_graph::cores`] gives the measurements against per-edge repair).
-//! * `csn_layering::nsf::IncrementalNsf` — NSF levels + degree levels via
-//!   affected-component re-peeling.
+//! * `csn_layering::nsf::IncrementalNsf` — NSF levels via affected-component
+//!   re-peeling.
 //! * `csn_trimming::IncrementalForwarding` — §III-A forwarding sets under a
 //!   frozen static-rule trim as contacts appear/disappear.
 //!
-//! The [`TrackedCursor`] ties them to a sweep: it wraps a [`SnapshotCursor`]
-//! and feeds every registered maintainer the step's delta on each
-//! [`TrackedCursor::advance`], so maintained state equals the from-scratch
+//! The [`TrackedCursor`] ties them to a sweep: it wraps a [`SnapshotCursor`],
+//! whose graph is the only copy of the snapshot, and on each
+//! [`TrackedCursor::advance`] hands every registered maintainer that graph
+//! and the step's delta, so maintained state equals the from-scratch
 //! computation at every `t` (the `maintain_props` suite gates this bitwise,
 //! the same way `snapshot_props` gates the cursor itself).
 //!
@@ -34,13 +36,14 @@
 //! (forwarding) — so their cost scales with churn. The cores maintainer
 //! does not: a change to one edge can move core numbers across its whole
 //! same-core region, and on contact traces that region is most of the graph,
-//! so it recomputes once per batch and touches exactly `n` nodes per
-//! changing step. Every maintainer counts the nodes it touches
-//! ([`StructureMaintainer::touched_nodes`]), so each cost is *verifiable*:
-//! `perf_smoke` records in `BENCH_kernels.json` (its `maintain` block) that
-//! the NSF and forwarding sweeps touch strictly fewer nodes than per-`t`
-//! rebuilds and the cores sweep no more, which matters on a 1-core CI box
-//! where wall-clock alone is noisy.
+//! so it recomputes once per changing step and touches exactly `n` nodes
+//! each time. No maintainer keeps a graph of its own: the cursor applies
+//! each delta once, and every maintainer reads its snapshot. Every
+//! maintainer counts the nodes it touches ([`StructureMaintainer::touched_nodes`]), so each cost
+//! is *verifiable*: `perf_smoke` records in `BENCH_kernels.json` (its
+//! `maintain` block) that the NSF and forwarding sweeps touch strictly fewer
+//! nodes than per-`t` rebuilds and the cores sweep no more, which matters on
+//! a 1-core CI box where wall-clock alone is noisy.
 //!
 //! # Examples
 //!
@@ -120,44 +123,14 @@ use csn_graph::cores::IncrementalCores;
 use csn_graph::{Graph, NodeId};
 use std::any::Any;
 
-/// One batch of edge mutations between consecutive structure states.
-///
-/// Removals apply before additions, mirroring the
-/// [`SnapshotCursor::advance`] order, and the two lists are disjoint for
-/// cursor-produced deltas (see [`SnapshotCursor::appearing_at`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EdgeDelta {
-    /// Edges removed from the graph (applied first).
-    pub removed: Vec<(NodeId, NodeId)>,
-    /// Edges added to the graph.
-    pub added: Vec<(NodeId, NodeId)>,
-}
-
-impl EdgeDelta {
-    /// A delta carrying no mutations.
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.added.is_empty()
-    }
-
-    /// Total number of edge mutations in the batch.
-    pub fn len(&self) -> usize {
-        self.removed.len() + self.added.len()
-    }
-
-    fn clear(&mut self) {
-        self.removed.clear();
-        self.added.clear();
-    }
-}
-
 /// A structure kept up to date under edge churn.
 ///
 /// Implementations own whatever auxiliary state their repair algorithm
-/// needs (including a private copy of the graph where required) and promise
-/// that after any sequence of [`apply`](Self::apply) calls the maintained
-/// result equals what the from-scratch computation would produce on the
-/// mutated graph — the `maintain_props` property suite holds them to it
-/// bitwise at every step.
+/// needs, but not the graph: each [`apply`](Self::apply) reads the caller's
+/// post-step snapshot. They promise that after any sequence of `apply`
+/// calls the maintained result equals what the from-scratch computation
+/// would produce on the latest snapshot — the `maintain_props` property
+/// suite holds them to it bitwise at every step.
 pub trait StructureMaintainer {
     /// A short stable name for reports and benchmarks (e.g. `"cores"`).
     fn name(&self) -> &'static str;
@@ -166,17 +139,20 @@ pub trait StructureMaintainer {
     /// Also resets the touched-node counter.
     fn reseed(&mut self, g: &Graph);
 
-    /// Applies one delta batch, bringing the maintained state up to date.
-    fn apply(&mut self, delta: &EdgeDelta);
+    /// Brings the maintained state up to date after one step. `g` is the
+    /// snapshot after the step; `removed` and `added` are exactly its delta
+    /// against the snapshot the state was last brought up to date with:
+    /// `g` equals that snapshot minus `removed` plus `added`, every removed
+    /// edge was present, every added edge was absent, the two lists are
+    /// disjoint and neither repeats an edge (the
+    /// [`SnapshotCursor::appearing_at`] delta contract).
+    fn apply(&mut self, g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]);
 
     /// Nodes examined by [`apply`](Self::apply) since the last
-    /// [`reseed`](Self::reseed) / [`reset_touched`](Self::reset_touched) —
-    /// the *counted* cost of maintenance, comparable with the `n` nodes per
-    /// step that a from-scratch rebuild visits.
+    /// [`reseed`](Self::reseed) — the *counted* cost of maintenance,
+    /// comparable with the `n` nodes per step that a from-scratch rebuild
+    /// visits.
     fn touched_nodes(&self) -> u64;
-
-    /// Zeroes the touched-node counter.
-    fn reset_touched(&mut self);
 
     /// The concrete maintainer, for typed views via [`TrackedCursor::view`].
     fn as_any(&self) -> &dyn Any;
@@ -191,16 +167,14 @@ impl StructureMaintainer for IncrementalCores {
         *self = IncrementalCores::new(g);
     }
 
-    fn apply(&mut self, delta: &EdgeDelta) {
-        self.apply_edges(&delta.removed, &delta.added);
+    fn apply(&mut self, g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
+        if !(removed.is_empty() && added.is_empty()) {
+            self.recompute(g);
+        }
     }
 
     fn touched_nodes(&self) -> u64 {
         IncrementalCores::touched_nodes(self)
-    }
-
-    fn reset_touched(&mut self) {
-        IncrementalCores::reset_touched(self);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -209,15 +183,16 @@ impl StructureMaintainer for IncrementalCores {
 }
 
 /// A [`SnapshotCursor`] carrying registered [`StructureMaintainer`]s that it
-/// feeds the step delta on every [`advance`](Self::advance). See the
-/// [module docs](self) for the contract and an example.
+/// hands the post-step snapshot and the step delta on every
+/// [`advance`](Self::advance). See the [module docs](self) for the contract
+/// and an example.
 ///
 /// # Performance
 ///
 /// [`advance`](Self::advance) costs the cursor step (`O(Δ_t)`) plus each
 /// maintainer's [`StructureMaintainer::apply`] (see the
-/// [module docs](self#performance)); the cursor side is allocation-free
-/// once the reused delta buffer has grown to the trace's largest `Δ_t`. The
+/// [module docs](self#performance)); the cursor side copies nothing — the
+/// maintainers read its graph and its precomputed delta slices. The
 /// expensive parts — the cursor's delta tables and each maintainer's
 /// seeded state — are paid once at construction /
 /// [`register`](Self::register); [`reset`](Self::reset) reuses the delta
@@ -228,25 +203,12 @@ impl StructureMaintainer for IncrementalCores {
 pub struct TrackedCursor {
     cursor: SnapshotCursor,
     maintainers: Vec<Box<dyn StructureMaintainer>>,
-    /// Reused per-step delta buffer — `advance` is allocation-free once the
-    /// buffer has grown to the trace's largest `Δ_t`.
-    scratch: EdgeDelta,
 }
 
 impl TrackedCursor {
     /// Builds a tracked cursor positioned at `t = 0` with no maintainers.
     pub fn new(eg: &TimeEvolvingGraph) -> Self {
-        TrackedCursor {
-            cursor: SnapshotCursor::new(eg),
-            maintainers: Vec::new(),
-            scratch: EdgeDelta::default(),
-        }
-    }
-
-    /// Wraps an existing cursor (which may be mid-sweep; maintainers
-    /// registered later are seeded from whatever snapshot it then holds).
-    pub fn from_cursor(cursor: SnapshotCursor) -> Self {
-        TrackedCursor { cursor, maintainers: Vec::new(), scratch: EdgeDelta::default() }
+        TrackedCursor { cursor: SnapshotCursor::new(eg), maintainers: Vec::new() }
     }
 
     /// Registers a maintainer, re-seeding it from the current snapshot, and
@@ -299,19 +261,19 @@ impl TrackedCursor {
         self.maintainers.iter().map(|m| m.touched_nodes()).sum()
     }
 
-    /// Steps to the next time unit and feeds the step's [`EdgeDelta`] to
-    /// every registered maintainer. Returns `false` (without moving or
-    /// notifying anyone) once the last time unit of the horizon is reached.
+    /// Steps to the next time unit and hands every registered maintainer
+    /// the new snapshot with the step's delta
+    /// ([`SnapshotCursor::disappearing_at`] / [`SnapshotCursor::appearing_at`]).
+    /// Returns `false` (without moving or notifying anyone) once the last
+    /// time unit of the horizon is reached.
     pub fn advance(&mut self) -> bool {
-        if !self.cursor.advance() {
+        let TrackedCursor { cursor, maintainers } = self;
+        if !cursor.advance() {
             return false;
         }
-        let t = self.cursor.time();
-        self.scratch.clear();
-        self.scratch.removed.extend_from_slice(self.cursor.disappearing_at(t));
-        self.scratch.added.extend_from_slice(self.cursor.appearing_at(t));
-        for m in &mut self.maintainers {
-            m.apply(&self.scratch);
+        let t = cursor.time();
+        for m in maintainers {
+            m.apply(cursor.graph(), cursor.disappearing_at(t), cursor.appearing_at(t));
         }
         true
     }
@@ -367,6 +329,73 @@ mod tests {
     fn cores_tracked_on_markovian_trace() {
         let eg = EdgeMarkovian::new(24, 0.35, 0.08).generate(60, 99);
         assert_cores_tracked(&eg);
+    }
+
+    #[test]
+    fn cores_recompute_once_per_changing_step() {
+        // Step 1 removes one edge and adds two, step 3 removes two; steps 2
+        // and 4 change nothing.
+        let mut eg = TimeEvolvingGraph::new(4, 5);
+        eg.add_periodic(0, 1, 0, 1);
+        eg.add_contact(1, 2, 0);
+        for t in [1, 2] {
+            eg.add_contact(2, 3, t);
+            eg.add_contact(0, 2, t);
+        }
+        assert_eq!(assert_cores_tracked(&eg), 2 * 4, "one pass per changing step");
+    }
+
+    type Edges = Vec<(NodeId, NodeId)>;
+
+    /// Records every snapshot and delta a [`TrackedCursor`] hands it.
+    #[derive(Default)]
+    struct Recorder {
+        seeds: Vec<Graph>,
+        /// `(snapshot, removed, added)` per `apply`.
+        steps: Vec<(Graph, Edges, Edges)>,
+    }
+
+    impl StructureMaintainer for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn reseed(&mut self, g: &Graph) {
+            self.seeds.push(g.clone());
+            self.steps.clear();
+        }
+
+        fn apply(&mut self, g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
+            self.steps.push((g.clone(), removed.to_vec(), added.to_vec()));
+        }
+
+        fn touched_nodes(&self) -> u64 {
+            0
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn maintainers_get_the_step_snapshot_and_its_exact_delta() {
+        let eg = EdgeMarkovian::new(24, 0.35, 0.08).generate(60, 99);
+        let mut cur = TrackedCursor::new(&eg);
+        let h = cur.register(Box::new(Recorder::default()));
+        // A sweep, then a second one after `reset` re-seeds.
+        for sweep in 1..=2 {
+            while cur.advance() {}
+            let rec: &Recorder = cur.view(h).expect("typed view");
+            assert_eq!(rec.seeds, vec![eg.snapshot(0); sweep], "seeded from t = 0");
+            assert_eq!(rec.steps.len(), eg.horizon() as usize - 1);
+            for (t, (g, removed, added)) in (1..).zip(&rec.steps) {
+                assert_eq!(*g, eg.snapshot(t), "snapshot at t={t}");
+                assert_eq!(removed.as_slice(), cur.cursor().disappearing_at(t), "t={t}");
+                assert_eq!(added.as_slice(), cur.cursor().appearing_at(t), "t={t}");
+            }
+            cur.reset();
+        }
     }
 
     #[test]

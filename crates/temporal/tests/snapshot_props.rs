@@ -1,10 +1,13 @@
 //! Property tests for the incremental snapshot engine: a [`SnapshotCursor`]
 //! sweep equals the per-step `snapshot(t)` rebuilds at *every* time unit of
 //! random EGs — including cursors rebuilt after `remove_label` /
-//! `remove_edge` / `isolate_node` churn.
+//! `remove_edge` / `isolate_node` churn — and its per-step deltas are
+//! exactly the edge-set differences between consecutive snapshots.
 
+use csn_graph::NodeId;
 use csn_temporal::{TimeEvolvingGraph, TimeUnit};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random EG as a contact list over `n` nodes and horizon `h`.
 fn arb_eg(max_n: usize, max_h: TimeUnit) -> impl Strategy<Value = TimeEvolvingGraph> {
@@ -32,8 +35,38 @@ fn assert_cursor_matches(eg: &TimeEvolvingGraph) {
     }
 }
 
+/// `edges` as sorted `(min, max)` pairs, duplicates kept.
+fn canonical<'a>(edges: impl IntoIterator<Item = &'a (NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
+    let mut out: Vec<_> = edges.into_iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    out.sort_unstable();
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn deltas_are_exact_snapshot_differences(eg in arb_eg(12, 24)) {
+        // Each delta list must equal a set difference, which also rules out
+        // duplicates. Before t = 0 the edge set is empty, so appearing_at(0)
+        // is E(G_0) and disappearing_at(0) is empty.
+        let cur = eg.snapshot_cursor();
+        let mut prev: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        for t in 0..eg.horizon() {
+            let next: BTreeSet<_> = eg.snapshot(t).edges().collect();
+            prop_assert_eq!(
+                canonical(cur.disappearing_at(t)),
+                prev.difference(&next).copied().collect::<Vec<_>>(),
+                "disappearing_at({}) is not E(G_t-1) minus E(G_t)", t
+            );
+            prop_assert_eq!(
+                canonical(cur.appearing_at(t)),
+                next.difference(&prev).copied().collect::<Vec<_>>(),
+                "appearing_at({}) is not E(G_t) minus E(G_t-1)", t
+            );
+            prev = next;
+        }
+    }
 
     #[test]
     fn cursor_equals_snapshot_at_every_time_unit(eg in arb_eg(12, 24)) {

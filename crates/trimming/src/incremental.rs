@@ -21,28 +21,51 @@
 //!
 //! Rebuilding all forwarding sets costs `O(n + m)` per snapshot; a churn
 //! step only changes the sets of the `O(Δ_t)` endpoint nodes, and
-//! [`IncrementalForwarding::apply_edges`] touches exactly those (two
-//! counted node touches per applied edge, plus the `O(log deg)` sorted
-//! insertion). The from-scratch [`forwarding_sets_at`] is the oracle the
-//! `maintain_props` suite gates against, bitwise, at every `t`.
+//! [`IncrementalForwarding`] touches exactly those (two counted node
+//! touches per changed edge, plus the `O(log deg)` sorted insertion). It
+//! reads only the step's delta, never the snapshot itself, which stays with
+//! the `TrackedCursor` that drives it. The from-scratch
+//! [`forwarding_sets_at`] is the oracle the `maintain_props` suite gates
+//! against, bitwise, at every `t`.
 
 use crate::static_rule::TrimReport;
-use csn_graph::{Graph, NodeId};
-use csn_temporal::maintain::{EdgeDelta, StructureMaintainer};
+use csn_graph::{Graph, GraphView, NodeId};
+use csn_temporal::maintain::StructureMaintainer;
 use std::collections::HashSet;
+
+/// Appends node `u`'s live forwarding set on `g` — its neighbors `v`
+/// (ascending) with the arc `u → v` not in `trimmed` — to `out`. Every
+/// forwarding set is built here: by [`forwarding_sets_at`], by
+/// [`IncrementalForwarding`]'s seeding, and straight into flat per-node
+/// layouts such as the serving index's.
+pub fn push_forwarding_set<G: GraphView>(
+    g: &G,
+    trimmed: &HashSet<(NodeId, NodeId)>,
+    u: NodeId,
+    out: &mut Vec<NodeId>,
+) {
+    out.reserve(g.degree(u));
+    let start = out.len();
+    out.extend(g.neighbors(u).filter(|&v| !trimmed.contains(&(u, v))));
+    out[start..].sort_unstable();
+}
+
+/// Every node's live forwarding set on `g` under `trimmed`, via
+/// [`push_forwarding_set`].
+fn sets_on<G: GraphView>(g: &G, trimmed: &HashSet<(NodeId, NodeId)>) -> Vec<Vec<NodeId>> {
+    g.nodes()
+        .map(|u| {
+            let mut set = Vec::new();
+            push_forwarding_set(g, trimmed, u, &mut set);
+            set
+        })
+        .collect()
+}
 
 /// From-scratch oracle: each node's live forwarding set on `g` — its
 /// neighbors `v` (ascending) with the arc `u → v` not in `trimmed`.
-pub fn forwarding_sets_at(g: &Graph, trimmed: &[(NodeId, NodeId)]) -> Vec<Vec<NodeId>> {
-    let cut: HashSet<(NodeId, NodeId)> = trimmed.iter().copied().collect();
-    (0..g.node_count())
-        .map(|u| {
-            let mut out: Vec<NodeId> =
-                g.neighbors(u).iter().copied().filter(|&v| !cut.contains(&(u, v))).collect();
-            out.sort_unstable();
-            out
-        })
-        .collect()
+pub fn forwarding_sets_at<G: GraphView>(g: &G, trimmed: &[(NodeId, NodeId)]) -> Vec<Vec<NodeId>> {
+    sets_on(g, &trimmed.iter().copied().collect())
 }
 
 /// Per-node live forwarding sets maintained under edge churn, beneath a
@@ -52,21 +75,27 @@ pub fn forwarding_sets_at(g: &Graph, trimmed: &[(NodeId, NodeId)]) -> Vec<Vec<No
 ///
 /// ```
 /// use csn_graph::Graph;
+/// use csn_temporal::{TimeEvolvingGraph, TrackedCursor};
 /// use csn_trimming::incremental::{forwarding_sets_at, IncrementalForwarding};
 ///
-/// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+/// let mut eg = TimeEvolvingGraph::new(3, 2);
+/// eg.add_contact(0, 1, 0); // gone at t = 1
+/// eg.add_periodic(1, 2, 0, 1);
+/// eg.add_contact(0, 2, 1); // new at t = 1
 /// let trimmed = [(1, 0)]; // arc 1 → 0 has a replacement path
-/// let mut inc = IncrementalForwarding::new(&g, &trimmed);
+/// let mut cur = TrackedCursor::new(&eg);
+/// let h = cur.register(Box::new(IncrementalForwarding::new(&Graph::new(0), &trimmed)));
+/// let inc: &IncrementalForwarding = cur.view(h).expect("registered");
 /// assert_eq!(inc.forwarding_set(0), &[1]); // 0 → 1 stays live
 /// assert_eq!(inc.forwarding_set(1), &[2]); // 1 → 0 is trimmed
 ///
-/// inc.apply_edges(&[(0, 1)], &[(0, 2)]); // the contacts churn
-/// assert_eq!(inc.forwarding_sets(), &forwarding_sets_at(inc.graph(), &trimmed)[..]);
+/// cur.advance(); // the contacts churn
+/// let inc: &IncrementalForwarding = cur.view(h).expect("registered");
+/// assert_eq!(inc.forwarding_sets(), &forwarding_sets_at(cur.graph(), &trimmed)[..]);
 /// assert_eq!(inc.live_arc_count(), 4);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalForwarding {
-    g: Graph,
     trimmed: HashSet<(NodeId, NodeId)>,
     sets: Vec<Vec<NodeId>>,
     live_arcs: usize,
@@ -77,15 +106,11 @@ impl IncrementalForwarding {
     /// Seeds the maintained sets from `g` under the given (frozen) trimmed
     /// directed arcs.
     pub fn new(g: &Graph, trimmed_arcs: &[(NodeId, NodeId)]) -> Self {
-        let trimmed: HashSet<(NodeId, NodeId)> = trimmed_arcs.iter().copied().collect();
         let mut inc = IncrementalForwarding {
-            g: g.clone(),
-            trimmed,
-            sets: Vec::new(),
-            live_arcs: 0,
-            touched: 0,
+            trimmed: trimmed_arcs.iter().copied().collect(),
+            ..IncrementalForwarding::default()
         };
-        inc.rebuild_sets();
+        inc.rebuild_sets(g);
         inc
     }
 
@@ -95,14 +120,8 @@ impl IncrementalForwarding {
         IncrementalForwarding::new(g, &report.removed_arcs)
     }
 
-    fn rebuild_sets(&mut self) {
-        self.sets = forwarding_sets_at(&self.g, &[]);
-        for u in 0..self.sets.len() {
-            if !self.trimmed.is_empty() {
-                let trimmed = &self.trimmed;
-                self.sets[u].retain(|&v| !trimmed.contains(&(u, v)));
-            }
-        }
+    fn rebuild_sets(&mut self, g: &Graph) {
+        self.sets = sets_on(g, &self.trimmed);
         self.live_arcs = self.sets.iter().map(Vec::len).sum();
     }
 
@@ -112,7 +131,7 @@ impl IncrementalForwarding {
     }
 
     /// All live forwarding sets — equal to
-    /// `forwarding_sets_at(self.graph(), trimmed)`.
+    /// `forwarding_sets_at(g, trimmed)` on the latest snapshot `g`.
     pub fn forwarding_sets(&self) -> &[Vec<NodeId>] {
         &self.sets
     }
@@ -127,20 +146,10 @@ impl IncrementalForwarding {
         self.trimmed.contains(&(u, v))
     }
 
-    /// The maintained graph.
-    pub fn graph(&self) -> &Graph {
-        &self.g
-    }
-
-    /// Nodes whose forwarding set was examined since construction or the
-    /// last [`reset_touched`](Self::reset_touched) — two per applied edge.
+    /// Nodes whose forwarding set was examined since the last re-seed —
+    /// two per changed edge.
     pub fn touched_nodes(&self) -> u64 {
         self.touched
-    }
-
-    /// Zeroes the touched-node counter.
-    pub fn reset_touched(&mut self) {
-        self.touched = 0;
     }
 
     fn arc_on(&mut self, u: NodeId, v: NodeId) {
@@ -158,27 +167,6 @@ impl IncrementalForwarding {
             self.live_arcs -= 1;
         }
     }
-
-    /// Applies one batch of contact mutations (removals first, mirroring
-    /// [`csn_temporal::SnapshotCursor::advance`]), repairing only the
-    /// endpoints' sets. Duplicate additions and missing removals are no-ops;
-    /// out-of-range endpoints panic, as in [`Graph::add_edge`].
-    pub fn apply_edges(&mut self, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
-        for &(u, v) in removed {
-            if self.g.remove_edge(u, v) {
-                self.touched += 2;
-                self.arc_off(u, v);
-                self.arc_off(v, u);
-            }
-        }
-        for &(u, v) in added {
-            if self.g.add_edge(u, v) {
-                self.touched += 2;
-                self.arc_on(u, v);
-                self.arc_on(v, u);
-            }
-        }
-    }
 }
 
 impl StructureMaintainer for IncrementalForwarding {
@@ -189,21 +177,31 @@ impl StructureMaintainer for IncrementalForwarding {
     /// Re-seeds the live sets from `g`. The trimmed overlay is *kept* — it
     /// is a whole-trace property, not a per-snapshot one.
     fn reseed(&mut self, g: &Graph) {
-        self.g = g.clone();
         self.touched = 0;
-        self.rebuild_sets();
+        self.rebuild_sets(g);
     }
 
-    fn apply(&mut self, delta: &EdgeDelta) {
-        self.apply_edges(&delta.removed, &delta.added);
+    /// Patches only the endpoints' sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a removed live arc is missing from its set or an added
+    /// live arc is already in it: the delta broke the trait's contract.
+    fn apply(&mut self, _g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
+        for &(u, v) in removed {
+            self.touched += 2;
+            self.arc_off(u, v);
+            self.arc_off(v, u);
+        }
+        for &(u, v) in added {
+            self.touched += 2;
+            self.arc_on(u, v);
+            self.arc_on(v, u);
+        }
     }
 
     fn touched_nodes(&self) -> u64 {
         self.touched
-    }
-
-    fn reset_touched(&mut self) {
-        self.touched = 0;
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -216,7 +214,7 @@ mod tests {
     use super::*;
     use crate::static_rule::{trim_arcs, TrimOptions};
     use csn_temporal::paper::fig2_example;
-    use csn_temporal::TrackedCursor;
+    use csn_temporal::{TimeEvolvingGraph, TrackedCursor};
 
     #[test]
     fn matches_oracle_across_a_tracked_sweep_under_fig2_trim() {
@@ -242,24 +240,34 @@ mod tests {
 
     #[test]
     fn trimmed_arcs_stay_trimmed_across_reappearance() {
-        let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        let mut inc = IncrementalForwarding::new(&g, &[(0, 1)]);
-        assert!(inc.is_trimmed(0, 1));
-        assert_eq!(inc.forwarding_set(0), &[] as &[NodeId]);
-        assert_eq!(inc.forwarding_set(1), &[0]);
-        inc.apply_edges(&[(0, 1)], &[]); // contact disappears...
-        inc.apply_edges(&[], &[(0, 1)]); // ...and reappears
-        assert_eq!(inc.forwarding_set(0), &[] as &[NodeId], "trim survives churn");
-        assert_eq!(inc.forwarding_set(1), &[0]);
-        assert_eq!(inc.live_arc_count(), 1);
+        // The contact is up at t = 0, gone at t = 1 and back at t = 2.
+        let mut eg = TimeEvolvingGraph::new(2, 3);
+        eg.add_contact(0, 1, 0);
+        eg.add_contact(0, 1, 2);
+        let mut cur = TrackedCursor::new(&eg);
+        let h = cur.register(Box::new(IncrementalForwarding::new(&Graph::new(0), &[(0, 1)])));
+        let live = |cur: &TrackedCursor| {
+            let inc: &IncrementalForwarding = cur.view(h).expect("typed view");
+            assert!(inc.is_trimmed(0, 1));
+            (inc.forwarding_set(0).to_vec(), inc.forwarding_set(1).to_vec(), inc.live_arc_count())
+        };
+        assert_eq!(live(&cur), (vec![], vec![0], 1));
+        cur.advance();
+        assert_eq!(live(&cur), (vec![], vec![], 0));
+        cur.advance();
+        assert_eq!(live(&cur), (vec![], vec![0], 1), "trim survives churn");
     }
 
     #[test]
     fn noops_do_not_touch() {
-        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        let mut inc = IncrementalForwarding::new(&g, &[]);
-        inc.apply_edges(&[(1, 2)], &[(0, 1)]); // absent removal, dup addition
+        // An always-on contact: no step changes the graph.
+        let mut eg = TimeEvolvingGraph::new(3, 4);
+        eg.add_periodic(0, 1, 0, 1);
+        let mut cur = TrackedCursor::new(&eg);
+        let h = cur.register(Box::new(IncrementalForwarding::new(&Graph::new(0), &[])));
+        while cur.advance() {}
+        let inc: &IncrementalForwarding = cur.view(h).expect("typed view");
         assert_eq!(inc.touched_nodes(), 0);
-        assert_eq!(inc.forwarding_sets(), &forwarding_sets_at(&g, &[])[..]);
+        assert_eq!(inc.forwarding_sets(), &forwarding_sets_at(cur.graph(), &[])[..]);
     }
 }

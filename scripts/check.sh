@@ -22,52 +22,28 @@ cargo test --workspace --offline -q
 echo "==> cargo test -p csn-distsim --release (misroute validation without debug asserts)"
 cargo test -p csn-distsim --release --offline -q
 
-echo "==> BENCH_kernels.json schema freshness"
-# Must run BEFORE the smoke regenerates the file: the committed artifact has
-# to carry the schema version the current perf_smoke source writes.
-want=$(grep -oE 'structura-bench-kernels-v[0-9]+' crates/bench/src/bin/perf_smoke.rs | head -n1)
-have=$(grep -oE 'structura-bench-kernels-v[0-9]+' BENCH_kernels.json | head -n1 || true)
-if [ "$want" != "$have" ]; then
-  echo "FAIL: BENCH_kernels.json is stale (has '${have:-missing}', perf_smoke writes '$want')" >&2
-  echo "      regenerate with: cargo run -p csn-bench --release --bin perf_smoke" >&2
-  exit 1
-fi
-
-echo "==> BENCH_scale.json schema freshness"
-want=$(grep -oE 'structura-bench-scale-v[0-9]+' crates/bench/src/bin/perf_smoke.rs | head -n1)
-have=$(grep -oE 'structura-bench-scale-v[0-9]+' BENCH_scale.json | head -n1 || true)
-if [ "$want" != "$have" ]; then
-  echo "FAIL: BENCH_scale.json is stale (has '${have:-missing}', perf_smoke writes '$want')" >&2
-  echo "      regenerate with: cargo run -p csn-bench --release --bin perf_smoke -- --scale" >&2
-  exit 1
-fi
-
-echo "==> BENCH_serve.json schema freshness"
-want=$(grep -oE 'structura-bench-serve-v[0-9]+' crates/bench/src/serve_bench.rs | head -n1)
-have=$(grep -oE 'structura-bench-serve-v[0-9]+' BENCH_serve.json | head -n1 || true)
-if [ "$want" != "$have" ]; then
-  echo "FAIL: BENCH_serve.json is stale (has '${have:-missing}', serve_bench writes '$want')" >&2
-  echo "      regenerate with: cargo run -p csn-bench --release --bin perf_smoke -- --serve" >&2
-  exit 1
-fi
-
-echo "==> BENCH_distsim.json schema freshness"
-want=$(grep -oE 'structura-bench-distsim-v[0-9]+' crates/bench/src/distsim_bench.rs | head -n1)
-have=$(grep -oE 'structura-bench-distsim-v[0-9]+' BENCH_distsim.json | head -n1 || true)
-if [ "$want" != "$have" ]; then
-  echo "FAIL: BENCH_distsim.json is stale (has '${have:-missing}', distsim_bench writes '$want')" >&2
-  echo "      regenerate with: cargo run -p csn-bench --release --bin perf_smoke -- --distsim" >&2
-  exit 1
-fi
-
-echo "==> BENCH_scenario.json schema freshness"
-want=$(grep -oE 'structura-bench-scenario-v[0-9]+' crates/bench/src/scenario_bench.rs | head -n1)
-have=$(grep -oE 'structura-bench-scenario-v[0-9]+' BENCH_scenario.json | head -n1 || true)
-if [ "$want" != "$have" ]; then
-  echo "FAIL: BENCH_scenario.json is stale (has '${have:-missing}', scenario_bench writes '$want')" >&2
-  echo "      regenerate with: cargo run -p csn-bench --release --bin perf_smoke -- --scenario" >&2
-  exit 1
-fi
+# Schema freshness. Must run BEFORE the smokes regenerate the files: each
+# committed artifact has to carry the schema version its writer source
+# currently writes. Columns: artifact, writer source, perf_smoke flag that
+# regenerates it.
+while read -r artifact writer flag; do
+  echo "==> $artifact schema freshness"
+  name=${artifact#BENCH_}
+  schema="structura-bench-${name%.json}-v[0-9]+"
+  want=$(grep -oE "$schema" "$writer" | head -n1)
+  have=$(grep -oE "$schema" "$artifact" | head -n1 || true)
+  if [ "$want" != "$have" ]; then
+    echo "FAIL: $artifact is stale (has '${have:-missing}', $(basename "$writer" .rs) writes '$want')" >&2
+    echo "      regenerate with: cargo run -p csn-bench --release --bin perf_smoke${flag:+ -- $flag}" >&2
+    exit 1
+  fi
+done <<'ARTIFACTS'
+BENCH_kernels.json crates/bench/src/bin/perf_smoke.rs
+BENCH_scale.json crates/bench/src/bin/perf_smoke.rs --scale
+BENCH_serve.json crates/bench/src/serve_bench.rs --serve
+BENCH_distsim.json crates/bench/src/distsim_bench.rs --distsim
+BENCH_scenario.json crates/bench/src/scenario_bench.rs --scenario
+ARTIFACTS
 
 echo "==> perf smoke (scratch/parallel/cursor kernels bit-identical; maintainers equal scratch, NSF + forwarding with strictly fewer counted touches than rebuilds, cores with no more; timings to BENCH_csr.json + BENCH_kernels.json)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke

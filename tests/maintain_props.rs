@@ -9,7 +9,7 @@
 
 use csn_core::graph::cores::{core_numbers, IncrementalCores};
 use csn_core::graph::{Graph, NodeId};
-use csn_core::layering::nsf::{degree_levels, nsf_levels, top_level_count, IncrementalNsf};
+use csn_core::layering::nsf::{nsf_levels, top_level_count, IncrementalNsf};
 use csn_core::temporal::{TimeEvolvingGraph, TimeUnit, TrackedCursor};
 use csn_core::trimming::incremental::{forwarding_sets_at, IncrementalForwarding};
 use proptest::prelude::*;
@@ -57,7 +57,6 @@ fn assert_maintained_matches(eg: &TimeEvolvingGraph) {
         );
         let nsf = cur.view::<IncrementalNsf>(hn).expect("nsf");
         assert_eq!(nsf.nsf_levels(), nsf_levels(g).as_slice(), "nsf levels diverged at t={t}");
-        assert_eq!(nsf.degree_levels(), degree_levels(g), "degree levels diverged at t={t}");
         assert_eq!(
             nsf.top_level_count(),
             top_level_count(&nsf_levels(g)),
