@@ -16,8 +16,9 @@
 //! * [`csn_graph::cores::IncrementalCores`] — core numbers, recomputed by
 //!   one `core_numbers` pass per changing step (impl lives in this module;
 //!   [`csn_graph::cores`] gives the measurements against per-edge repair).
-//! * `csn_layering::nsf::IncrementalNsf` — NSF levels via affected-component
-//!   re-peeling.
+//! * `csn_layering::nsf::IncrementalNsf` — NSF levels, recomputed by one
+//!   peel of the snapshot per changing step (`csn_layering::nsf` gives the
+//!   measurements against re-peeling only the affected components).
 //! * `csn_trimming::IncrementalForwarding` — §III-A forwarding sets under a
 //!   frozen static-rule trim as contacts appear/disappear.
 //!
@@ -31,19 +32,21 @@
 //! # Performance
 //!
 //! A per-`t` rebuild of a structure costs `Ω(n)` per step no matter how
-//! little changed. The NSF and forwarding maintainers repair only what a
-//! delta can affect — the components it touches (NSF), the endpoints' sets
-//! (forwarding) — so their cost scales with churn. The cores maintainer
-//! does not: a change to one edge can move core numbers across its whole
-//! same-core region, and on contact traces that region is most of the graph,
-//! so it recomputes once per changing step and touches exactly `n` nodes
-//! each time. No maintainer keeps a graph of its own: the cursor applies
-//! each delta once, and every maintainer reads its snapshot. Every
-//! maintainer counts the nodes it touches ([`StructureMaintainer::touched_nodes`]), so each cost
-//! is *verifiable*: `perf_smoke` records in `BENCH_kernels.json` (its
-//! `maintain` block) that the NSF and forwarding sweeps touch strictly fewer
-//! nodes than per-`t` rebuilds and the cores sweep no more, which matters on
-//! a 1-core CI box where wall-clock alone is noisy.
+//! little changed. The forwarding maintainer repairs only what a delta can
+//! affect — the endpoints' sets — so its cost scales with churn. The cores
+//! and NSF maintainers do not: a change to one edge can move core numbers
+//! across its whole same-core region, and NSF levels across its whole
+//! component, and on contact traces those regions are most of the graph.
+//! So they recompute once per changing step, with the same work as a
+//! rebuild: `n` touches for cores, `Σ_u level(u)` for NSF (one per node
+//! per peel round it survives). No maintainer keeps a graph of its own:
+//! the cursor applies each delta once, and every maintainer reads its
+//! snapshot. Every maintainer counts the nodes it touches
+//! ([`StructureMaintainer::touched_nodes`]), so each cost is *verifiable*:
+//! `perf_smoke` records in `BENCH_kernels.json` (its `maintain` block) that
+//! the forwarding sweep touches strictly fewer nodes than per-`t` rebuilds
+//! and the cores and NSF sweeps no more, which matters on a 1-core CI box
+//! where wall-clock alone is noisy.
 //!
 //! # Examples
 //!

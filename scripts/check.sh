@@ -22,6 +22,24 @@ cargo test --workspace --offline -q
 echo "==> cargo test -p csn-distsim --release (misroute validation without debug asserts)"
 cargo test -p csn-distsim --release --offline -q
 
+echo "==> experiments capture (serial stdout == committed experiments_output.txt; --jobs 2 stdout == serial)"
+for jobs in 1 2; do
+  cargo run -p csn-bench --release --offline --quiet --bin experiments -- --jobs "$jobs" \
+    > "target/experiments_jobs${jobs}_check.txt" 2> target/experiments_check.log || {
+    echo "FAIL: experiments --jobs $jobs exited non-zero (stderr in target/experiments_check.log)" >&2
+    exit 1
+  }
+done
+if ! diff -u experiments_output.txt target/experiments_jobs1_check.txt; then
+  echo "FAIL: serial experiments stdout differs from the committed experiments_output.txt" >&2
+  echo "      regenerate with: cargo run -p csn-bench --release --bin experiments -- --jobs 1 > experiments_output.txt 2>/dev/null" >&2
+  exit 1
+fi
+if ! diff -u target/experiments_jobs1_check.txt target/experiments_jobs2_check.txt; then
+  echo "FAIL: experiments --jobs 2 stdout differs from the serial run" >&2
+  exit 1
+fi
+
 # Schema freshness. Must run BEFORE the smokes regenerate the files: each
 # committed artifact has to carry the schema version its writer source
 # currently writes. Columns: artifact, writer source, perf_smoke flag that
@@ -45,7 +63,7 @@ BENCH_distsim.json crates/bench/src/distsim_bench.rs --distsim
 BENCH_scenario.json crates/bench/src/scenario_bench.rs --scenario
 ARTIFACTS
 
-echo "==> perf smoke (scratch/parallel/cursor kernels bit-identical; maintainers equal scratch, NSF + forwarding with strictly fewer counted touches than rebuilds, cores with no more; timings to BENCH_csr.json + BENCH_kernels.json)"
+echo "==> perf smoke (scratch/parallel/cursor kernels bit-identical; maintainers equal scratch, forwarding with strictly fewer counted touches than rebuilds, cores + NSF with no more; timings to BENCH_csr.json + BENCH_kernels.json)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke
 
 echo "==> scale smoke (small-n: streamed CSR + sampled-kernel ε-gates; committed BENCH_scale.json untouched)"
@@ -68,4 +86,4 @@ cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
 echo "==> benchmark package (its own fmt, clippy, tests and a smoke run of all five workloads, built against the library API)"
 bash benchmark/check.sh
 
-echo "OK: fmt, clippy, doc, test, perf smoke, scale smoke, serve smoke, distsim smoke, scenario smoke, benchmark all clean"
+echo "OK: fmt, clippy, doc, test, experiments capture, perf smoke, scale smoke, serve smoke, distsim smoke, scenario smoke, benchmark all clean"
