@@ -1,43 +1,42 @@
 //! Criterion-free performance smoke: correctness gate plus a coarse timing
 //! snapshot, cheap enough for `scripts/check.sh`.
 //!
-//! Two jobs in one binary:
+//! The default run gates four things and writes every timing and touch
+//! count to `BENCH_kernels.json`. Of the BA-graph timing rows, those
+//! labelled `adjacency` run on the adjacency-list `Graph` and the rest on
+//! its frozen form.
+//! Timings are informational only: the CI box may be single-core and noisy,
+//! so no speedup is asserted — the trajectory lives in the committed JSON,
+//! not in a pass/fail threshold.
 //!
-//! 1. **Gate (exit code)** — on a seeded BA graph, Brandes betweenness must
-//!    be *bit-identical* across the adjacency-list graph, its frozen CSR
-//!    form, and the source-parallel variant at several worker counts. Any
-//!    mismatch exits non-zero and fails CI.
-//! 2. **Snapshot (JSON)** — wall-clock for all-pairs BFS and Brandes on
-//!    adjacency vs CSR, written to `BENCH_csr.json` (or `--out <path>`).
-//!    Timings are informational only: the CI box may be single-core and
-//!    noisy, so no speedup is asserted — the trajectory lives in the
-//!    committed JSON, not in a pass/fail threshold.
-//! 3. **Kernel-reuse gate + snapshot** — fresh-alloc vs scratch-arena
-//!    Brandes (serial and parallel at jobs ∈ {1, 2, 4, 7}) must be
-//!    bit-identical, and a `SnapshotCursor` horizon sweep must equal the
-//!    per-step `snapshot(t)` rebuilds on an edge-Markovian EG. Equality is
-//!    the gate; wall times are informational and land in
-//!    `BENCH_kernels.json` (or `--kernels-out <path>`).
-//! 4. **Faulted-run determinism gate** — two distributed Bellman–Ford runs
+//! 1. **Frozen gate** — on a seeded BA graph, Brandes betweenness and
+//!    all-pairs BFS must be *bit-identical* on the adjacency-list graph and
+//!    its `freeze()`d form; both kernels are timed on each.
+//! 2. **Kernel-reuse gate** — fresh-alloc vs scratch-arena Brandes (serial
+//!    and `betweenness_par` at jobs ∈ {1, 2, 4, 7}) must be bit-identical,
+//!    and a `SnapshotCursor` horizon sweep must equal the per-step
+//!    `snapshot(t)` rebuilds on an edge-Markovian EG.
+//! 3. **Faulted-run determinism gate** — two distributed Bellman–Ford runs
 //!    under the same `FaultModel` (loss + delay + duplication + reorder +
 //!    churn, one seed) must produce bit-identical outcomes and `RunStats`.
-//! 5. **Maintain gate + counted-touch tier** — the incremental structure
+//! 4. **Maintain gate + counted-touch tier** — the incremental structure
 //!    maintainers (k-cores, NSF levels, forwarding sets) on a
 //!    `TrackedCursor` must equal their from-scratch oracles at every t of
 //!    the dense edge-Markovian trace, and on a sparse, fragmented trace
 //!    the forwarding maintainer must perform *strictly fewer counted node
 //!    touches* than per-t rebuilds, and the cores and NSF maintainers (one
-//!    recompute per changing batch) no more (the `maintain` block in
-//!    `BENCH_kernels.json` carries both wall times and touch counts).
-//! 6. **Scale tier (`--scale`)** — runs *instead of* the tiers above: the
+//!    recompute per changing batch) no more (the `maintain` block carries
+//!    both wall times and touch counts).
+//!
+//! 5. **Scale tier (`--scale`)** — runs *instead of* the tiers above: the
 //!    million-node substrate gates (streamed compact CSR ≡ adjacency build,
 //!    sampled centrality ≡ exact at full sampling and within the documented
 //!    ε at quarter sampling, all on small graphs) plus throughput at
 //!    `--scale-nodes` (default 10⁶): edges/s built per streaming generator,
-//!    bytes/node for standard vs compact vs delta CSR, and traversed
-//!    edges/s per kernel. Written to `BENCH_scale.json`
-//!    (or `--scale-out <path>`); see SCALING.md for how to read it.
-//! 7. **Serve tier (`--serve`)** — also runs *instead of* the default
+//!    bytes/node of the frozen form, and traversed edges/s per kernel.
+//!    Written to `BENCH_scale.json` (or `--scale-out <path>`); see
+//!    SCALING.md for how to read it.
+//! 6. **Serve tier (`--serve`)** — also runs *instead of* the default
 //!    tiers: the query-serving gates on a small BA graph (landmark bounds
 //!    sandwich exact BFS distances, `DistanceExact` equals ground truth,
 //!    `serve_batched` bit-identical to `serve_serial` at jobs ∈
@@ -46,7 +45,7 @@
 //!    `--serve-nodes` (default 10⁵) written to `BENCH_serve.json`
 //!    (or `--serve-out <path>`): QPS, p50/p99 latency, index build time
 //!    and bytes/node. See SERVING.md.
-//! 8. **Distsim tier (`--distsim`)** — also runs *instead of* the default
+//! 7. **Distsim tier (`--distsim`)** — also runs *instead of* the default
 //!    tiers: bitwise serial-vs-parallel gates for the deterministic
 //!    distsim stepper (Flood/Bellman–Ford/MIS/CDS-marking states and
 //!    `RunStats` bit-identical at jobs ∈ {1, 2, 4, 7}, a faulted run
@@ -55,8 +54,7 @@
 //!    capped by `--distsim-nodes` — rounds/s, messages/s, and the
 //!    simulator's bytes/node — written to `BENCH_distsim.json`
 //!    (or `--distsim-out <path>`). See DISTSIM.md.
-//!
-//! 9. **Scenario tier (`--scenario`)** — also runs *instead of* the default
+//! 8. **Scenario tier (`--scenario`)** — also runs *instead of* the default
 //!    tiers: the city-scale scenario suite (see SCENARIOS.md). Gates:
 //!    grid-vs-naive contact detection bitwise-identical (bounded and
 //!    unbounded), every trace well-formed and replay-deterministic,
@@ -72,8 +70,7 @@
 //!    under churn, and generalized-hypercube routing under faults. Written
 //!    to `BENCH_scenario.json` (or `--scenario-out <path>`).
 //!
-//! Usage: `cargo run -p csn-bench --release --bin perf_smoke \
-//!   [-- --out BENCH_csr.json --kernels-out BENCH_kernels.json]`
+//! Usage: `cargo run -p csn-bench --release --bin perf_smoke`
 //! or: `cargo run -p csn-bench --release --bin perf_smoke -- --scale \
 //!   [--scale-nodes 1000000 --scale-out BENCH_scale.json]`
 //! or: `cargo run -p csn-bench --release --bin perf_smoke -- --serve \
@@ -99,19 +96,6 @@ struct Timing {
 }
 
 #[derive(Serialize)]
-struct BenchCsr {
-    schema: String,
-    git_rev: String,
-    graph: String,
-    nodes: usize,
-    edges: usize,
-    detected_cores: usize,
-    parallel_jobs_checked: Vec<usize>,
-    parallel_matches_serial: bool,
-    timings: Vec<Timing>,
-}
-
-#[derive(Serialize)]
 struct MaintainRow {
     structure: String,
     rebuild_secs: f64,
@@ -129,6 +113,9 @@ struct BenchKernels {
     temporal_graph: String,
     maintain_graph: String,
     detected_cores: usize,
+    /// Brandes and all-pairs BFS are bit-identical on the adjacency list
+    /// and its frozen form.
+    frozen_matches_adjacency: bool,
     scratch_jobs_checked: Vec<usize>,
     scratch_matches_alloc: bool,
     cursor_matches_rebuild: bool,
@@ -175,7 +162,6 @@ struct ScaleGates {
     approx_full_sample_exact: bool,
     sampled_within_epsilon: bool,
     sampled_par_matches_serial: bool,
-    delta_round_trip: bool,
 }
 
 #[derive(Serialize)]
@@ -224,7 +210,6 @@ struct BenchScale {
 fn run_scale(args: &[String]) {
     use csn_core::graph::approx;
     use csn_core::graph::centrality::closeness_centrality;
-    use csn_core::graph::compact::DeltaCsrGraph;
     use csn_core::graph::parallel::betweenness_sampled_par;
     use csn_core::graph::stream::{
         BaStream, EdgeStream, GeometricStream, GnutellaStream, KleinbergStream,
@@ -291,13 +276,6 @@ fn run_scale(args: &[String]) {
             sampled_par_matches_serial = false;
         }
     }
-    let small_d = DeltaCsrGraph::from_compact(&small_c).expect("fits u32");
-    let delta_round_trip = GraphView::edge_count(&small_d) == small.edge_count()
-        && GraphView::degrees(&small_d) == GraphView::degrees(&small)
-        && bfs_distances(&small_d, 0) == bfs_distances(&small, 0);
-    if !delta_round_trip {
-        eprintln!("FAIL: delta CSR disagrees with the graph it encodes");
-    }
 
     // --- Throughput tier at `nodes` (informational). Each generator builds
     // straight into compact CSR; edges/s counts undirected edges.
@@ -358,30 +336,12 @@ fn run_scale(args: &[String]) {
     });
     drop(gnu_c);
 
-    // --- Memory: the same BA graph in the three frozen representations.
-    let ba_graph = ba.to_graph();
-    let std_csr = ba_graph.freeze();
-    let ba_d = DeltaCsrGraph::from_compact(&ba_c).expect("fits u32");
-    let memory = vec![
-        MemRow {
-            representation: "csr_usize".into(),
-            heap_bytes: std_csr.heap_bytes(),
-            bytes_per_node: std_csr.heap_bytes() as f64 / nodes as f64,
-        },
-        MemRow {
-            representation: "compact_csr_u32".into(),
-            heap_bytes: ba_c.heap_bytes(),
-            bytes_per_node: ba_c.heap_bytes() as f64 / nodes as f64,
-        },
-        MemRow {
-            representation: "delta_csr_varint".into(),
-            heap_bytes: ba_d.heap_bytes(),
-            bytes_per_node: ba_d.heap_bytes() as f64 / nodes as f64,
-        },
-    ];
-    drop(std_csr);
-    drop(ba_graph);
-    drop(ba_d);
+    // --- Memory: the BA graph's frozen form.
+    let memory = vec![MemRow {
+        representation: "compact_csr_u32".into(),
+        heap_bytes: ba_c.heap_bytes(),
+        bytes_per_node: ba_c.heap_bytes() as f64 / nodes as f64,
+    }];
 
     // --- Kernel throughput on the compact BA graph. A BFS relaxes every
     // packed entry once: 2·edge_count traversed edges per source.
@@ -428,16 +388,14 @@ fn run_scale(args: &[String]) {
         approx_full_sample_exact,
         sampled_within_epsilon,
         sampled_par_matches_serial,
-        delta_round_trip,
     };
     let all_ok = gates.stream_matches_graph
         && gates.geometric_matches_reference
         && gates.approx_full_sample_exact
         && gates.sampled_within_epsilon
-        && gates.sampled_par_matches_serial
-        && gates.delta_round_trip;
+        && gates.sampled_par_matches_serial;
     let doc = BenchScale {
-        schema: "structura-bench-scale-v1".to_string(),
+        schema: "structura-bench-scale-v2".to_string(),
         git_rev: git_rev(),
         detected_cores: cores,
         scale_nodes: nodes,
@@ -1457,48 +1415,26 @@ fn main() {
         run_distsim(&args);
         return;
     }
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_csr.json".to_string());
-    let kernels_out_path = args
-        .iter()
-        .position(|a| a == "--kernels-out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
-
+    let out_path = "BENCH_kernels.json";
     let (n, m, seed) = (1500usize, 3usize, 42u64);
     let g = generators::barabasi_albert(n, m, seed).expect("BA params");
-    let csr = g.freeze();
+    let frozen = g.freeze().expect("fits u32");
     let cores = csn_bench::pool::available_parallelism();
 
-    // Gate: serial adjacency == serial CSR == parallel CSR, bit-for-bit.
+    // Frozen gate: serial Brandes and all-pairs BFS bit-identical on the
+    // adjacency list and its frozen form. The parallel Brandes rows below
+    // are checked against the frozen serial result, hence against both.
     let (bc_adj, t_brandes_adj) = timed(|| betweenness_centrality(&g));
-    let (bc_csr, t_brandes_csr) = timed(|| betweenness_centrality(&csr));
-    // On a 1-core box `cores.max(2)` collides with 2.
-    let jobs_checked = deduped_jobs(&[1, 2, cores.max(2)]);
-    let mut all_match = bc_adj == bc_csr;
-    if !all_match {
-        eprintln!("FAIL: betweenness differs between adjacency and CSR");
+    let (bc_frozen, t_brandes_frozen) = timed(|| betweenness_centrality(&frozen));
+    let mut frozen_match = bc_adj == bc_frozen;
+    if !frozen_match {
+        eprintln!("FAIL: betweenness differs between adjacency and frozen");
     }
-    let mut t_brandes_par = 0.0;
-    for &jobs in &jobs_checked {
-        let (bc_par, t) = timed(|| betweenness_par(&csr, jobs));
-        if jobs == *jobs_checked.last().expect("nonempty") {
-            t_brandes_par = t;
-        }
-        if bc_par != bc_adj {
-            eprintln!("FAIL: betweenness_par(jobs={jobs}) differs from serial");
-            all_match = false;
-        }
-    }
-
     let (bfs_adj, t_bfs_adj) = timed(|| all_pairs_bfs(&g));
-    let (bfs_csr, t_bfs_csr) = timed(|| all_pairs_bfs(&csr));
-    if bfs_adj != bfs_csr {
-        eprintln!("FAIL: all-pairs BFS differs between adjacency and CSR");
-        all_match = false;
+    let (bfs_frozen, t_bfs_frozen) = timed(|| all_pairs_bfs(&frozen));
+    if bfs_adj != bfs_frozen {
+        eprintln!("FAIL: all-pairs BFS differs between adjacency and frozen");
+        frozen_match = false;
     }
 
     // Kernel-reuse gate: the fresh-alloc path (one scratch per source, via
@@ -1508,7 +1444,7 @@ fn main() {
     let (bc_alloc, t_alloc) = timed(|| {
         let mut bc = vec![0.0f64; n];
         for s in 0..n {
-            let delta = brandes_delta(&csr, s);
+            let delta = brandes_delta(&frozen, s);
             for (b, d) in bc.iter_mut().zip(&delta) {
                 *b += d;
             }
@@ -1519,14 +1455,14 @@ fn main() {
         bc
     });
     let scratch_jobs = deduped_jobs(&[1, 2, 4, 7, cores]);
-    let mut scratch_match = bc_alloc == bc_csr;
+    let mut scratch_match = bc_alloc == bc_frozen;
     if !scratch_match {
         eprintln!("FAIL: fresh-alloc Brandes differs from scratch-reusing Brandes");
     }
     let mut par_timings = Vec::new();
     for &jobs in &scratch_jobs {
-        let (bc_par, t) = timed(|| betweenness_par(&csr, jobs));
-        if bc_par != bc_csr {
+        let (bc_par, t) = timed(|| betweenness_par(&frozen, jobs));
+        if bc_par != bc_frozen {
             eprintln!("FAIL: betweenness_par(jobs={jobs}) differs from scratch serial");
             scratch_match = false;
         }
@@ -1781,8 +1717,8 @@ fn main() {
         eprintln!("FAIL: faulted Bellman–Ford runs diverge under one FaultModel seed");
     }
 
-    let kernels_doc = BenchKernels {
-        schema: "structura-bench-kernels-v3".to_string(),
+    let doc = BenchKernels {
+        schema: "structura-bench-kernels-v4".to_string(),
         git_rev: git_rev(),
         graph: format!("barabasi_albert({n}, {m}, seed={seed})"),
         temporal_graph: format!(
@@ -1792,6 +1728,7 @@ fn main() {
             "edge_markovian(n={tn}, p={sp}, q={sq}, horizon={horizon}, seed={tseed})"
         ),
         detected_cores: cores,
+        frozen_matches_adjacency: frozen_match,
         scratch_jobs_checked: scratch_jobs.clone(),
         scratch_matches_alloc: scratch_match,
         cursor_matches_rebuild: cursor_match,
@@ -1802,6 +1739,21 @@ fn main() {
         timings: {
             let mut ts = vec![
                 Timing {
+                    kernel: "all_pairs_bfs".into(),
+                    representation: "adjacency".into(),
+                    wall_secs: t_bfs_adj,
+                },
+                Timing {
+                    kernel: "all_pairs_bfs".into(),
+                    representation: "frozen".into(),
+                    wall_secs: t_bfs_frozen,
+                },
+                Timing {
+                    kernel: "betweenness".into(),
+                    representation: "adjacency".into(),
+                    wall_secs: t_brandes_adj,
+                },
+                Timing {
                     kernel: "betweenness".into(),
                     representation: "fresh_alloc".into(),
                     wall_secs: t_alloc,
@@ -1809,7 +1761,7 @@ fn main() {
                 Timing {
                     kernel: "betweenness".into(),
                     representation: "scratch".into(),
-                    wall_secs: t_brandes_csr,
+                    wall_secs: t_brandes_frozen,
                 },
             ];
             ts.extend(par_timings);
@@ -1831,64 +1783,18 @@ fn main() {
             ts
         },
     };
-    if let Err(e) = std::fs::write(&kernels_out_path, serde::json::to_string_pretty(&kernels_doc)) {
-        eprintln!("error: cannot write {kernels_out_path}: {e}");
-        std::process::exit(1);
-    }
-
-    let doc = BenchCsr {
-        schema: "structura-bench-csr-v1".to_string(),
-        git_rev: git_rev(),
-        graph: format!("barabasi_albert({n}, {m}, seed={seed})"),
-        nodes: n,
-        edges: g.edge_count(),
-        detected_cores: cores,
-        parallel_jobs_checked: jobs_checked.clone(),
-        parallel_matches_serial: all_match,
-        timings: vec![
-            Timing {
-                kernel: "all_pairs_bfs".into(),
-                representation: "adjacency".into(),
-                wall_secs: t_bfs_adj,
-            },
-            Timing {
-                kernel: "all_pairs_bfs".into(),
-                representation: "csr".into(),
-                wall_secs: t_bfs_csr,
-            },
-            Timing {
-                kernel: "betweenness".into(),
-                representation: "adjacency".into(),
-                wall_secs: t_brandes_adj,
-            },
-            Timing {
-                kernel: "betweenness".into(),
-                representation: "csr".into(),
-                wall_secs: t_brandes_csr,
-            },
-            Timing {
-                kernel: format!("betweenness_par(jobs={})", jobs_checked.last().expect("nonempty")),
-                representation: "csr".into(),
-                wall_secs: t_brandes_par,
-            },
-        ],
-    };
-    if let Err(e) = std::fs::write(&out_path, serde::json::to_string_pretty(&doc)) {
+    if let Err(e) = std::fs::write(out_path, serde::json::to_string_pretty(&doc)) {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);
     }
 
     eprintln!(
-        "perf smoke on BA({n},{m}): bfs adj {t_bfs_adj:.3}s / csr {t_bfs_csr:.3}s; \
-         brandes adj {t_brandes_adj:.3}s / csr {t_brandes_csr:.3}s / par {t_brandes_par:.3}s \
-         ({cores} core(s)); wrote {out_path}"
+        "perf smoke on BA({n},{m}): bfs adj {t_bfs_adj:.3}s / frozen {t_bfs_frozen:.3}s; \
+         brandes adj {t_brandes_adj:.3}s / alloc {t_alloc:.3}s / scratch {t_brandes_frozen:.3}s \
+         ({cores} core(s)); snapshot sweep rebuild {t_rebuild:.3}s / cursor {t_cursor:.3}s; \
+         faulted BF {t_faulted:.3}s; wrote {out_path}"
     );
-    eprintln!(
-        "kernel smoke: brandes alloc {t_alloc:.3}s / scratch {t_brandes_csr:.3}s; \
-         snapshot sweep rebuild {t_rebuild:.3}s / cursor {t_cursor:.3}s; \
-         faulted BF {t_faulted:.3}s; wrote {kernels_out_path}"
-    );
-    for row in &kernels_doc.maintain {
+    for row in &doc.maintain {
         eprintln!(
             "maintain smoke [{}]: rebuild {:.3}s / {} touches vs incremental {:.3}s / {} touches",
             row.structure,
@@ -1898,7 +1804,7 @@ fn main() {
             row.incremental_node_touches
         );
     }
-    if !all_match
+    if !frozen_match
         || !scratch_match
         || !cursor_match
         || !faulted_match
@@ -1907,7 +1813,7 @@ fn main() {
     {
         std::process::exit(1);
     }
-    println!("perf smoke OK: parallel and CSR kernels bit-identical to serial");
+    println!("perf smoke OK: frozen and parallel kernels bit-identical to serial adjacency");
     println!("kernel smoke OK: scratch arenas bit-identical; snapshot cursor equals rebuilds");
     println!("fault smoke OK: faulted Bellman-Ford runs bit-identical per seed");
     println!(

@@ -596,8 +596,8 @@ pub fn e7_level_labelings(out: &mut Report) {
         ("grid 45x45", generators::grid(45, 45)),
     ] {
         // Freeze once per graph: the labelings are read-only passes, and the
-        // CSR form preserves neighbor order, so the output text is unchanged.
-        let g = g.freeze();
+        // frozen form preserves neighbor order, so the output text is unchanged.
+        let g = g.freeze().expect("fits u32");
         let plain = degree_levels(&g);
         let nested = nsf_levels(&g);
         out.line(format!(
@@ -963,12 +963,12 @@ pub fn e16_centrality(out: &mut Report) {
     use csn_core::graph::centrality::*;
 
     let g = generators::barabasi_albert(1000, 3, 3).unwrap();
-    // All four measures are read-only: freeze once and run on the CSR form
-    // (identical results — freezing preserves neighbor order).
-    let csr = g.freeze();
-    let deg = degree_centrality(&csr);
-    let bc = betweenness_centrality(&csr);
-    let ec = eigenvector_centrality(&csr, 2000, 1e-10).expect("converges");
+    // All four measures are read-only: freeze once and run on the frozen
+    // form (identical results — freezing preserves neighbor order).
+    let frozen = g.freeze().expect("fits u32");
+    let deg = degree_centrality(&frozen);
+    let bc = betweenness_centrality(&frozen);
+    let ec = eigenvector_centrality(&frozen, 2000, 1e-10).expect("converges");
     let (pr, iters) = pagerank(&g.to_digraph().freeze(), 0.85, 200, 1e-10);
     // Rank correlation proxy: top-10 overlap between measures.
     let top = |v: &[f64]| {

@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn sampled_kernels_accept_compact_csr() {
         let g = generators::barabasi_albert(100, 2, 8).unwrap();
-        let c = crate::compact::CompactCsrGraph::from_graph(&g).unwrap();
+        let c = g.freeze().unwrap();
         assert_eq!(betweenness_sampled(&g, 25, 3), betweenness_sampled(&c, 25, 3));
         assert_eq!(closeness_sampled(&g, 25, 3), closeness_sampled(&c, 25, 3));
     }

@@ -435,13 +435,13 @@ mod tests {
 
     #[test]
     fn centrality_bitwise_identical_on_frozen_graph() {
-        // CSR preserves neighbor order, so even the f64 accumulation order
-        // is the same — exact equality, not tolerance.
+        // Freezing preserves neighbor order, so even the f64 accumulation
+        // order is the same — exact equality, not tolerance.
         let g = generators::erdos_renyi(40, 0.15, 7).unwrap();
-        let csr = g.freeze();
-        assert_eq!(betweenness_centrality(&g), betweenness_centrality(&csr));
-        assert_eq!(closeness_centrality(&g), closeness_centrality(&csr));
-        assert_eq!(degree_centrality(&g), degree_centrality(&csr));
+        let frozen = g.freeze().unwrap();
+        assert_eq!(betweenness_centrality(&g), betweenness_centrality(&frozen));
+        assert_eq!(closeness_centrality(&g), closeness_centrality(&frozen));
+        assert_eq!(degree_centrality(&g), degree_centrality(&frozen));
     }
 
     #[test]

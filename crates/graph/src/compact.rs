@@ -1,22 +1,20 @@
-//! Compact-index CSR graphs for the million-node substrate tier.
+//! The frozen undirected graph: [`CompactCsrGraph`], built by
+//! [`Graph::freeze`] and by every [`crate::stream::EdgeStream`].
 //!
-//! [`crate::CsrGraph`] stores offsets and targets as `usize` — 8 bytes per
-//! adjacency entry on 64-bit targets. At n = 10⁶–10⁷ the adjacency array
-//! dominates the working set of every traversal kernel, so halving its
-//! element width halves the memory traffic of the hot loops. This module
-//! provides two frozen representations behind the same [`GraphView`] trait
-//! every generic kernel already accepts:
+//! [`Graph`] stores one `Vec` per node — convenient to mutate, but every
+//! neighbor scan chases a pointer. The frozen form packs all neighbor lists
+//! into two flat `u32` arrays (`offsets` + `targets`), so traversal-heavy
+//! kernels stream through contiguous memory. Freeze a graph once per
+//! analysis, run any generic kernel on the result through [`GraphView`],
+//! and [`CompactCsrGraph::thaw`] back if mutation is needed again.
 //!
-//! * [`CompactCsrGraph`] — `u32` node ids and `u32` CSR offsets, neighbor
-//!   order preserved exactly (like [`crate::CsrGraph`]), so order-sensitive
-//!   kernels produce **bit-identical** output on it.
-//! * [`DeltaCsrGraph`] — rows sorted ascending and stored as varint-encoded
-//!   deltas (gap encoding), trading decode CPU for another ~2× size
-//!   reduction on local/clustered graphs. Neighbor order is *normalized*
-//!   (sorted), so only order-insensitive kernels (distances, components,
-//!   cores, degrees) are guaranteed identical.
+//! Freezing preserves each node's neighbor *order* exactly as stored in the
+//! adjacency lists. This is load-bearing: DFS preorder, BFS parent choice
+//! and Brandes accumulation are order-sensitive, and the experiment
+//! snapshots assert byte-identical output whichever representation runs the
+//! kernel.
 //!
-//! Construction never builds an intermediate adjacency list: the
+//! Streamed builds never create an intermediate adjacency list: the
 //! [`crate::stream::EdgeStream`] generators replay their (deterministic)
 //! edge sequence twice — one pass to count degrees, one pass to fill rows —
 //! so building a compact CSR for n = 10⁶ peaks at the size of the finished
@@ -27,23 +25,35 @@
 //!
 //! # Performance
 //!
-//! Per adjacency entry, [`CompactCsrGraph`] stores 4 bytes against
-//! [`crate::CsrGraph`]'s 8; per node it stores a 4-byte offset against 8.
-//! For a Barabási–Albert graph with m = 3 (6 directed entries per node)
-//! that is 28 vs 56 heap bytes per node — the measured numbers live in the
-//! committed `BENCH_scale.json` (see SCALING.md). [`DeltaCsrGraph`] encodes
-//! most gaps in 1–2 bytes; its decode cost makes it a storage/streaming
-//! format, with [`CompactCsrGraph`] as the compute representation.
-//! [`CompactCsrGraph::heap_bytes`] and friends report the actual allocation
-//! so benchmarks measure rather than estimate.
+//! Each adjacency entry takes 4 bytes and each node a 4-byte offset: 28 heap
+//! bytes per node for a Barabási–Albert graph with m = 3 (6 directed entries
+//! per node), half of what `usize` ids and offsets would take. The measured
+//! number lives in the committed `BENCH_scale.json` (see SCALING.md);
+//! [`CompactCsrGraph::heap_bytes`] reports the actual allocation.
+//!
+//! Rows are read through [`CompactNeighbors`], a named iterator whose `u32`
+//! → [`NodeId`] widening inlines into the kernels' loops. It replaced a
+//! `Map` over a `fn` pointer, which made every neighbor an indirect call and
+//! left this form up to 2× slower than a `usize` CSR on cache-resident
+//! graphs. Medians of 30 timed calls per cell, in six rounds alternating
+//! the builds, on a 2-vCPU Intel Xeon; BA graphs with m = 3:
+//!
+//! | kernel, n | `fn`-pointer `u32` | named `u32` | `usize` CSR |
+//! |---|---|---|---|
+//! | Brandes, 1,500 | 223 ms | 195 ms | 216 ms |
+//! | all-pairs BFS, 1,500 | 102 ms | 98 ms | 94 ms |
+//! | `nsf_levels`, 1,500 | 0.16 ms | 0.08 ms | 0.09 ms |
+//! | one BFS, 200,000 | 29 ms | 22 ms | 36 ms |
+//! | `core_numbers`, 200,000 | 33 ms | 29 ms | 37 ms |
+//! | `Graph` → frozen, 200,000 | 16 ms | 9 ms | 60 ms |
 //!
 //! # Examples
 //!
 //! ```
-//! use csn_graph::{Graph, GraphView, compact::CompactCsrGraph};
+//! use csn_graph::{Graph, GraphView};
 //!
 //! let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-//! let c = CompactCsrGraph::from_graph(&g).unwrap();
+//! let c = g.freeze().unwrap();
 //! assert_eq!(c.node_count(), 4);
 //! assert_eq!(c.neighbors(1).collect::<Vec<_>>(), vec![0, 2]);
 //! assert_eq!(c.thaw(), g);
@@ -56,14 +66,40 @@ use crate::view::GraphView;
 /// Largest value representable in the compact index space.
 const U32_LIMIT: usize = u32::MAX as usize;
 
-/// Checked narrowing for the compact representations: values that do not
+/// Checked narrowing for the compact representation: values that do not
 /// fit in `u32` become a typed [`GraphError::IndexOverflow`], never a wrap.
 pub(crate) fn to_u32(value: usize, what: &'static str) -> Result<u32, GraphError> {
     u32::try_from(value).map_err(|_| GraphError::IndexOverflow { what, value, max: U32_LIMIT })
 }
 
-/// Neighbor iterator over a `u32` target slice, widening to [`NodeId`].
-pub type CompactNeighbors<'a> = std::iter::Map<std::slice::Iter<'a, u32>, fn(&u32) -> NodeId>;
+/// Neighbor iterator over one [`CompactCsrGraph`] row, widening each `u32`
+/// target to a [`NodeId`]. Double-ended, because DFS pushes neighbors in
+/// reverse.
+#[derive(Debug, Clone)]
+pub struct CompactNeighbors<'a>(std::slice::Iter<'a, u32>);
+
+impl Iterator for CompactNeighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.0.next().map(|&v| v as NodeId)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for CompactNeighbors<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<NodeId> {
+        self.0.next_back().map(|&v| v as NodeId)
+    }
+}
+
+impl ExactSizeIterator for CompactNeighbors<'_> {}
 
 /// How a streamed build arranges each node's row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +117,7 @@ pub enum RowOrder {
 /// A frozen undirected graph in compact CSR form: `u32` node ids, `u32`
 /// offsets, neighbor order preserved.
 ///
+/// Build one with [`Graph::freeze`] or [`crate::EdgeStream::to_compact_csr`].
 /// Implements [`GraphView`], so every generic kernel runs on it unchanged —
 /// and, because freezing preserves adjacency order, order-sensitive kernels
 /// (DFS preorder, Brandes accumulation) produce bit-identical results to
@@ -93,30 +130,6 @@ pub struct CompactCsrGraph {
 }
 
 impl CompactCsrGraph {
-    /// Freezes `g` into compact CSR form, preserving neighbor order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::IndexOverflow`] if the node count or the
-    /// number of packed adjacency entries (`2 · edge_count`) exceeds
-    /// `u32::MAX`.
-    pub fn from_graph(g: &Graph) -> Result<Self, GraphError> {
-        let n = g.node_count();
-        to_u32(n, "node count")?;
-        let entries = 2 * g.edge_count();
-        to_u32(entries, "adjacency entries")?;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut targets = Vec::with_capacity(entries);
-        for u in g.nodes() {
-            for &v in Graph::neighbors(g, u) {
-                targets.push(v as u32);
-            }
-            offsets.push(targets.len() as u32);
-        }
-        Ok(CompactCsrGraph { offsets, targets, edge_count: g.edge_count() })
-    }
-
     /// Builds a compact CSR directly from a replayable edge stream without
     /// any intermediate adjacency structure. The stream is replayed twice
     /// (degree-count pass, fill pass) and **must** emit the identical edge
@@ -232,8 +245,8 @@ impl CompactCsrGraph {
     }
 
     /// Thaws back into a mutable adjacency-list [`Graph`] with the same
-    /// edge set (and, for [`RowOrder::Emission`] builds and
-    /// [`Self::from_graph`], the same neighbor order).
+    /// edge set (and, for [`Graph::freeze`] and [`RowOrder::Emission`]
+    /// builds, the same neighbor order).
     pub fn thaw(&self) -> Graph {
         let mut g = Graph::new(self.node_count());
         for u in self.nodes() {
@@ -247,7 +260,7 @@ impl CompactCsrGraph {
     }
 
     /// Heap bytes held by the CSR arrays (capacity, not just length) — the
-    /// number `BENCH_scale.json` reports as `compact_csr` bytes per node.
+    /// number `BENCH_scale.json` reports as `compact_csr_u32` bytes per node.
     pub fn heap_bytes(&self) -> usize {
         self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.targets.capacity() * std::mem::size_of::<u32>()
@@ -270,188 +283,47 @@ impl GraphView for CompactCsrGraph {
     }
 
     fn neighbors(&self, u: NodeId) -> CompactNeighbors<'_> {
-        self.neighbor_slice(u).iter().map(|&v| v as NodeId)
+        CompactNeighbors(self.neighbor_slice(u).iter())
     }
 }
 
-/// Appends `value` as a LEB128 varint (7 bits per byte, high bit = "more").
-fn push_varint(bytes: &mut Vec<u8>, mut value: u32) {
-    while value >= 0x80 {
-        bytes.push((value as u8 & 0x7f) | 0x80);
-        value >>= 7;
-    }
-    bytes.push(value as u8);
-}
-
-/// Decodes one LEB128 varint starting at `pos`; returns `(value, next_pos)`.
-fn read_varint(bytes: &[u8], mut pos: usize) -> (u32, usize) {
-    let mut value = 0u32;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[pos];
-        pos += 1;
-        value |= u32::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return (value, pos);
-        }
-        shift += 7;
-    }
-}
-
-/// A frozen undirected graph with delta-compressed rows: each row is sorted
-/// ascending and stored as varints — the first entry absolute, the rest as
-/// gaps to the previous entry.
-///
-/// Neighbor order is normalized (sorted), so only order-insensitive kernels
-/// (BFS distances, components, cores, degrees, counts) are guaranteed to
-/// match the uncompressed representations; order-sensitive ones (DFS
-/// preorder) may differ legally. Forward iteration decodes in place with no
-/// allocation; reverse iteration ([`DoubleEndedIterator::next_back`], used
-/// by DFS) decodes the row's remainder into a buffer on first use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaCsrGraph {
-    /// Byte offset of each row in `bytes`, plus the end sentinel.
-    byte_offsets: Vec<u32>,
-    /// Per-node degree (varint rows cannot be sized from offsets alone).
-    degrees: Vec<u32>,
-    bytes: Vec<u8>,
-    edge_count: usize,
-}
-
-impl DeltaCsrGraph {
-    /// Compresses a [`CompactCsrGraph`] (rows are sorted in the process).
+impl Graph {
+    /// Freezes this graph into an immutable [`CompactCsrGraph`], preserving
+    /// each node's neighbor order, so every generic kernel produces identical
+    /// output on either representation.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::IndexOverflow`] if the encoded byte stream
-    /// exceeds the `u32` offset space.
-    pub fn from_compact(c: &CompactCsrGraph) -> Result<Self, GraphError> {
-        let n = c.node_count();
-        let mut byte_offsets = Vec::with_capacity(n + 1);
-        let mut degrees = Vec::with_capacity(n);
-        let mut bytes = Vec::new();
-        let mut row = Vec::new();
-        byte_offsets.push(0u32);
-        for u in 0..n {
-            row.clear();
-            row.extend_from_slice(c.neighbor_slice(u));
-            row.sort_unstable();
-            let mut prev = 0u32;
-            for (i, &v) in row.iter().enumerate() {
-                push_varint(&mut bytes, if i == 0 { v } else { v - prev });
-                prev = v;
-            }
-            byte_offsets.push(to_u32(bytes.len(), "compressed bytes")?);
-            degrees.push(row.len() as u32);
+    /// Returns [`GraphError::IndexOverflow`] if the node count or the
+    /// number of packed adjacency entries (`2 · edge_count`) exceeds
+    /// `u32::MAX`, as [`crate::EdgeStream::to_compact_csr`] does.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use csn_graph::{Graph, GraphView, traversal};
+    ///
+    /// let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
+    /// let frozen = g.freeze().unwrap();
+    /// assert_eq!(frozen.degree(1), 2);
+    /// assert_eq!(
+    ///     traversal::connected_components(&g),
+    ///     traversal::connected_components(&frozen),
+    /// );
+    /// ```
+    pub fn freeze(&self) -> Result<CompactCsrGraph, GraphError> {
+        let n = self.node_count();
+        to_u32(n, "node count")?;
+        let entries = 2 * self.edge_count();
+        to_u32(entries, "adjacency entries")?;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut targets = Vec::with_capacity(entries);
+        for u in self.nodes() {
+            targets.extend(Graph::neighbors(self, u).iter().map(|&v| v as u32));
+            offsets.push(targets.len() as u32);
         }
-        Ok(DeltaCsrGraph { byte_offsets, degrees, bytes, edge_count: c.edge_count() })
-    }
-
-    /// Heap bytes held by the compressed arrays (capacity, not length).
-    pub fn heap_bytes(&self) -> usize {
-        self.byte_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.degrees.capacity() * std::mem::size_of::<u32>()
-            + self.bytes.capacity()
-    }
-}
-
-/// Decoding neighbor iterator for one [`DeltaCsrGraph`] row.
-pub struct DeltaNeighbors<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    prev: u32,
-    first: bool,
-    /// Items not yet yielded (from either end).
-    remaining: usize,
-    /// Once `next_back` is called, the undecoded remainder is materialized
-    /// here as `(values, front_index)`: the live window is
-    /// `values[front .. front + remaining]`.
-    buf: Option<(Vec<u32>, usize)>,
-}
-
-impl DeltaNeighbors<'_> {
-    /// Decodes the not-yet-consumed remainder into a buffer (varints cannot
-    /// be read backwards), after which both ends serve from it.
-    fn materialize(&mut self) {
-        let mut values = Vec::with_capacity(self.remaining);
-        let (mut pos, mut prev, mut first) = (self.pos, self.prev, self.first);
-        for _ in 0..self.remaining {
-            let (delta, next) = read_varint(self.bytes, pos);
-            pos = next;
-            prev = if first { delta } else { prev + delta };
-            first = false;
-            values.push(prev);
-        }
-        self.buf = Some((values, 0));
-    }
-}
-
-impl Iterator for DeltaNeighbors<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if let Some((values, front)) = &mut self.buf {
-            let v = values[*front];
-            *front += 1;
-            self.remaining -= 1;
-            return Some(v as NodeId);
-        }
-        let (delta, pos) = read_varint(self.bytes, self.pos);
-        self.pos = pos;
-        self.prev = if self.first { delta } else { self.prev + delta };
-        self.first = false;
-        self.remaining -= 1;
-        Some(self.prev as NodeId)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl DoubleEndedIterator for DeltaNeighbors<'_> {
-    fn next_back(&mut self) -> Option<NodeId> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if self.buf.is_none() {
-            self.materialize();
-        }
-        let (values, front) = self.buf.as_ref().expect("buffer just filled");
-        self.remaining -= 1;
-        Some(values[front + self.remaining] as NodeId)
-    }
-}
-
-impl ExactSizeIterator for DeltaNeighbors<'_> {}
-
-impl GraphView for DeltaCsrGraph {
-    type Neighbors<'a> = DeltaNeighbors<'a>;
-
-    fn node_count(&self) -> usize {
-        self.degrees.len()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    fn degree(&self, u: NodeId) -> usize {
-        self.degrees[u] as usize
-    }
-
-    fn neighbors(&self, u: NodeId) -> DeltaNeighbors<'_> {
-        DeltaNeighbors {
-            bytes: &self.bytes[..self.byte_offsets[u + 1] as usize],
-            pos: self.byte_offsets[u] as usize,
-            prev: 0,
-            first: true,
-            remaining: self.degrees[u] as usize,
-            buf: None,
-        }
+        Ok(CompactCsrGraph { offsets, targets, edge_count: self.edge_count() })
     }
 }
 
@@ -467,7 +339,7 @@ mod tests {
         g.add_edge(0, 3);
         g.add_edge(0, 1);
         g.add_edge(0, 2);
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
+        let c = g.freeze().unwrap();
         assert_eq!(c.neighbor_slice(0), &[3, 1, 2]);
         assert_eq!(c.thaw(), g);
         assert_eq!(c.degree(0), 3);
@@ -475,9 +347,34 @@ mod tests {
     }
 
     #[test]
+    fn neighbors_iterate_an_emission_row_from_both_ends() {
+        // Node 0's row keeps the emission order 4, 1, 3, 2 (not sorted).
+        let c = CompactCsrGraph::from_edge_stream(5, RowOrder::Emission, |emit| {
+            for v in [4, 1, 3, 2] {
+                emit(0, v);
+            }
+        })
+        .unwrap();
+        assert_eq!(c.neighbors(0).collect::<Vec<_>>(), vec![4, 1, 3, 2]);
+        assert_eq!(c.neighbors(0).rev().collect::<Vec<_>>(), vec![2, 3, 1, 4]);
+        // Alternating ends meet in the middle without skipping or repeating
+        // an entry, and `len` counts what is left.
+        let mut it = c.neighbors(0);
+        assert_eq!(it.len(), 4);
+        assert_eq!(it.next(), Some(4));
+        assert_eq!(it.next_back(), Some(2));
+        assert_eq!(it.len(), 2);
+        assert_eq!(it.next(), Some(1));
+        assert_eq!(it.next_back(), Some(3));
+        assert_eq!(it.len(), 0);
+        assert_eq!((it.next(), it.next_back()), (None, None));
+        assert_eq!(c.neighbors(1).len(), 1);
+    }
+
+    #[test]
     fn compact_kernels_bitwise_match_graph() {
         let g = generators::erdos_renyi(60, 0.1, 5).unwrap();
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
+        let c = g.freeze().unwrap();
         assert_eq!(
             crate::centrality::betweenness_centrality(&g),
             crate::centrality::betweenness_centrality(&c)
@@ -523,82 +420,6 @@ mod tests {
         assert!(matches!(r, Err(GraphError::NodeOutOfRange { node: 7, node_count: 3 })));
         let r = CompactCsrGraph::from_edge_stream(3, RowOrder::Emission, |emit| emit(1, 1));
         assert!(matches!(r, Err(GraphError::SelfLoop(1))));
-    }
-
-    #[test]
-    fn delta_round_trips_edge_set_and_kernels() {
-        let g = generators::watts_strogatz(80, 3, 0.2, 4).unwrap();
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
-        let d = DeltaCsrGraph::from_compact(&c).unwrap();
-        assert_eq!(d.node_count(), 80);
-        assert_eq!(GraphView::edge_count(&d), g.edge_count());
-        assert_eq!(GraphView::degrees(&d), GraphView::degrees(&g));
-        // Order-insensitive kernels agree exactly.
-        assert_eq!(traversal::bfs_distances(&d, 0), traversal::bfs_distances(&g, 0));
-        assert_eq!(traversal::connected_components(&d), traversal::connected_components(&g));
-        assert_eq!(crate::cores::core_numbers(&d), crate::cores::core_numbers(&g));
-        // Rows decode sorted.
-        for u in d.nodes() {
-            let row: Vec<NodeId> = d.neighbors(u).collect();
-            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {u} not sorted: {row:?}");
-        }
-    }
-
-    #[test]
-    fn delta_reverse_iteration_matches_forward() {
-        let g = generators::barabasi_albert(60, 2, 8).unwrap();
-        let d = DeltaCsrGraph::from_compact(&CompactCsrGraph::from_graph(&g).unwrap()).unwrap();
-        for u in d.nodes() {
-            let fwd: Vec<NodeId> = d.neighbors(u).collect();
-            let mut bwd: Vec<NodeId> = d.neighbors(u).rev().collect();
-            bwd.reverse();
-            assert_eq!(fwd, bwd, "node {u}");
-            // Mixed consumption: alternate front and back.
-            let mut it = d.neighbors(u);
-            let mut front = Vec::new();
-            let mut back = Vec::new();
-            while let Some(v) = it.next() {
-                front.push(v);
-                if let Some(v) = it.next_back() {
-                    back.push(v);
-                } else {
-                    break;
-                }
-            }
-            back.reverse();
-            front.extend(back);
-            assert_eq!(front, fwd, "mixed consumption, node {u}");
-        }
-    }
-
-    #[test]
-    fn delta_compresses_local_rows() {
-        // A grid has strongly local neighborhoods: gaps of 1 and `cols`.
-        let g = generators::grid(40, 40);
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
-        let d = DeltaCsrGraph::from_compact(&c).unwrap();
-        assert!(
-            d.heap_bytes() < c.heap_bytes(),
-            "delta {} >= compact {}",
-            d.heap_bytes(),
-            c.heap_bytes()
-        );
-    }
-
-    #[test]
-    fn varint_round_trips() {
-        let mut bytes = Vec::new();
-        let values = [0u32, 1, 127, 128, 300, 16_383, 16_384, u32::MAX];
-        for &v in &values {
-            push_varint(&mut bytes, v);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            let (got, next) = read_varint(&bytes, pos);
-            assert_eq!(got, v);
-            pos = next;
-        }
-        assert_eq!(pos, bytes.len());
     }
 
     #[test]

@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn core_numbers_identical_on_frozen_graph() {
         let g = generators::erdos_renyi(120, 0.06, 11).unwrap();
-        assert_eq!(core_numbers(&g), core_numbers(&g.freeze()));
+        assert_eq!(core_numbers(&g), core_numbers(&g.freeze().unwrap()));
     }
 
     #[test]

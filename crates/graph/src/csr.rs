@@ -1,44 +1,35 @@
-//! Frozen CSR (compressed sparse row) graph representations.
+//! Frozen CSR (compressed sparse row) forms of the directed and weighted
+//! graphs.
 //!
-//! [`Graph`] and friends store one `Vec` per node — convenient to mutate,
-//! but every neighbor scan chases a pointer. The frozen counterparts here
-//! pack all neighbor lists into two flat arrays (`offsets` + `targets`), so
-//! traversal-heavy kernels stream through contiguous memory. Freeze a graph
-//! once per analysis with [`Graph::freeze`], run any of the generic kernels
-//! on the result, and [`CsrGraph::thaw`] back if mutation is needed again.
+//! [`Digraph`], [`WeightedGraph`] and [`WeightedDigraph`] store one `Vec`
+//! per node — convenient to mutate, but every neighbor scan chases a
+//! pointer. The frozen counterparts here pack all neighbor lists into two
+//! flat arrays (`offsets` + `targets`), so traversal-heavy kernels stream
+//! through contiguous memory. Freeze once per analysis with
+//! [`Digraph::freeze`] and friends, run any of the generic kernels on the
+//! result, and [`CsrDigraph::thaw`] back if mutation is needed again. The
+//! undirected [`Graph`](crate::Graph) freezes into
+//! [`crate::CompactCsrGraph`] instead (see [`crate::compact`]).
 //!
 //! Freezing preserves each node's neighbor *order* exactly as stored in the
-//! adjacency lists. This is load-bearing: kernels like DFS preorder and BFS
-//! parent selection are order-sensitive, and the experiment snapshots assert
-//! byte-identical output whichever representation runs the kernel.
-//!
-//! # Performance
-//!
-//! [`CsrGraph`] stores `usize` offsets and targets — 8 bytes per adjacency
-//! entry on 64-bit targets, 56 heap bytes per node for a Barabási–Albert
-//! graph with m = 3. For million-node graphs the [`crate::compact`] variants
-//! halve that (`u32` ids, 28 bytes/node) or compress further (varint
-//! deltas), behind the same [`GraphView`] trait; measured bytes/node for all
-//! three live in the committed `BENCH_scale.json` (see SCALING.md).
-//! [`CsrGraph::heap_bytes`] reports this representation's actual allocation
-//! so the comparison is measured, not estimated.
+//! adjacency lists. This is load-bearing: kernels like Tarjan's SCC and
+//! PageRank accumulation are order-sensitive, and the experiment snapshots
+//! assert byte-identical output whichever representation runs the kernel.
 //!
 //! # Examples
 //!
 //! ```
-//! use csn_graph::{Graph, GraphView};
+//! use csn_graph::{Digraph, DigraphView};
 //!
-//! let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-//! let csr = g.freeze();
-//! assert_eq!(csr.node_count(), 4);
-//! assert_eq!(csr.neighbors(1).collect::<Vec<_>>(), vec![0, 2]);
-//! assert_eq!(csr.thaw(), g);
+//! let d = Digraph::from_arcs(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+//! let csr = d.freeze();
+//! assert_eq!(csr.arc_count(), 3);
+//! assert_eq!(csr.out_neighbors(1).collect::<Vec<_>>(), vec![2]);
+//! assert_eq!(csr.thaw(), d);
 //! ```
 
-use crate::graph::{Digraph, Graph, NodeId, WeightedDigraph, WeightedGraph};
-use crate::view::{
-    DigraphView, GraphView, SliceNeighbors, SliceWeightedNeighbors, WeightedGraphView,
-};
+use crate::graph::{Digraph, NodeId, WeightedDigraph, WeightedGraph};
+use crate::view::{DigraphView, SliceNeighbors, SliceWeightedNeighbors, WeightedGraphView};
 
 /// Packs per-node lists into a CSR pair `(offsets, flat)`, preserving order.
 fn pack<T: Copy>(lists: &[Vec<T>]) -> (Vec<usize>, Vec<T>) {
@@ -51,77 +42,6 @@ fn pack<T: Copy>(lists: &[Vec<T>]) -> (Vec<usize>, Vec<T>) {
         offsets.push(flat.len());
     }
     (offsets, flat)
-}
-
-/// A frozen undirected graph in CSR form.
-///
-/// Immutable by construction: `offsets[u]..offsets[u + 1]` indexes the
-/// packed `targets` array to give `u`'s neighbors. Build one with
-/// [`Graph::freeze`]; convert back with [`CsrGraph::thaw`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrGraph {
-    offsets: Vec<usize>,
-    targets: Vec<NodeId>,
-    edge_count: usize,
-}
-
-impl CsrGraph {
-    /// Freezes `g` into CSR form, preserving neighbor order.
-    pub fn from_graph(g: &Graph) -> Self {
-        let (offsets, targets) = {
-            let lists: Vec<Vec<NodeId>> =
-                g.nodes().map(|u| Graph::neighbors(g, u).to_vec()).collect();
-            pack(&lists)
-        };
-        CsrGraph { offsets, targets, edge_count: Graph::edge_count(g) }
-    }
-
-    /// Neighbors of `u` as a slice of the packed target array.
-    pub fn neighbor_slice(&self, u: NodeId) -> &[NodeId] {
-        &self.targets[self.offsets[u]..self.offsets[u + 1]]
-    }
-
-    /// Thaws back into a mutable adjacency-list [`Graph`] with the same
-    /// edge set (and the same neighbor order).
-    pub fn thaw(&self) -> Graph {
-        let mut g = Graph::new(self.node_count());
-        for u in self.nodes() {
-            for v in self.neighbor_slice(u) {
-                if u < *v {
-                    g.add_edge(u, *v);
-                }
-            }
-        }
-        g
-    }
-
-    /// Heap bytes held by the CSR arrays (capacity, not just length) — the
-    /// number `BENCH_scale.json` reports as `csr` bytes per node, for
-    /// comparison with [`crate::CompactCsrGraph::heap_bytes`].
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.targets.capacity() * std::mem::size_of::<NodeId>()
-    }
-}
-
-impl GraphView for CsrGraph {
-    type Neighbors<'a> = SliceNeighbors<'a>;
-
-    fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    fn degree(&self, u: NodeId) -> usize {
-        self.offsets[u + 1] - self.offsets[u]
-    }
-
-    fn neighbors(&self, u: NodeId) -> SliceNeighbors<'_> {
-        self.neighbor_slice(u).iter().copied()
-    }
 }
 
 /// A frozen directed graph in CSR form (both directions packed, so
@@ -242,29 +162,6 @@ impl WeightedGraphView for WeightedCsrGraph {
     }
 }
 
-impl Graph {
-    /// Freezes this graph into an immutable [`CsrGraph`], preserving each
-    /// node's neighbor order, so every generic kernel produces identical
-    /// output on either representation.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use csn_graph::{Graph, GraphView, traversal};
-    ///
-    /// let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
-    /// let csr = g.freeze();
-    /// assert_eq!(csr.degree(1), 2);
-    /// assert_eq!(
-    ///     traversal::connected_components(&g),
-    ///     traversal::connected_components(&csr),
-    /// );
-    /// ```
-    pub fn freeze(&self) -> CsrGraph {
-        CsrGraph::from_graph(self)
-    }
-}
-
 impl Digraph {
     /// Freezes this digraph into an immutable [`CsrDigraph`], preserving
     /// arc-list order in both directions.
@@ -291,33 +188,37 @@ impl WeightedDigraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Graph, GraphView};
+
+    // `Graph::freeze` lives in `compact.rs`; its contract is pinned here
+    // beside the other three `freeze`s.
 
     #[test]
     fn freeze_preserves_neighbor_order() {
-        // add_edge order defines adjacency order; CSR must not re-sort it.
+        // add_edge order defines adjacency order; freezing must not re-sort it.
         let mut g = Graph::new(4);
         g.add_edge(0, 3);
         g.add_edge(0, 1);
         g.add_edge(0, 2);
-        let csr = g.freeze();
-        assert_eq!(csr.neighbor_slice(0), &[3, 1, 2]);
-        assert_eq!(csr.neighbor_slice(0), Graph::neighbors(&g, 0));
+        let frozen = g.freeze().unwrap();
+        assert_eq!(frozen.neighbor_slice(0), &[3, 1, 2]);
+        assert!(frozen.neighbors(0).eq(Graph::neighbors(&g, 0).iter().copied()));
     }
 
     #[test]
     fn freeze_thaw_round_trips_edge_set() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]).unwrap();
-        assert_eq!(g.freeze().thaw(), g);
+        assert_eq!(g.freeze().unwrap().thaw(), g);
     }
 
     #[test]
     fn csr_counts_match_original() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let csr = g.freeze();
-        assert_eq!(csr.node_count(), 5);
-        assert_eq!(GraphView::edge_count(&csr), 3);
-        assert_eq!(GraphView::degrees(&csr), Graph::degrees(&g));
-        assert_eq!(csr.degree(4), 0, "isolated node has an empty row");
+        let frozen = g.freeze().unwrap();
+        assert_eq!(frozen.node_count(), 5);
+        assert_eq!(GraphView::edge_count(&frozen), 3);
+        assert_eq!(GraphView::degrees(&frozen), Graph::degrees(&g));
+        assert_eq!(frozen.degree(4), 0, "isolated node has an empty row");
     }
 
     #[test]

@@ -159,7 +159,18 @@ impl LandmarkIndex {
     /// `[UNREACHABLE, UNREACHABLE]` when some landmark certifies the pair
     /// disconnected; `[0, UNREACHABLE]` when no landmark reaches either
     /// endpoint (no information).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is not below [`Self::node_count`], as slice
+    /// indexing does. Without the check an id past the end would silently
+    /// read the next landmark's row of the flat table.
     pub fn bounds(&self, u: NodeId, v: NodeId) -> DistanceBounds {
+        assert!(
+            u < self.nodes && v < self.nodes,
+            "node ids ({u}, {v}) out of range for {} nodes",
+            self.nodes
+        );
         if u == v {
             return DistanceBounds { lower: 0, upper: 0 };
         }
@@ -219,6 +230,20 @@ mod tests {
         let b = idx.bounds(0, 3);
         assert_eq!(b, DistanceBounds { lower: UNREACHABLE, upper: UNREACHABLE });
         assert!(b.is_exact());
+    }
+
+    #[test]
+    fn bounds_reject_ids_past_the_node_count() {
+        // Two 3-node paths, 4 landmarks: an unchecked id 6 lands in the next
+        // landmark's row (every pair then looks disconnected), and (7, 7)
+        // would take the u == v shortcut to [0, 0].
+        let g = crate::Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
+        let idx = LandmarkIndex::build(&g, 4, 0);
+        for v in 0..6 {
+            assert!(std::panic::catch_unwind(|| idx.bounds(6, v)).is_err(), "bounds(6, {v})");
+            assert!(std::panic::catch_unwind(|| idx.bounds(v, 6)).is_err(), "bounds({v}, 6)");
+        }
+        assert!(std::panic::catch_unwind(|| idx.bounds(7, 7)).is_err(), "bounds(7, 7)");
     }
 
     #[test]

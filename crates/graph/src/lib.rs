@@ -12,13 +12,12 @@
 //! * [`Graph`] — simple undirected graphs; [`Digraph`] — directed graphs.
 //! * [`view`] — the [`GraphView`] / [`DigraphView`] / [`WeightedGraphView`]
 //!   traits every read-only kernel is generic over.
-//! * [`csr`] — frozen CSR representations ([`CsrGraph`], [`CsrDigraph`],
-//!   [`WeightedCsrGraph`]) built with [`Graph::freeze`] and friends;
-//!   cache-friendly for traversal-heavy analysis, convertible back with
-//!   [`CsrGraph::thaw`].
-//! * [`compact`] — the million-node tier's frozen forms: [`CompactCsrGraph`]
-//!   (`u32` ids/offsets, half the memory traffic of [`CsrGraph`]) and
-//!   [`DeltaCsrGraph`] (varint gap encoding), both behind [`GraphView`].
+//! * [`compact`] — the frozen undirected graph, [`CompactCsrGraph`] (`u32`
+//!   ids and offsets in two flat arrays), built by [`Graph::freeze`] or
+//!   straight from a [`stream`]; cache-friendly for traversal-heavy
+//!   analysis, convertible back with [`CompactCsrGraph::thaw`].
+//! * [`csr`] — the frozen directed and weighted forms ([`CsrDigraph`],
+//!   [`WeightedCsrGraph`]) built with [`Digraph::freeze`] and friends.
 //! * [`stream`] — streaming generators ([`stream::BaStream`],
 //!   [`stream::GeometricStream`], [`stream::KleinbergStream`],
 //!   [`stream::GnutellaStream`]) that replay a seeded edge sequence straight
@@ -82,13 +81,13 @@
 //! assert_eq!(g.edge_count(), 3);
 //! assert!(csn_graph::traversal::is_connected(&g));
 //!
-//! let csr = g.freeze();
-//! assert!(csn_graph::traversal::is_connected(&csr));
+//! let frozen = g.freeze().unwrap();
+//! assert!(csn_graph::traversal::is_connected(&frozen));
 //! assert_eq!(
 //!     csn_graph::centrality::betweenness_centrality(&g),
-//!     csn_graph::centrality::betweenness_centrality(&csr),
+//!     csn_graph::centrality::betweenness_centrality(&frozen),
 //! );
-//! assert_eq!(csr.thaw(), g);
+//! assert_eq!(frozen.thaw(), g);
 //! ```
 
 pub mod approx;
@@ -111,8 +110,8 @@ pub mod stream;
 pub mod traversal;
 pub mod view;
 
-pub use compact::{CompactCsrGraph, DeltaCsrGraph};
-pub use csr::{CsrDigraph, CsrGraph, WeightedCsrGraph};
+pub use compact::CompactCsrGraph;
+pub use csr::{CsrDigraph, WeightedCsrGraph};
 pub use error::GraphError;
 pub use graph::{Digraph, Graph, NodeId, WeightedDigraph, WeightedGraph};
 pub use landmark::LandmarkIndex;

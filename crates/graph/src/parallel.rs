@@ -211,9 +211,9 @@ mod tests {
     #[test]
     fn parallel_kernels_accept_frozen_graphs() {
         let g = generators::erdos_renyi(50, 0.1, 33).unwrap();
-        let csr = g.freeze();
-        assert_eq!(betweenness_par(&csr, 4), betweenness_centrality(&g));
-        assert_eq!(closeness_par(&csr, 4), closeness_centrality(&g));
+        let frozen = g.freeze().unwrap();
+        assert_eq!(betweenness_par(&frozen, 4), betweenness_centrality(&g));
+        assert_eq!(closeness_par(&frozen, 4), closeness_centrality(&g));
     }
 
     #[test]

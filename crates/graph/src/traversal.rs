@@ -2,7 +2,7 @@
 //!
 //! Every function here is generic over [`GraphView`] / [`DigraphView`], so
 //! it runs unchanged on the mutable adjacency-list types and on their frozen
-//! CSR counterparts ([`crate::CsrGraph`], [`crate::CsrDigraph`]).
+//! counterparts ([`crate::CompactCsrGraph`], [`crate::CsrDigraph`]).
 
 use crate::graph::NodeId;
 use crate::scratch::BfsScratch;
@@ -386,12 +386,12 @@ mod tests {
     #[test]
     fn kernels_agree_on_frozen_graph() {
         let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)]).unwrap();
-        let csr = g.freeze();
-        assert_eq!(bfs_distances(&g, 0), bfs_distances(&csr, 0));
-        assert_eq!(dfs_preorder(&g, 0), dfs_preorder(&csr, 0));
-        assert_eq!(connected_components(&g), connected_components(&csr));
-        assert_eq!(bfs_path(&g, 0, 3), bfs_path(&csr, 0, 3));
-        assert_eq!(all_pairs_bfs(&g), all_pairs_bfs(&csr));
+        let frozen = g.freeze().unwrap();
+        assert_eq!(bfs_distances(&g, 0), bfs_distances(&frozen, 0));
+        assert_eq!(dfs_preorder(&g, 0), dfs_preorder(&frozen, 0));
+        assert_eq!(connected_components(&g), connected_components(&frozen));
+        assert_eq!(bfs_path(&g, 0, 3), bfs_path(&frozen, 0, 3));
+        assert_eq!(all_pairs_bfs(&g), all_pairs_bfs(&frozen));
     }
 
     #[test]

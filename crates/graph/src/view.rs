@@ -5,8 +5,9 @@
 //! `impl GraphView` (or the directed/weighted counterpart) instead of a
 //! concrete graph type, so the mutable adjacency-list representations
 //! ([`Graph`], [`Digraph`], [`WeightedGraph`], [`WeightedDigraph`]) and the
-//! frozen CSR representations ([`crate::CsrGraph`], [`crate::CsrDigraph`],
-//! [`crate::WeightedCsrGraph`]) share one implementation of each algorithm.
+//! frozen CSR representations ([`crate::CompactCsrGraph`],
+//! [`crate::CsrDigraph`], [`crate::WeightedCsrGraph`]) share one
+//! implementation of each algorithm.
 //!
 //! The contract is deliberately minimal — counts, degrees, and neighbor
 //! *iteration* (no positional indexing, no slice access) — so any
@@ -14,7 +15,7 @@
 //! qualifies. Neighbor order is part of the observable behavior of several
 //! kernels (DFS preorder, BFS parent choice); [`Graph::freeze`] preserves
 //! adjacency order exactly, which is why the two representations produce
-//! identical outputs, a property the CSR test-suite pins down.
+//! identical outputs, a property the `csr_props` suite pins down.
 //!
 //! # Examples
 //!
@@ -35,13 +36,14 @@
 //!
 //! let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
 //! assert_eq!(triangle_count(&g), 1);
-//! assert_eq!(triangle_count(&g.freeze()), 1);
+//! assert_eq!(triangle_count(&g.freeze().unwrap()), 1);
 //! ```
 
 use crate::graph::{Digraph, Graph, NodeId, WeightedDigraph, WeightedGraph};
 
-/// Copied-slice neighbor iterator: the concrete iterator type behind every
-/// built-in view (both adjacency lists and CSR store neighbors contiguously).
+/// Copied-slice neighbor iterator: the concrete iterator type behind the
+/// adjacency-list views and [`crate::CsrDigraph`], which store `NodeId`s
+/// contiguously ([`crate::CompactCsrGraph`] widens `u32`s instead).
 pub type SliceNeighbors<'a> = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
 
 /// Copied-slice weighted neighbor iterator.

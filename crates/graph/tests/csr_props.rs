@@ -1,7 +1,8 @@
-//! Property tests for the CSR substrate: generic kernels behave identically
-//! on a `Graph` and its `freeze()`d `CsrGraph`, freezing round-trips the
-//! edge set, and the source-parallel kernels match the serial ones
-//! bit-for-bit at several worker counts.
+//! Property tests for the frozen forms: generic kernels behave identically
+//! on a `Graph` and its `freeze()`d `CompactCsrGraph` (and on a `Digraph`
+//! and its `CsrDigraph`), freezing round-trips the edge set, and the
+//! source-parallel kernels match the serial ones bit-for-bit at several
+//! worker counts.
 
 use csn_graph::{centrality, cores, parallel, traversal, Graph};
 use proptest::prelude::*;
@@ -28,29 +29,29 @@ proptest! {
     fn freeze_thaw_round_trips_edge_set(g in arb_graph(40)) {
         // Graph equality is edge-set equality, so this covers node count,
         // edge count, and every edge in both directions.
-        prop_assert_eq!(g.freeze().thaw(), g);
+        prop_assert_eq!(g.freeze().unwrap().thaw(), g);
     }
 
     #[test]
     fn generic_kernels_identical_on_csr(g in arb_graph(32)) {
-        let csr = g.freeze();
-        prop_assert_eq!(traversal::bfs_distances(&g, 0), traversal::bfs_distances(&csr, 0));
-        prop_assert_eq!(traversal::dfs_preorder(&g, 0), traversal::dfs_preorder(&csr, 0));
+        let frozen = g.freeze().unwrap();
+        prop_assert_eq!(traversal::bfs_distances(&g, 0), traversal::bfs_distances(&frozen, 0));
+        prop_assert_eq!(traversal::dfs_preorder(&g, 0), traversal::dfs_preorder(&frozen, 0));
         prop_assert_eq!(
             traversal::connected_components(&g),
-            traversal::connected_components(&csr)
+            traversal::connected_components(&frozen)
         );
-        prop_assert_eq!(traversal::diameter(&g), traversal::diameter(&csr));
-        prop_assert_eq!(cores::core_numbers(&g), cores::core_numbers(&csr));
+        prop_assert_eq!(traversal::diameter(&g), traversal::diameter(&frozen));
+        prop_assert_eq!(cores::core_numbers(&g), cores::core_numbers(&frozen));
         // f64 outputs compare exactly: neighbor order (hence accumulation
         // order) is preserved by freeze().
         prop_assert_eq!(
             centrality::betweenness_centrality(&g),
-            centrality::betweenness_centrality(&csr)
+            centrality::betweenness_centrality(&frozen)
         );
         prop_assert_eq!(
             centrality::closeness_centrality(&g),
-            centrality::closeness_centrality(&csr)
+            centrality::closeness_centrality(&frozen)
         );
     }
 

@@ -1,12 +1,13 @@
 //! Property tests for the million-node substrate tier: streaming generators
-//! obey their model invariants and replay deterministically, compact-CSR
-//! round-trips `Graph` exactly, generic kernels behave bit-identically on
-//! the compact representations, and the sampled kernels degenerate to the
-//! exact ones at full sampling — across worker counts.
+//! obey their model invariants and replay deterministically, a streamed
+//! build lands on the same edge set as the `Graph` it replays, the parallel
+//! kernels are bit-identical on the frozen form, and the sampled kernels
+//! degenerate to the exact ones at full sampling — across worker counts.
+//! Freezing itself (round trip, serial kernels) is covered by `csr_props`.
 
-use csn_graph::compact::{CompactCsrGraph, DeltaCsrGraph, RowOrder};
+use csn_graph::compact::{CompactCsrGraph, RowOrder};
 use csn_graph::stream::{BaStream, EdgeStream, GeometricStream, KleinbergStream};
-use csn_graph::{approx, centrality, cores, generators, parallel, traversal, Graph, GraphView};
+use csn_graph::{approx, centrality, generators, parallel, Graph, GraphView};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph as an edge list over `n` nodes.
@@ -83,12 +84,6 @@ proptest! {
     }
 
     #[test]
-    fn compact_round_trips_graph(g in arb_graph(40)) {
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
-        prop_assert_eq!(c.thaw(), g);
-    }
-
-    #[test]
     fn from_edge_stream_equals_from_graph(g in arb_graph(40)) {
         // Replaying the Graph's own edge iterator through the two-pass
         // streamed build lands on the same edge set as the direct freeze.
@@ -104,44 +99,8 @@ proptest! {
     }
 
     #[test]
-    fn generic_kernels_bitwise_identical_on_compact(g in arb_graph(32)) {
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
-        prop_assert_eq!(traversal::bfs_distances(&g, 0), traversal::bfs_distances(&c, 0));
-        prop_assert_eq!(traversal::dfs_preorder(&g, 0), traversal::dfs_preorder(&c, 0));
-        prop_assert_eq!(
-            traversal::connected_components(&g),
-            traversal::connected_components(&c)
-        );
-        prop_assert_eq!(cores::core_numbers(&g), cores::core_numbers(&c));
-        // Compact CSR preserves neighbor (accumulation) order: f64 outputs
-        // compare exactly, not within tolerance.
-        prop_assert_eq!(
-            centrality::betweenness_centrality(&g),
-            centrality::betweenness_centrality(&c)
-        );
-        prop_assert_eq!(
-            centrality::closeness_centrality(&g),
-            centrality::closeness_centrality(&c)
-        );
-    }
-
-    #[test]
-    fn delta_csr_matches_order_insensitive_kernels(g in arb_graph(32)) {
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
-        let d = DeltaCsrGraph::from_compact(&c).unwrap();
-        prop_assert_eq!(GraphView::edge_count(&d), g.edge_count());
-        prop_assert_eq!(GraphView::degrees(&d), GraphView::degrees(&g));
-        prop_assert_eq!(traversal::bfs_distances(&g, 0), traversal::bfs_distances(&d, 0));
-        prop_assert_eq!(
-            traversal::connected_components(&g),
-            traversal::connected_components(&d)
-        );
-        prop_assert_eq!(cores::core_numbers(&g), cores::core_numbers(&d));
-    }
-
-    #[test]
     fn parallel_kernels_bitwise_match_on_compact(g in arb_graph(24)) {
-        let c = CompactCsrGraph::from_graph(&g).unwrap();
+        let c = g.freeze().unwrap();
         let serial_bc = centrality::betweenness_centrality(&g);
         let serial_cc = centrality::closeness_centrality(&g);
         for jobs in [1usize, 2, 4, 7] {

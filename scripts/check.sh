@@ -44,8 +44,10 @@ fi
 # committed artifact has to carry the schema version its writer source
 # currently writes. Columns: artifact, writer source, perf_smoke flag that
 # regenerates it.
+checked=" "
 while read -r artifact writer flag; do
   echo "==> $artifact schema freshness"
+  checked+="$artifact "
   name=${artifact#BENCH_}
   schema="structura-bench-${name%.json}-v[0-9]+"
   want=$(grep -oE "$schema" "$writer" | head -n1)
@@ -63,7 +65,15 @@ BENCH_distsim.json crates/bench/src/distsim_bench.rs --distsim
 BENCH_scenario.json crates/bench/src/scenario_bench.rs --scenario
 ARTIFACTS
 
-echo "==> perf smoke (scratch/parallel/cursor kernels bit-identical; maintainers equal scratch, forwarding with strictly fewer counted touches than rebuilds, cores + NSF with no more; timings to BENCH_csr.json + BENCH_kernels.json)"
+echo "==> every committed BENCH_*.json has a schema freshness row"
+for artifact in BENCH_*.json; do
+  if [[ "$checked" != *" $artifact "* ]]; then
+    echo "FAIL: $artifact is not in the schema freshness list above; add its writer row or delete it" >&2
+    exit 1
+  fi
+done
+
+echo "==> perf smoke (frozen/scratch/parallel/cursor kernels bit-identical; maintainers equal scratch, forwarding with strictly fewer counted touches than rebuilds, cores + NSF with no more; timings and touches to BENCH_kernels.json)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke
 
 echo "==> scale smoke (small-n: streamed CSR + sampled-kernel ε-gates; committed BENCH_scale.json untouched)"
