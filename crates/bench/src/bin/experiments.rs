@@ -12,36 +12,34 @@
 //!
 //! Flags:
 //!
-//! * `--exp <id>` — run only the experiment with this id (e1…e25)
+//! * `--exp <id>` — run only the experiment with this id (one of the ids
+//!   registered in `csn_bench::experiments::EXPERIMENTS`, `e1` onward)
 //! * `--jobs <n>` — worker threads for the work-stealing pool; defaults to
 //!   the detected hardware thread count
 //! * `--json <dir>` — write `<dir>/<id>.json` per experiment plus
 //!   `<dir>/experiments_summary.json` for the run
 //!
 //! Rendered text is byte-identical between serial and parallel runs;
-//! timing lines go to stderr and to the JSON summary only.
+//! timing lines go to stderr and to the JSON summary only. A usage error
+//! (unknown flag, missing or unparsable value, unknown id) exits with
+//! status 2.
 
-use csn_bench::experiments::{run_reports, RunOptions};
+use csn_bench::cli::{usage_error, Flags};
+use csn_bench::experiments::{run_reports, RunOptions, EXPERIMENTS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let filter = flag_value("--exp").unwrap_or_default();
-    let jobs: usize = match flag_value("--jobs").map(|j| j.parse()) {
-        None => csn_bench::pool::available_parallelism(),
-        Some(Ok(n)) if n >= 1 => n,
-        Some(_) => {
-            eprintln!("error: --jobs expects a positive integer");
-            std::process::exit(2);
-        }
-    };
-    let json_dir = flag_value("--json");
+    let flags = Flags::from_env(&[], &["--exp", "--jobs", "--json"]);
+    let filter = flags.value("--exp").unwrap_or_default().to_string();
+    let jobs: usize = flags.get("--jobs", csn_bench::pool::available_parallelism());
+    if jobs == 0 {
+        usage_error("--jobs expects a positive integer");
+    }
+    let json_dir = flags.value("--json");
 
     let outcome = run_reports(&RunOptions { filter: filter.clone(), jobs });
     if outcome.reports.is_empty() {
-        eprintln!("no experiment matches --exp {filter:?} (expected e1…e25)");
-        std::process::exit(2);
+        let (first, last) = (EXPERIMENTS[0].id, EXPERIMENTS[EXPERIMENTS.len() - 1].id);
+        usage_error(format!("no experiment matches --exp {filter:?} (expected {first}…{last})"));
     }
 
     for report in &outcome.reports {

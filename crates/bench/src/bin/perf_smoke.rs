@@ -1,147 +1,88 @@
-//! Criterion-free performance smoke: correctness gate plus a coarse timing
-//! snapshot, cheap enough for `scripts/check.sh`.
+//! `perf_smoke` — the `BENCH_*.json` rows no benchmark workload covers.
 //!
-//! The default run gates four things and writes every timing and touch
-//! count to `BENCH_kernels.json`. Of the BA-graph timing rows, those
-//! labelled `adjacency` run on the adjacency-list `Graph` and the rest on
-//! its frozen form.
-//! Timings are informational only: the CI box may be single-core and noisy,
-//! so no speedup is asserted — the trajectory lives in the committed JSON,
-//! not in a pass/fail threshold.
+//! Each tier writes one committed artifact (or `--out PATH`). Wall times
+//! are informational: the box may be single-core and noisy, so the
+//! trajectory lives in the committed JSON, not in a pass/fail threshold.
+//! Counts (touches, edges, rounds, messages, contacts) are exact and
+//! deterministic. The correctness of everything measured here is asserted
+//! by tier-1 tests — `crates/bench/tests/gates.rs` and the crates' property
+//! suites — so this binary exits non-zero only on a usage error (status 2)
+//! or when it cannot write its artifact (status 1).
 //!
-//! 1. **Frozen gate** — on a seeded BA graph, Brandes betweenness and
-//!    all-pairs BFS must be *bit-identical* on the adjacency-list graph and
-//!    its `freeze()`d form; both kernels are timed on each.
-//! 2. **Kernel-reuse gate** — fresh-alloc vs scratch-arena Brandes (serial
-//!    and `betweenness_par` at jobs ∈ {1, 2, 4, 7}) must be bit-identical,
-//!    and a `SnapshotCursor` horizon sweep must equal the per-step
-//!    `snapshot(t)` rebuilds on an edge-Markovian EG.
-//! 3. **Faulted-run determinism gate** — two distributed Bellman–Ford runs
-//!    under the same `FaultModel` (loss + delay + duplication + reorder +
-//!    churn, one seed) must produce bit-identical outcomes and `RunStats`.
-//! 4. **Maintain gate + counted-touch tier** — the incremental structure
-//!    maintainers (k-cores, NSF levels, forwarding sets) on a
-//!    `TrackedCursor` must equal their from-scratch oracles at every t of
-//!    the dense edge-Markovian trace, and on a sparse, fragmented trace
-//!    the forwarding maintainer must perform *strictly fewer counted node
-//!    touches* than per-t rebuilds, and the cores and NSF maintainers (one
-//!    recompute per changing batch) no more (the `maintain` block carries
-//!    both wall times and touch counts).
-//!
-//! 5. **Scale tier (`--scale`)** — runs *instead of* the tiers above: the
-//!    million-node substrate gates (streamed compact CSR ≡ adjacency build,
-//!    sampled centrality ≡ exact at full sampling and within the documented
-//!    ε at quarter sampling, all on small graphs) plus throughput at
-//!    `--scale-nodes` (default 10⁶): edges/s built per streaming generator,
-//!    bytes/node of the frozen form, and traversed edges/s per kernel.
-//!    Written to `BENCH_scale.json` (or `--scale-out <path>`); see
-//!    SCALING.md for how to read it.
-//! 6. **Serve tier (`--serve`)** — also runs *instead of* the default
-//!    tiers: the query-serving gates on a small BA graph (landmark bounds
-//!    sandwich exact BFS distances, `DistanceExact` equals ground truth,
-//!    `serve_batched` bit-identical to `serve_serial` at jobs ∈
-//!    {1, 2, 4, 7}, and the committed query trace replays byte-for-byte),
-//!    then an index-build + Zipf-workload + request-loop pass at
-//!    `--serve-nodes` (default 10⁵) written to `BENCH_serve.json`
-//!    (or `--serve-out <path>`): QPS, p50/p99 latency, index build time
-//!    and bytes/node. See SERVING.md.
-//! 7. **Distsim tier (`--distsim`)** — also runs *instead of* the default
-//!    tiers: bitwise serial-vs-parallel gates for the deterministic
-//!    distsim stepper (Flood/Bellman–Ford/MIS/CDS-marking states and
-//!    `RunStats` bit-identical at jobs ∈ {1, 2, 4, 7}, a faulted run
-//!    equally bit-identical across jobs and across repeats, conservation
-//!    law at exit), then protocol throughput rows at n ∈ {10⁴, 10⁵, 10⁶}
-//!    capped by `--distsim-nodes` — rounds/s, messages/s, and the
-//!    simulator's bytes/node — written to `BENCH_distsim.json`
-//!    (or `--distsim-out <path>`). See DISTSIM.md.
-//! 8. **Scenario tier (`--scenario`)** — also runs *instead of* the default
-//!    tiers: the city-scale scenario suite (see SCENARIOS.md). Gates:
-//!    grid-vs-naive contact detection bitwise-identical (bounded and
-//!    unbounded), every trace well-formed and replay-deterministic,
-//!    streaming discretization ≡ materialize-then-discretize, flat-slice
-//!    DTN ≡ EG DTN plus cursor walks ≡ rebuilds, DTN dominance
-//!    (epidemic ≥ spray ≥ direct), TOUR relay windows contiguous, pub-sub under churn
-//!    bit-identical serial vs parallel, hypercube routing sound, and the
-//!    contact floor met. Rows: contacts/s and bytes/contact for the
-//!    `--scenario-nodes` city trace (default 3000 nodes ⇒ ≥10⁶ contacts),
-//!    the DTN ladder delivery ratios on that trace, TOUR forwarding from
-//!    trace-estimated rates, a `TrackedCursor` k-core sweep, a
+//! 1. **Default tier** → `BENCH_kernels.json`: Brandes betweenness and
+//!    all-pairs BFS on a BA graph's adjacency list and its frozen form,
+//!    fresh-alloc vs scratch Brandes, `betweenness_par` per worker count, a
+//!    snapshot sweep by rebuilds and by cursor, a faulted Bellman–Ford run,
+//!    and the counted-touch `maintain` rows: node touches of the k-core,
+//!    NSF and forwarding-set maintainers on a sparse edge-Markovian trace
+//!    next to per-step rebuilds (see `csn_bench::kernels_bench`).
+//! 2. **`--scale`** → `BENCH_scale.json`: at `--scale-nodes` (default 10⁶),
+//!    edges/s built per streaming generator, bytes/node of the frozen form,
+//!    and traversed edges/s per kernel. See SCALING.md.
+//! 3. **`--distsim`** → `BENCH_distsim.json`: protocol throughput at n ∈
+//!    {10⁴, 10⁵, 10⁶} capped by `--distsim-nodes` — rounds/s, messages/s
+//!    and the simulator's bytes/node. See DISTSIM.md.
+//! 4. **`--scenario`** → `BENCH_scenario.json`: contacts/s and
+//!    bytes/contact of the `--scenario-nodes` city trace (default 3000
+//!    nodes ⇒ ≥10⁶ contacts), the DTN ladder on it, TOUR forwarding from
+//!    its estimated rates, a `TrackedCursor` k-core sweep, a
 //!    `--scenario-pubsub-nodes` (default 10⁵) Gnutella-style pub-sub run
-//!    under churn, and generalized-hypercube routing under faults. Written
-//!    to `BENCH_scenario.json` (or `--scenario-out <path>`).
+//!    under churn, and generalized-hypercube routing under faults. See
+//!    SCENARIOS.md.
 //!
-//! Usage: `cargo run -p csn-bench --release --bin perf_smoke`
-//! or: `cargo run -p csn-bench --release --bin perf_smoke -- --scale \
-//!   [--scale-nodes 1000000 --scale-out BENCH_scale.json]`
-//! or: `cargo run -p csn-bench --release --bin perf_smoke -- --serve \
-//!   [--serve-nodes 100000 --serve-out BENCH_serve.json]`
-//! or: `cargo run -p csn-bench --release --bin perf_smoke -- --distsim \
-//!   [--distsim-nodes 1000000 --distsim-out BENCH_distsim.json]`
-//! or: `cargo run -p csn-bench --release --bin perf_smoke -- --scenario \
-//!   [--scenario-nodes 3000 --scenario-pubsub-nodes 100000 \
-//!    --scenario-out BENCH_scenario.json]`
+//! Usage: `cargo run -p csn-bench --release --bin perf_smoke [-- --out PATH]`
+//! or: `... -- --scale [--scale-nodes 1000000] [--out BENCH_scale.json]`
+//! or: `... -- --distsim [--distsim-nodes 1000000] [--out BENCH_distsim.json]`
+//! or: `... -- --scenario [--scenario-nodes 3000] \
+//!   [--scenario-pubsub-nodes 100000] [--out BENCH_scenario.json]`
 
+use csn_bench::cli::{usage_error, Flags};
+use csn_bench::kernels_bench::{
+    maintain_rows, synthetic_trim, BenchKernels, Timing, KERNELS_SCHEMA,
+};
+use csn_bench::timed;
 use csn_core::graph::centrality::{betweenness_centrality, brandes_delta};
-use csn_core::graph::generators;
 use csn_core::graph::parallel::betweenness_par;
 use csn_core::graph::traversal::all_pairs_bfs;
+use csn_core::graph::{generators, GraphError, GraphView};
 use csn_core::temporal::markovian::EdgeMarkovian;
 use serde::Serialize;
+use std::hint::black_box;
 
-#[derive(Serialize)]
-struct Timing {
-    kernel: String,
-    representation: String,
-    wall_secs: f64,
-}
+/// A tier: its switch (empty for the default tier), the options it takes
+/// besides `--out`, its committed artifact, and the run that returns the
+/// artifact's JSON.
+type Tier = (&'static str, &'static [&'static str], &'static str, fn(&Flags) -> String);
 
-#[derive(Serialize)]
-struct MaintainRow {
-    structure: String,
-    rebuild_secs: f64,
-    incremental_secs: f64,
-    rebuild_node_touches: u64,
-    incremental_node_touches: u64,
-    matches_scratch: bool,
-}
+const TIERS: [Tier; 4] = [
+    ("", &[], "BENCH_kernels.json", run_kernels),
+    ("--scale", &["--scale-nodes"], "BENCH_scale.json", run_scale),
+    ("--distsim", &["--distsim-nodes"], "BENCH_distsim.json", run_distsim),
+    (
+        "--scenario",
+        &["--scenario-nodes", "--scenario-pubsub-nodes"],
+        "BENCH_scenario.json",
+        run_scenario,
+    ),
+];
 
-#[derive(Serialize)]
-struct BenchKernels {
-    schema: String,
-    git_rev: String,
-    graph: String,
-    temporal_graph: String,
-    maintain_graph: String,
-    detected_cores: usize,
-    /// Brandes and all-pairs BFS are bit-identical on the adjacency list
-    /// and its frozen form.
-    frozen_matches_adjacency: bool,
-    scratch_jobs_checked: Vec<usize>,
-    scratch_matches_alloc: bool,
-    cursor_matches_rebuild: bool,
-    faulted_run_deterministic: bool,
-    maintain_matches_scratch: bool,
-    /// The forwarding sweep touches strictly fewer nodes than its rebuild
-    /// floor, and the cores and NSF sweeps at most theirs.
-    maintain_fewer_touches: bool,
-    maintain: Vec<MaintainRow>,
-    timings: Vec<Timing>,
-}
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = std::time::Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64())
-}
-
-/// Sorted, deduplicated worker counts to gate at: on a 1-core box the
-/// detected core count collides with the fixed entries, and checking a
-/// jobs value twice would just double the gate's wall time.
-fn deduped_jobs(base: &[usize]) -> Vec<usize> {
-    let mut jobs = base.to_vec();
-    jobs.sort_unstable();
-    jobs.dedup();
-    jobs
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // A tier switch anywhere selects that tier; a second tier switch, or
+    // another tier's option, is then an unknown argument.
+    let (switch, options, default_out, run) =
+        TIERS[1..].iter().find(|t| args.iter().any(|a| a == t.0)).unwrap_or(&TIERS[0]);
+    let switches: &[&'static str] =
+        if switch.is_empty() { &[] } else { std::slice::from_ref(switch) };
+    let flags = Flags::parse(args, switches, &[&["--out"], *options].concat())
+        .unwrap_or_else(|e| usage_error(e));
+    let out = flags.get("--out", default_out.to_string());
+    let json = run(&flags);
+    if let Err(e) = std::fs::write(&out, json) {
+        eprintln!("error: cannot write {out}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("perf_smoke: wrote {out}");
 }
 
 fn git_rev() -> String {
@@ -155,13 +96,116 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-#[derive(Serialize)]
-struct ScaleGates {
-    stream_matches_graph: bool,
-    geometric_matches_reference: bool,
-    approx_full_sample_exact: bool,
-    sampled_within_epsilon: bool,
-    sampled_par_matches_serial: bool,
+/// `r`'s value, or a usage error naming the size flag whose value gave a
+/// generator invalid parameters.
+fn sized<T>(r: Result<T, GraphError>, flag: &str, nodes: usize) -> T {
+    r.unwrap_or_else(|e| usage_error(format!("{flag} {nodes}: {e}")))
+}
+
+/// Brandes betweenness the fresh-alloc way: one `brandes_delta` (and one
+/// scratch arena) per source, summed and halved.
+fn fresh_alloc_betweenness<G: GraphView>(g: &G) -> Vec<f64> {
+    let mut bc = vec![0.0f64; g.node_count()];
+    for s in 0..g.node_count() {
+        for (b, d) in bc.iter_mut().zip(&brandes_delta(g, s)) {
+            *b += d;
+        }
+    }
+    for b in &mut bc {
+        *b /= 2.0;
+    }
+    bc
+}
+
+/// Times `run` and appends its row to `timings`.
+fn time<T>(timings: &mut Vec<Timing>, kernel: &str, representation: &str, run: impl FnOnce() -> T) {
+    let (out, wall_secs) = timed(run);
+    black_box(out);
+    timings.push(Timing {
+        kernel: kernel.into(),
+        representation: representation.into(),
+        wall_secs,
+    });
+}
+
+/// The default tier: kernel wall times on a BA graph and two
+/// edge-Markovian traces, and the counted-touch maintain rows.
+fn run_kernels(_: &Flags) -> String {
+    use csn_core::distsim::{ChurnSchedule, FaultModel};
+    use csn_core::labeling::bellman_ford::run_resilient;
+
+    let (n, m, seed) = (1500usize, 3usize, 42u64);
+    let g = generators::barabasi_albert(n, m, seed).expect("fixed BA parameters");
+    let frozen = g.freeze().expect("fits u32");
+    let cores = csn_bench::pool::available_parallelism();
+    let (tn, horizon, p, q, tseed) = (120usize, 400u32, 0.6, 0.02, 7u64);
+    let eg = EdgeMarkovian::new(tn, p, q).generate(horizon, tseed);
+    let (fn_, fseed) = (200usize, 13u64);
+    let fg = generators::erdos_renyi(fn_, 0.05, 11).expect("fixed ER parameters");
+    let faults = FaultModel::lossy(0.3, fseed)
+        .with_delay(0.2)
+        .with_duplication(0.1)
+        .with_reorder()
+        .with_churn(ChurnSchedule::random(fn_, 60, 0.01, 5, fseed).protect(0));
+    let mut par_jobs = vec![1, 2, 4, 7, cores];
+    par_jobs.sort_unstable();
+    par_jobs.dedup();
+
+    let mut timings: Vec<Timing> = Vec::new();
+    time(&mut timings, "all_pairs_bfs", "adjacency", || all_pairs_bfs(&g));
+    time(&mut timings, "all_pairs_bfs", "frozen", || all_pairs_bfs(&frozen));
+    time(&mut timings, "betweenness", "adjacency", || betweenness_centrality(&g));
+    time(&mut timings, "betweenness", "fresh_alloc", || fresh_alloc_betweenness(&frozen));
+    time(&mut timings, "betweenness", "scratch", || betweenness_centrality(&frozen));
+    for &jobs in &par_jobs {
+        time(&mut timings, &format!("betweenness_par(jobs={jobs})"), "scratch", || {
+            betweenness_par(&frozen, jobs)
+        });
+    }
+    time(&mut timings, "snapshot_sweep", "rebuild", || {
+        for t in 0..eg.horizon() {
+            black_box(eg.snapshot(t));
+        }
+    });
+    time(&mut timings, "snapshot_sweep", "cursor", || {
+        let mut cur = eg.snapshot_cursor();
+        black_box(cur.graph());
+        while cur.advance() {
+            black_box(cur.graph());
+        }
+    });
+    time(&mut timings, "faulted_bellman_ford", "simulator", || {
+        run_resilient(&fg, 0, 64, 500, 3, faults.clone())
+    });
+
+    let (sp, sq) = (0.25, 0.001);
+    let seg = EdgeMarkovian::new(tn, sp, sq).generate(horizon, tseed);
+    let maintain = maintain_rows(&seg, &synthetic_trim(tn));
+    for row in &maintain {
+        eprintln!(
+            "maintain [{}]: rebuild {:.3}s / {} touches vs incremental {:.3}s / {} touches",
+            row.structure,
+            row.rebuild_secs,
+            row.rebuild_node_touches,
+            row.incremental_secs,
+            row.incremental_node_touches
+        );
+    }
+    eprintln!("kernels on BA({n},{m}): {} timing rows ({cores} core(s))", timings.len());
+    serde::json::to_string_pretty(&BenchKernels {
+        schema: KERNELS_SCHEMA.to_string(),
+        git_rev: git_rev(),
+        graph: format!("barabasi_albert({n}, {m}, seed={seed})"),
+        temporal_graph: format!(
+            "edge_markovian(n={tn}, p={p}, q={q}, horizon={horizon}, seed={tseed})"
+        ),
+        maintain_graph: format!(
+            "edge_markovian(n={tn}, p={sp}, q={sq}, horizon={horizon}, seed={tseed})"
+        ),
+        detected_cores: cores,
+        maintain,
+        timings,
+    })
 }
 
 #[derive(Serialize)]
@@ -195,146 +239,50 @@ struct BenchScale {
     git_rev: String,
     detected_cores: usize,
     scale_nodes: usize,
-    gate_graph: String,
-    gates: ScaleGates,
-    epsilon_samples: usize,
-    epsilon_bound: f64,
-    epsilon_measured: f64,
     generators: Vec<GenBuild>,
     memory: Vec<MemRow>,
     kernels: Vec<KernelRow>,
 }
 
-/// The `--scale` tier: small-graph ε-agreement gates (exit code) plus
-/// throughput at `nodes` (informational; the CI box may be 1-core).
-fn run_scale(args: &[String]) {
+/// The `--scale` tier: generator, memory and kernel throughput at
+/// `--scale-nodes`.
+fn run_scale(flags: &Flags) -> String {
     use csn_core::graph::approx;
-    use csn_core::graph::centrality::closeness_centrality;
     use csn_core::graph::parallel::betweenness_sampled_par;
     use csn_core::graph::stream::{
         BaStream, EdgeStream, GeometricStream, GnutellaStream, KleinbergStream,
     };
     use csn_core::graph::traversal::bfs_distances;
-    use csn_core::graph::view::GraphView;
 
-    let nodes = args
-        .iter()
-        .position(|a| a == "--scale-nodes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1_000_000);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--scale-out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
+    let nodes: usize = flags.get("--scale-nodes", 1_000_000);
     let cores = csn_bench::pool::available_parallelism();
 
-    // --- Small-graph gates: exact answers are affordable here, so every
-    // approximation is checked against them (bitwise where documented).
-    let (gn, gm, gseed) = (600usize, 3usize, 42u64);
-    let small = generators::barabasi_albert(gn, gm, gseed).expect("BA params");
-    let small_c =
-        BaStream::new(gn, gm, gseed).expect("BA params").to_compact_csr().expect("fits u32");
-    let exact_bc = betweenness_centrality(&small);
-    let exact_cc = closeness_centrality(&small);
-    let stream_matches_graph =
-        small_c.thaw() == small && betweenness_centrality(&small_c) == exact_bc;
-    if !stream_matches_graph {
-        eprintln!("FAIL: streamed compact CSR differs from adjacency-list BA build");
-    }
-    let geo_stream = GeometricStream::new(400, 0.06, 7).expect("geometric params");
-    let geometric_matches_reference = geo_stream.to_compact_csr().expect("fits u32").thaw()
-        == generators::random_geometric(400, 0.06, 7).graph;
-    if !geometric_matches_reference {
-        eprintln!("FAIL: GeometricStream differs from the quadratic reference");
-    }
-    let approx_full_sample_exact = approx::betweenness_sampled(&small, gn, 5) == exact_bc
-        && approx::closeness_sampled(&small, gn, 5) == exact_cc;
-    if !approx_full_sample_exact {
-        eprintln!("FAIL: full-sample approx kernels are not bit-identical to exact");
-    }
-    let eps_k = gn / 4;
-    let sampled = approx::betweenness_sampled(&small, eps_k, 17);
-    let epsilon_bound = approx::betweenness_epsilon(gn, eps_k, 0.05);
-    let pair_norm = ((gn - 1) * (gn - 2)) as f64 / 2.0;
-    let epsilon_measured = exact_bc
-        .iter()
-        .zip(&sampled)
-        .map(|(e, a)| (e - a).abs() / pair_norm)
-        .fold(0.0f64, f64::max);
-    let sampled_within_epsilon = epsilon_measured <= epsilon_bound;
-    if !sampled_within_epsilon {
-        eprintln!(
-            "FAIL: sampled betweenness deviates {epsilon_measured:.6} > bound {epsilon_bound:.6}"
-        );
-    }
-    let mut sampled_par_matches_serial = true;
-    for jobs in deduped_jobs(&[1, 2, 4, 7]) {
-        if betweenness_sampled_par(&small, eps_k, 17, jobs) != sampled {
-            eprintln!("FAIL: betweenness_sampled_par(jobs={jobs}) differs from serial sampled");
-            sampled_par_matches_serial = false;
-        }
-    }
-
-    // --- Throughput tier at `nodes` (informational). Each generator builds
-    // straight into compact CSR; edges/s counts undirected edges.
+    // --- Each generator builds straight into compact CSR; edges/s counts
+    // undirected edges. Only the BA graph is kept, for the rows below.
     let mut gen_rows = Vec::new();
-    let ba = BaStream::new(nodes, 3, 1).expect("BA params");
-    let (ba_c, t) = timed(|| ba.to_compact_csr().expect("fits u32"));
-    let ba_edges = GraphView::edge_count(&ba_c);
-    gen_rows.push(GenBuild {
-        generator: format!("barabasi_albert(n={nodes}, m=3)"),
-        nodes,
-        edges: ba_edges,
-        build_secs: t,
-        edges_per_sec: ba_edges as f64 / t,
+    let mut build = |generator: String, gen_nodes: usize, stream: &dyn Fn() -> Result<_, _>| {
+        let (c, build_secs) = timed(|| sized(stream(), "--scale-nodes", nodes));
+        let edges = GraphView::edge_count(&c);
+        let edges_per_sec = edges as f64 / build_secs;
+        gen_rows.push(GenBuild { generator, nodes: gen_nodes, edges, build_secs, edges_per_sec });
+        c
+    };
+    let ba_c = build(format!("barabasi_albert(n={nodes}, m=3)"), nodes, &|| {
+        BaStream::new(nodes, 3, 1)?.to_compact_csr()
     });
     // Radius chosen for expected average degree ~6: n·πr² ≈ 6.
     let radius = (6.0 / (std::f64::consts::PI * nodes as f64)).sqrt();
-    let (geo_c, t) = timed(|| {
-        GeometricStream::new(nodes, radius, 2)
-            .expect("geometric params")
-            .to_compact_csr()
-            .expect("fits u32")
+    build(format!("random_geometric(n={nodes}, r={radius:.5})"), nodes, &|| {
+        GeometricStream::new(nodes, radius, 2)?.to_compact_csr()
     });
-    gen_rows.push(GenBuild {
-        generator: format!("random_geometric(n={nodes}, r={radius:.5})"),
-        nodes,
-        edges: GraphView::edge_count(&geo_c),
-        build_secs: t,
-        edges_per_sec: GraphView::edge_count(&geo_c) as f64 / t,
-    });
-    drop(geo_c);
     let side = (nodes as f64).sqrt() as usize;
-    let (kg_c, t) = timed(|| {
-        KleinbergStream::new(side, 1, 2.0, 3)
-            .expect("kleinberg params")
-            .to_compact_csr()
-            .expect("fits u32")
+    build(format!("kleinberg_grid(side={side}, q=1, alpha=2)"), side * side, &|| {
+        KleinbergStream::new(side, 1, 2.0, 3)?.to_compact_csr()
     });
-    gen_rows.push(GenBuild {
-        generator: format!("kleinberg_grid(side={side}, q=1, alpha=2)"),
-        nodes: side * side,
-        edges: GraphView::edge_count(&kg_c),
-        build_secs: t,
-        edges_per_sec: GraphView::edge_count(&kg_c) as f64 / t,
+    build(format!("gnutella_like(n={nodes}, m=3, cap=64, extra=0.05)"), nodes, &|| {
+        GnutellaStream::new(nodes, 3, 64, 0.05, 4)?.to_compact_csr()
     });
-    drop(kg_c);
-    let (gnu_c, t) = timed(|| {
-        GnutellaStream::new(nodes, 3, 64, 0.05, 4)
-            .expect("gnutella params")
-            .to_compact_csr()
-            .expect("fits u32")
-    });
-    gen_rows.push(GenBuild {
-        generator: format!("gnutella_like(n={nodes}, m=3, cap=64, extra=0.05)"),
-        nodes,
-        edges: GraphView::edge_count(&gnu_c),
-        build_secs: t,
-        edges_per_sec: GraphView::edge_count(&gnu_c) as f64 / t,
-    });
-    drop(gnu_c);
+    let ba_edges = GraphView::edge_count(&ba_c);
 
     // --- Memory: the BA graph's frozen form.
     let memory = vec![MemRow {
@@ -351,419 +299,55 @@ fn run_scale(args: &[String]) {
     let (_, t_bs) = timed(|| approx::betweenness_sampled(&ba_c, samples, 9));
     let (_, t_cs) = timed(|| approx::closeness_sampled(&ba_c, samples, 9));
     let (_, t_bsp) = timed(|| betweenness_sampled_par(&ba_c, samples, 9, cores));
+    let kernel = |kernel: String, samples: usize, wall_secs: f64| KernelRow {
+        kernel,
+        representation: "compact_csr".into(),
+        samples,
+        wall_secs,
+        traversed_edges_per_sec: (samples * per_source) as f64 / wall_secs,
+    };
     let kernels = vec![
-        KernelRow {
-            kernel: "bfs_distances".into(),
-            representation: "compact_csr".into(),
-            samples: 1,
-            wall_secs: t_bfs,
-            traversed_edges_per_sec: per_source as f64 / t_bfs,
-        },
-        KernelRow {
-            kernel: "betweenness_sampled".into(),
-            representation: "compact_csr".into(),
-            samples,
-            wall_secs: t_bs,
-            traversed_edges_per_sec: (samples * per_source) as f64 / t_bs,
-        },
-        KernelRow {
-            kernel: "closeness_sampled".into(),
-            representation: "compact_csr".into(),
-            samples,
-            wall_secs: t_cs,
-            traversed_edges_per_sec: (samples * per_source) as f64 / t_cs,
-        },
-        KernelRow {
-            kernel: format!("betweenness_sampled_par(jobs={cores})"),
-            representation: "compact_csr".into(),
-            samples,
-            wall_secs: t_bsp,
-            traversed_edges_per_sec: (samples * per_source) as f64 / t_bsp,
-        },
+        kernel("bfs_distances".into(), 1, t_bfs),
+        kernel("betweenness_sampled".into(), samples, t_bs),
+        kernel("closeness_sampled".into(), samples, t_cs),
+        kernel(format!("betweenness_sampled_par(jobs={cores})"), samples, t_bsp),
     ];
 
-    let gates = ScaleGates {
-        stream_matches_graph,
-        geometric_matches_reference,
-        approx_full_sample_exact,
-        sampled_within_epsilon,
-        sampled_par_matches_serial,
-    };
-    let all_ok = gates.stream_matches_graph
-        && gates.geometric_matches_reference
-        && gates.approx_full_sample_exact
-        && gates.sampled_within_epsilon
-        && gates.sampled_par_matches_serial;
-    let doc = BenchScale {
-        schema: "structura-bench-scale-v2".to_string(),
+    eprintln!(
+        "scale at n={nodes}: BA build {:.3}s ({:.0} edges/s); sampled betweenness k={samples} \
+         {t_bs:.3}s ({cores} core(s))",
+        gen_rows[0].build_secs, gen_rows[0].edges_per_sec
+    );
+    serde::json::to_string_pretty(&BenchScale {
+        schema: "structura-bench-scale-v3".to_string(),
         git_rev: git_rev(),
         detected_cores: cores,
         scale_nodes: nodes,
-        gate_graph: format!("barabasi_albert({gn}, {gm}, seed={gseed})"),
-        gates,
-        epsilon_samples: eps_k,
-        epsilon_bound,
-        epsilon_measured,
         generators: gen_rows,
         memory,
         kernels,
-    };
-    if let Err(e) = std::fs::write(&out_path, serde::json::to_string_pretty(&doc)) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "scale smoke at n={nodes}: BA build {:.3}s ({:.0} edges/s); \
-         sampled betweenness k={samples} {t_bs:.3}s; ε measured {epsilon_measured:.6} \
-         vs bound {epsilon_bound:.6} ({cores} core(s)); wrote {out_path}",
-        doc.generators[0].build_secs, doc.generators[0].edges_per_sec
-    );
-    if !all_ok {
-        std::process::exit(1);
-    }
-    println!("scale smoke OK: streamed CSR, sampled kernels, and ε-gates all agree");
+    })
 }
 
-/// The `--serve` tier: query-serving correctness gates on a small BA graph
-/// (exit code) plus an index + Zipf workload + request-loop pass at
-/// `nodes` (informational; the CI box may be 1-core). See SERVING.md.
-fn run_serve(args: &[String]) {
-    use csn_bench::serve_bench::{
-        BenchServe, IndexReport, ServeGates, ServeReport, WorkloadReport, SERVE_SCHEMA,
-    };
-    use csn_core::graph::stream::{BaStream, EdgeStream};
-    use csn_core::graph::traversal::bfs_distances;
-    use csn_core::serve::bench::{measure_latency, measure_qps};
-    use csn_core::serve::{
-        serve_batched, serve_serial, Query, Response, ServeConfig, ServeIndex, WorkloadConfig,
-    };
-
-    let nodes = args
-        .iter()
-        .position(|a| a == "--serve-nodes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(100_000);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--serve-out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let cores = csn_bench::pool::available_parallelism();
-
-    // --- Small-graph gates: exact BFS is affordable, so the landmark
-    // bounds and the exact-distance path are checked against ground truth,
-    // and batching is checked bitwise against the serial reference.
-    let (gn, gm, gseed) = (600usize, 3usize, 42u64);
-    let small = generators::barabasi_albert(gn, gm, gseed).expect("BA params");
-    let eg = EdgeMarkovian::new(gn, 0.4, 4.0 / gn as f64).generate(16, 5);
-    let small_cfg = ServeConfig { landmarks: 8, top_k: 32, ..ServeConfig::default() };
-    let small_idx = ServeIndex::build(small.clone(), &small_cfg).with_temporal(eg);
-    let mut scratch = small_idx.scratch();
-
-    let mut landmark_bounds_sandwich = true;
-    let mut exact_matches_bfs = true;
-    for u in (0..gn).step_by(29) {
-        let truth = bfs_distances(&small, u);
-        for v in 0..gn {
-            let exact_u32 = if truth[v] == usize::MAX { u32::MAX } else { truth[v] as u32 };
-            match small_idx.answer(&Query::Distance { u, v }, &mut scratch) {
-                Response::Bounds { lower, upper } => {
-                    if !(lower <= exact_u32 && exact_u32 <= upper) {
-                        eprintln!(
-                            "FAIL: landmark bounds [{lower}, {upper}] miss d({u},{v}) = {exact_u32}"
-                        );
-                        landmark_bounds_sandwich = false;
-                    }
-                }
-                other => {
-                    eprintln!("FAIL: Distance answered {other:?}");
-                    landmark_bounds_sandwich = false;
-                }
-            }
-            match small_idx.answer(&Query::DistanceExact { u, v }, &mut scratch) {
-                Response::Exact { dist, .. } => {
-                    if dist != exact_u32 {
-                        eprintln!("FAIL: DistanceExact({u},{v}) = {dist}, BFS says {exact_u32}");
-                        exact_matches_bfs = false;
-                    }
-                }
-                other => {
-                    eprintln!("FAIL: DistanceExact answered {other:?}");
-                    exact_matches_bfs = false;
-                }
-            }
-        }
-    }
-
-    let gate_wl = WorkloadConfig {
-        queries: 3_000,
-        users: 50_000,
-        zipf_users: 1.1,
-        zipf_nodes: 0.9,
-        seed: 99,
-        safety_space: 1usize << small_idx.safety_dims(),
-        journey_horizon: 16,
-    }
-    .generate(gn);
-    let serial = serve_serial(&small_idx, &gate_wl.queries);
-    let mut batched_matches_serial = true;
-    for jobs in deduped_jobs(&[1, 2, 4, 7, cores]) {
-        for shards in [1usize, 16, 64] {
-            if serve_batched(&small_idx, &gate_wl.queries, shards, jobs) != serial {
-                eprintln!("FAIL: serve_batched(shards={shards}, jobs={jobs}) differs from serial");
-                batched_matches_serial = false;
-            }
-        }
-    }
-
-    let trace_path =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../serve/tests/snapshots/serve_trace.txt");
-    let trace_replay_matches = match std::fs::read_to_string(trace_path) {
-        Ok(committed) => {
-            let live = csn_core::serve::standard_trace();
-            if live != committed {
-                eprintln!("FAIL: standard query trace diverged from {trace_path}");
-                false
-            } else {
-                true
-            }
-        }
-        Err(e) => {
-            eprintln!("FAIL: cannot read committed trace {trace_path}: {e}");
-            false
-        }
-    };
-
-    // --- Bench pass at `nodes`: compact CSR, full index, Zipf workload,
-    // request-loop QPS plus a serial latency pass. No temporal store here —
-    // the contact generator is O(n²·horizon) and journeys are gated above.
-    let (big, t_graph) =
-        timed(|| BaStream::new(nodes, 3, 1).expect("BA params").to_compact_csr().expect("u32"));
-    let cfg = ServeConfig::default();
-    let (idx, build_secs) = timed(|| ServeIndex::build(big, &cfg));
-    let wl_cfg = WorkloadConfig {
-        queries: 50_000.min(nodes * 10),
-        users: 1_000_000,
-        zipf_users: 1.1,
-        zipf_nodes: 0.9,
-        seed: 2821,
-        safety_space: 1usize << idx.safety_dims(),
-        journey_horizon: 0,
-    };
-    let wl = wl_cfg.generate(nodes);
-    let (batch, shards) = (1024usize, 64usize);
-    let qps = measure_qps(&idx, &wl.queries, batch, shards, cores);
-    let lat = measure_latency(&idx, &wl.queries, 20_000);
-
-    let gates = ServeGates {
-        landmark_bounds_sandwich,
-        exact_matches_bfs,
-        batched_matches_serial,
-        trace_replay_matches,
-    };
-    let all_ok = gates.all_ok();
-    let doc = BenchServe {
-        schema: SERVE_SCHEMA.to_string(),
-        git_rev: git_rev(),
-        detected_cores: cores,
-        graph: format!("barabasi_albert(n={nodes}, m=3, seed=1) [compact csr]"),
-        gates,
-        index: IndexReport {
-            landmarks: cfg.landmarks,
-            top_k: cfg.top_k,
-            build_secs,
-            heap_bytes: idx.heap_bytes(),
-            bytes_per_node: idx.heap_bytes() as f64 / nodes as f64,
-        },
-        workload: WorkloadReport {
-            queries: wl_cfg.queries,
-            users: wl_cfg.users,
-            distinct_users: wl.distinct_users,
-            zipf_users: wl_cfg.zipf_users,
-            zipf_nodes: wl_cfg.zipf_nodes,
-            seed: wl_cfg.seed,
-        },
-        serve: ServeReport {
-            qps: qps.qps,
-            p50_us: lat.p50_us,
-            p99_us: lat.p99_us,
-            latency_samples: lat.samples,
-            batch,
-            shards,
-            jobs: cores,
-            wall_secs: qps.wall_secs,
-        },
-    };
-    if let Err(e) = std::fs::write(&out_path, serde::json::to_string_pretty(&doc)) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "serve smoke at n={nodes}: graph {t_graph:.3}s, index {build_secs:.3}s \
-         ({:.1} bytes/node); {:.0} qps (batch={batch}, shards={shards}, jobs={cores}); \
-         p50 {:.1}us p99 {:.1}us ({cores} core(s)); wrote {out_path}",
-        doc.index.bytes_per_node, qps.qps, lat.p50_us, lat.p99_us
-    );
-    if !all_ok {
-        std::process::exit(1);
-    }
-    println!(
-        "serve smoke OK: landmark bounds sandwich BFS, exact distances match, \
-         batched serving bit-identical to serial, trace replays byte-for-byte"
-    );
-}
-
-/// The `--distsim` tier: bitwise serial-vs-parallel gates for the
-/// deterministic distsim stepper (exit code), then protocol throughput at
-/// n ∈ {10⁴, 10⁵, 10⁶} ∩ [0, `nodes`] on BA topologies thawed from the
-/// compact-CSR streaming builder. Wall clock is recorded per
-/// `detected_cores` and never asserted (the CI box has one core); bitwise
-/// equality is the gate. See DISTSIM.md.
-fn run_distsim(args: &[String]) {
+/// The `--distsim` tier: protocol throughput at n ∈ {10⁴, 10⁵, 10⁶} ∩
+/// [0, `--distsim-nodes`] on BA topologies thawed from the compact-CSR
+/// streaming builder, at the detected core count.
+fn run_distsim(flags: &Flags) -> String {
     use csn_bench::distsim_bench::{
-        mis_priorities, BenchDistsim, BenchFlood, DistsimGates, ProtocolRow, DISTSIM_SCHEMA,
+        mis_priorities, BenchDistsim, BenchFlood, ProtocolRow, DISTSIM_SCHEMA,
     };
-    use csn_core::distsim::{ChurnSchedule, FaultModel, Protocol, RunStats, Simulator};
+    use csn_core::distsim::{FaultModel, Protocol, Simulator};
     use csn_core::graph::stream::{BaStream, EdgeStream};
     use csn_core::graph::Graph;
     use csn_core::labeling::bellman_ford::BellmanFord;
     use csn_core::labeling::protocols::{MarkingProtocol, MisProtocol};
 
-    let nodes = args
-        .iter()
-        .position(|a| a == "--distsim-nodes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1_000_000);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--distsim-out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_distsim.json".to_string());
+    let nodes: usize = flags.get("--distsim-nodes", 1_000_000);
     let cores = csn_bench::pool::available_parallelism();
-    let gate_jobs = deduped_jobs(&[1, 2, 4, 7]);
 
-    fn conserved(stats: &RunStats, in_flight: usize) -> bool {
-        stats.sent + stats.duplicated == stats.messages + stats.dropped + stats.shed + in_flight
-    }
-
-    /// Runs `protocol` fault-free at every job count and checks the runs
-    /// are bit-identical to serial (states + stats + in-flight) and that
-    /// the conservation law holds at exit.
-    fn gate_protocol<P: Protocol>(
-        name: &str,
-        g: &Graph,
-        protocol: &P,
-        max_rounds: usize,
-        jobs_list: &[usize],
-        bitwise_ok: &mut bool,
-        conservation_ok: &mut bool,
-    ) where
-        P::State: Clone + PartialEq,
-    {
-        let run = |jobs: usize| {
-            let mut sim = Simulator::new(g, protocol).with_jobs(jobs);
-            let stats = sim.run_until_quiet(max_rounds);
-            (stats, sim.states().to_vec(), sim.in_flight())
-        };
-        let serial = run(1);
-        if !conserved(&serial.0, serial.2) {
-            eprintln!("FAIL: {name}: conservation law violated: {:?}", serial.0);
-            *conservation_ok = false;
-        }
-        for &jobs in jobs_list {
-            let par = run(jobs);
-            if par != serial {
-                eprintln!(
-                    "FAIL: {name}: jobs={jobs} diverges from serial \
-                     (serial {:?} vs parallel {:?})",
-                    serial.0, par.0
-                );
-                *bitwise_ok = false;
-            }
-        }
-    }
-
-    // --- Bitwise gates on a small BA graph: exact state comparison is
-    // affordable, so every protocol family the scale rows run is checked.
-    let gn = 2000.min(nodes).max(8);
-    let gate_graph =
-        BaStream::new(gn, 3, 7).expect("BA params").to_compact_csr().expect("fits u32").thaw();
-    let mut parallel_matches_serial = true;
-    let mut conservation_holds = true;
-    gate_protocol(
-        "flood",
-        &gate_graph,
-        &BenchFlood,
-        200,
-        &gate_jobs,
-        &mut parallel_matches_serial,
-        &mut conservation_holds,
-    );
-    gate_protocol(
-        "bellman_ford",
-        &gate_graph,
-        &BellmanFord { dest: 0, horizon: 64 },
-        2000,
-        &gate_jobs,
-        &mut parallel_matches_serial,
-        &mut conservation_holds,
-    );
-    gate_protocol(
-        "mis",
-        &gate_graph,
-        &MisProtocol { priority: mis_priorities(gn) },
-        10_000,
-        &gate_jobs,
-        &mut parallel_matches_serial,
-        &mut conservation_holds,
-    );
-    gate_protocol(
-        "cds_marking",
-        &gate_graph,
-        &MarkingProtocol,
-        10,
-        &gate_jobs,
-        &mut parallel_matches_serial,
-        &mut conservation_holds,
-    );
-
-    // --- Faulted gates: the full fault model on the gate graph. One run is
-    // the reference; repeats (determinism) and other job counts (merge-order
-    // RNG discipline) must reproduce it bit-for-bit.
-    let fseed = 29u64;
-    let faults = FaultModel::lossy(0.3, fseed)
-        .with_delay(0.2)
-        .with_duplication(0.1)
-        .with_reorder()
-        .with_churn(ChurnSchedule::random(gn, 60, 0.01, 5, fseed).protect(0));
-    let faulted_run = |jobs: usize| {
-        let mut sim =
-            Simulator::with_faults(&gate_graph, &BenchFlood, faults.clone()).with_jobs(jobs);
-        let stats = sim.run_until_stable(400, 4);
-        (stats, sim.states().to_vec(), sim.in_flight())
-    };
-    let fref = faulted_run(1);
-    let faulted_run_deterministic = faulted_run(1) == fref;
-    if !faulted_run_deterministic {
-        eprintln!("FAIL: faulted flood runs diverge under one FaultModel seed");
-    }
-    let mut faulted_parallel_matches_serial = true;
-    for &jobs in &gate_jobs {
-        if faulted_run(jobs) != fref {
-            eprintln!("FAIL: faulted flood at jobs={jobs} diverges from serial");
-            faulted_parallel_matches_serial = false;
-        }
-    }
-    if !conserved(&fref.0, fref.2) {
-        eprintln!("FAIL: faulted flood: conservation law violated: {:?}", fref.0);
-        conservation_holds = false;
-    }
-
-    // --- Scale rows: fault-free protocol runs at cores-many jobs. Graph
-    // construction is excluded from the timed region; the simulator takes
-    // the graph by value so only one adjacency copy is resident.
+    // Fault-free protocol runs at cores-many jobs. Graph construction is
+    // excluded from the timed region; the simulator takes the graph by
+    // value so only one adjacency copy is resident.
     fn scale_row<P: Protocol>(
         name: &str,
         g: Graph,
@@ -777,6 +361,10 @@ fn run_distsim(args: &[String]) {
         let (stats, wall) = timed(|| sim.run_until_quiet(max_rounds));
         let heap = sim.heap_bytes();
         let wall_div = wall.max(1e-9);
+        eprintln!(
+            "distsim {name} n={n}: {wall:.3}s, {:.0} msg/s",
+            stats.messages as f64 / wall_div
+        );
         ProtocolRow {
             protocol: name.to_string(),
             nodes: n,
@@ -806,252 +394,64 @@ fn run_distsim(args: &[String]) {
     const CDS_CAP: usize = 10_000;
     let mut protocols: Vec<ProtocolRow> = Vec::new();
     for &n in &scale_ns {
-        let graph =
-            BaStream::new(n, 3, 1).expect("BA params").to_compact_csr().expect("fits u32").thaw();
+        let graph = sized(
+            BaStream::new(n, 3, 1).and_then(|s| s.to_compact_csr()),
+            "--distsim-nodes",
+            nodes,
+        )
+        .thaw();
         protocols.push(scale_row("flood", graph.clone(), &BenchFlood, 200, cores));
-        eprintln!(
-            "distsim flood n={n}: {:.3}s, {:.0} msg/s",
-            protocols.last().unwrap().wall_secs,
-            protocols.last().unwrap().messages_per_sec
-        );
-        protocols.push(scale_row(
-            "bellman_ford",
-            graph.clone(),
-            &BellmanFord { dest: 0, horizon: 64 },
-            2000,
-            cores,
-        ));
-        eprintln!(
-            "distsim bellman_ford n={n}: {:.3}s, {:.0} msg/s",
-            protocols.last().unwrap().wall_secs,
-            protocols.last().unwrap().messages_per_sec
-        );
+        let bf = BellmanFord { dest: 0, horizon: 64 };
+        protocols.push(scale_row("bellman_ford", graph.clone(), &bf, 2000, cores));
         if n <= MIS_CAP {
-            protocols.push(scale_row(
-                "mis",
-                graph.clone(),
-                &MisProtocol { priority: mis_priorities(n) },
-                10_000,
-                cores,
-            ));
-            eprintln!(
-                "distsim mis n={n}: {:.3}s, {:.0} msg/s",
-                protocols.last().unwrap().wall_secs,
-                protocols.last().unwrap().messages_per_sec
-            );
+            let mis = MisProtocol { priority: mis_priorities(n) };
+            protocols.push(scale_row("mis", graph.clone(), &mis, 10_000, cores));
         }
         if n <= CDS_CAP {
             protocols.push(scale_row("cds_marking", graph, &MarkingProtocol, 10, cores));
-            eprintln!(
-                "distsim cds_marking n={n}: {:.3}s, {:.0} msg/s",
-                protocols.last().unwrap().wall_secs,
-                protocols.last().unwrap().messages_per_sec
-            );
         }
     }
 
-    let gates = DistsimGates {
-        parallel_matches_serial,
-        faulted_parallel_matches_serial,
-        faulted_run_deterministic,
-        conservation_holds,
-    };
-    let all_ok = gates.all_ok();
-    let doc = BenchDistsim {
+    eprintln!("distsim: {} rows ({cores} core(s))", protocols.len());
+    serde::json::to_string_pretty(&BenchDistsim {
         schema: DISTSIM_SCHEMA.to_string(),
         git_rev: git_rev(),
         detected_cores: cores,
-        gate_graph: format!("barabasi_albert(n={gn}, m=3, seed=7) [thawed compact csr]"),
         scale_graph: "barabasi_albert(n, m=3, seed=1) [thawed compact csr]".to_string(),
-        jobs_checked: gate_jobs,
-        gates,
         protocols,
-    };
-    if let Err(e) = std::fs::write(&out_path, serde::json::to_string_pretty(&doc)) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "distsim smoke: {} scale rows ({cores} core(s)); wrote {out_path}",
-        doc.protocols.len()
-    );
-    if !all_ok {
-        std::process::exit(1);
-    }
-    println!(
-        "distsim smoke OK: parallel rounds bit-identical to serial at all job counts, \
-         faulted runs deterministic, conservation law holds"
-    );
+    })
 }
 
-/// The `--scenario` tier: the city-scale scenario suite of SCENARIOS.md.
-/// Correctness gates on small instances decide the exit code; the
-/// `--scenario-nodes` city trace, DTN ladder, TOUR, tracking, pub-sub, and
-/// hypercube rows are informational (the CI box may be 1-core).
-fn run_scenario(args: &[String]) {
+/// The `--scenario` tier: the city-scale scenario suite of SCENARIOS.md
+/// at `--scenario-nodes` and `--scenario-pubsub-nodes`.
+fn run_scenario(flags: &Flags) -> String {
     use csn_bench::scenario_bench::{
-        generalized_hypercube, hypercube_profile, BenchScenario, DtnRow, HypercubeRow, PubSub,
-        PubSubRow, ScenarioGates, TourRow, TraceRow, TrackRow, SCENARIO_SCHEMA,
+        city, discretize_flat, dtn_queries, generalized_hypercube, tour_policy, BenchScenario,
+        DtnRow, HypercubeRow, PubSub, PubSubRow, TourRow, TraceRow, TrackRow, CITY_DT,
+        CITY_DURATION, SCENARIO_SCHEMA, TOUR_UTILITY,
     };
     use csn_core::distsim::{ChurnSchedule, FaultModel, Simulator};
-    use csn_core::graph::cores::{core_numbers, IncrementalCores};
+    use csn_core::graph::cores::IncrementalCores;
     use csn_core::graph::stream::{EdgeStream, GnutellaStream};
-    use csn_core::labeling::bellman_ford::{run, run_resilient_par};
-    use csn_core::mobility::rwp::{ContactDetection, RandomWaypoint};
+    use csn_core::labeling::bellman_ford::run_resilient_par;
     use csn_core::mobility::scenario::CityScenario;
     use csn_core::mobility::stream::ContactStream;
     use csn_core::mobility::ContactEvent;
-    use csn_core::remapping::fspace::{feature_distance, node_disjoint_paths};
     use csn_core::temporal::routing::{
-        direct_delivery, direct_delivery_over, epidemic, epidemic_over, spray_and_wait,
-        spray_and_wait_over, DtnOutcome,
+        direct_delivery_over, epidemic_over, spray_and_wait_over, DtnOutcome,
     };
-    use csn_core::temporal::{Contact, TimeUnit, TrackedCursor};
-    use csn_core::trimming::forwarding::{solve_forwarding_policy, LinearUtility, Relay};
+    use csn_core::temporal::{Contact, TrackedCursor};
 
-    let nodes = args
-        .iter()
-        .position(|a| a == "--scenario-nodes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(3_000)
-        .max(16);
-    let pubsub_nodes = args
-        .iter()
-        .position(|a| a == "--scenario-pubsub-nodes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(100_000)
-        .max(64);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--scenario-out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scenario.json".to_string());
+    let nodes = flags.get("--scenario-nodes", 3_000usize).max(16);
+    let pubsub_nodes = flags.get("--scenario-pubsub-nodes", 100_000usize).max(64);
     let cores = csn_bench::pool::available_parallelism();
-    let gate_jobs = deduped_jobs(&[1, 2, 4, 7]);
 
-    // --- Gate: grid-indexed contact detection bitwise-identical to the
-    // all-pairs scan, bounded and unbounded, across seeds.
-    let mut grid_matches_naive = true;
-    for seed in 0..3u64 {
-        let m = RandomWaypoint::default_config(40);
-        if m.simulate_with(120.0, seed, ContactDetection::Naive)
-            != m.simulate_with(120.0, seed, ContactDetection::Grid)
-        {
-            eprintln!("FAIL: bounded grid detection differs from all-pairs at seed {seed}");
-            grid_matches_naive = false;
-        }
-        if m.simulate_unbounded_with(120.0, 0.1, 0.4, seed, ContactDetection::Naive)
-            != m.simulate_unbounded_with(120.0, 0.1, 0.4, seed, ContactDetection::Grid)
-        {
-            eprintln!("FAIL: unbounded grid detection differs from all-pairs at seed {seed}");
-            grid_matches_naive = false;
-        }
-    }
-
-    // --- Gates on a small city: well-formedness + determinism, streaming
-    // discretization, slice DTN, and cursor walks — exact oracles are all
-    // affordable here.
-    let dt = 3.0f64;
-    let duration = 180.0f64;
-    let small_city = CityScenario::new(60, 40, duration, 11);
-    let small_trace = small_city.collect_trace();
-    let mut traces_ok = small_trace.is_well_formed()
-        && small_trace == small_city.collect_trace()
-        && small_trace.events().len() == small_city.count_contacts();
-    if !traces_ok {
-        eprintln!("FAIL: small city trace ill-formed or non-deterministic");
-    }
-    let m_unb = RandomWaypoint::default_config(25);
-    if !m_unb.simulate_unbounded(123.4, 0.1, 0.4, 5).is_well_formed() {
-        eprintln!("FAIL: unbounded RWP trace ill-formed");
-        traces_ok = false;
-    }
-
-    let small_eg = small_trace.to_time_evolving_graph(dt);
-    let streamed_eg = ContactStream::to_time_evolving_graph(&small_city, dt);
-    let stream_matches_materialized = streamed_eg.contacts() == small_eg.contacts()
-        && streamed_eg.horizon() == small_eg.horizon();
-    if !stream_matches_materialized {
-        eprintln!("FAIL: streaming discretization differs from materialize-then-discretize");
-    }
-
-    /// Streams a city straight into the flat, `(t, u, v)`-sorted,
-    /// deduplicated contact slice the `*_over` DTN entry points take —
-    /// never materializing the event vector or a `TimeEvolvingGraph`.
-    fn discretize_flat(city: &CityScenario, dt: f64) -> Vec<Contact> {
-        let horizon = ((ContactStream::duration(city) / dt).ceil() as TimeUnit).max(1);
-        let mut flat: Vec<Contact> = Vec::new();
-        city.for_each_contact(&mut |e: ContactEvent| {
-            let first = (e.start / dt).floor() as TimeUnit;
-            let last_excl = ((e.end / dt).ceil() as TimeUnit).min(horizon);
-            let (u, v) = (e.u.min(e.v), e.u.max(e.v));
-            for t in first..last_excl {
-                flat.push(Contact { u, v, t });
-            }
-        });
-        flat.sort_unstable_by_key(|c| (c.t, c.u, c.v));
-        flat.dedup();
-        flat
-    }
-
-    let small_flat = discretize_flat(&small_city, dt);
-    let mut slice_ok = small_flat == small_eg.contacts();
-    if !slice_ok {
-        eprintln!("FAIL: streamed flat slice differs from eg.contacts()");
-    }
-    let sn = small_eg.node_count();
-    for q in 0..40 {
-        let (s, d) = ((q * 7) % sn, (q * 13 + sn / 2) % sn);
-        if s == d {
-            continue;
-        }
-        let ok = direct_delivery_over(&small_flat, s, d, 0) == direct_delivery(&small_eg, s, d, 0)
-            && epidemic_over(sn, &small_flat, s, d, 0) == epidemic(&small_eg, s, d, 0)
-            && spray_and_wait_over(sn, &small_flat, s, d, 0, 8)
-                == spray_and_wait(&small_eg, s, d, 0, 8);
-        if !ok {
-            eprintln!("FAIL: slice DTN differs from EG DTN for query ({s}, {d})");
-            slice_ok = false;
-        }
-    }
-    // Cursor walks over the city EG: snapshot sweep == per-t rebuilds, and
-    // the incremental k-core maintainer == the from-scratch oracle.
-    {
-        let mut cur = small_eg.snapshot_cursor();
-        let mut tcur = TrackedCursor::new(&small_eg);
-        let hc = tcur.register(Box::new(IncrementalCores::default()));
-        for t in 0..small_eg.horizon() {
-            if *cur.graph() != small_eg.snapshot(t) {
-                eprintln!("FAIL: SnapshotCursor differs from snapshot({t}) on the city EG");
-                slice_ok = false;
-            }
-            let inc_ok = tcur.view::<IncrementalCores>(hc).expect("cores").core_numbers()
-                == core_numbers(tcur.graph()).as_slice();
-            if !inc_ok {
-                eprintln!("FAIL: incremental cores differ from scratch at t={t} on the city EG");
-                slice_ok = false;
-            }
-            cur.advance();
-            tcur.advance();
-        }
-    }
-
-    // --- The city trace at `nodes`: one counting pass (throughput row),
-    // one discretization pass into the flat slice, one statistics pass for
-    // TOUR rate estimation.
-    let vehicles = nodes * 5 / 8;
-    let pedestrians = nodes - vehicles;
-    let city = CityScenario::new(vehicles, pedestrians, duration, 42);
+    // --- The city trace at `nodes`: one counting pass (throughput row)
+    // and one discretization pass into the flat slice.
+    let city = city(nodes);
     let n = ContactStream::node_count(&city);
     let (contacts, stream_secs) = timed(|| city.count_contacts());
-    let contact_floor = ((1_000_000.0 * (nodes as f64 / 3_000.0).powi(2)) as usize).max(10);
-    let contact_floor_met = contacts >= contact_floor;
-    if !contact_floor_met {
-        eprintln!("FAIL: city trace emitted {contacts} contacts, floor is {contact_floor}");
-    }
-    let (flat, discretize_secs) = timed(|| discretize_flat(&city, dt));
+    let (flat, discretize_secs) = timed(|| discretize_flat(&city, CITY_DT));
     eprintln!(
         "scenario trace: {contacts} contacts in {stream_secs:.3}s \
          ({:.0} contacts/s); flat slice {} tuples in {discretize_secs:.3}s",
@@ -1059,114 +459,51 @@ fn run_scenario(args: &[String]) {
         flat.len()
     );
 
-    // --- The DTN ladder end-to-end on the flat slice. Dominance is the
-    // gate (epidemic delivers wherever spray does and never later; spray
-    // likewise vs direct); ratios and delays are the rows.
-    let queries: Vec<(usize, usize)> =
-        (0..48).map(|q| ((q * 97) % n, (q * 193 + n / 2) % n)).filter(|&(s, d)| s != d).collect();
-    let mut dtn_ladder_ordered = true;
+    // --- The DTN ladder end-to-end on the flat slice.
+    let queries = dtn_queries(n);
+    type Strategy = fn(usize, &[Contact], usize, usize) -> DtnOutcome;
+    let ladder: [(&str, Strategy); 3] = [
+        ("direct", |_, flat, s, d| direct_delivery_over(flat, s, d, 0)),
+        ("spray_and_wait(8)", |n, flat, s, d| spray_and_wait_over(n, flat, s, d, 0, 8)),
+        ("epidemic", |n, flat, s, d| epidemic_over(n, flat, s, d, 0)),
+    ];
     let mut dtn_rows: Vec<DtnRow> = Vec::new();
-    let mut outcomes: Vec<Vec<DtnOutcome>> = Vec::new();
-    for (name, runner) in [
-        (
-            "direct",
-            Box::new(|s, d| direct_delivery_over(&flat, s, d, 0))
-                as Box<dyn Fn(usize, usize) -> DtnOutcome>,
-        ),
-        ("spray_and_wait(8)", Box::new(|s, d| spray_and_wait_over(n, &flat, s, d, 0, 8))),
-        ("epidemic", Box::new(|s, d| epidemic_over(n, &flat, s, d, 0))),
-    ] {
-        let (outs, wall) = timed(|| queries.iter().map(|&(s, d)| runner(s, d)).collect::<Vec<_>>());
-        let delivered: Vec<&DtnOutcome> =
-            outs.iter().filter(|o| o.delivered_at.is_some()).collect();
+    for (name, strategy) in ladder {
+        let (outs, wall) =
+            timed(|| queries.iter().map(|&(s, d)| strategy(n, &flat, s, d)).collect::<Vec<_>>());
+        let delays: Vec<f64> = outs.iter().filter_map(|o| o.delivered_at).map(f64::from).collect();
         dtn_rows.push(DtnRow {
             strategy: name.to_string(),
             queries: queries.len(),
-            delivered: delivered.len(),
-            delivery_ratio: delivered.len() as f64 / queries.len() as f64,
-            mean_delay_units: if delivered.is_empty() {
+            delivered: delays.len(),
+            delivery_ratio: delays.len() as f64 / queries.len() as f64,
+            mean_delay_units: if delays.is_empty() {
                 0.0
             } else {
-                delivered.iter().map(|o| o.delivered_at.expect("delivered") as f64).sum::<f64>()
-                    / delivered.len() as f64
+                delays.iter().sum::<f64>() / delays.len() as f64
             },
             mean_copies: outs.iter().map(|o| o.copies as f64).sum::<f64>() / outs.len() as f64,
             wall_secs: wall,
         });
-        outcomes.push(outs);
-    }
-    for (qi, _) in queries.iter().enumerate() {
-        let (dir, spray, epi) = (&outcomes[0][qi], &outcomes[1][qi], &outcomes[2][qi]);
-        let pair_ok = match (epi.delivered_at, spray.delivered_at, dir.delivered_at) {
-            (None, Some(_), _) | (_, None, Some(_)) => false,
-            (Some(te), Some(ts), td) => te <= ts && td.is_none_or(|td| ts <= td),
-            _ => true,
-        };
-        if !pair_ok {
-            eprintln!("FAIL: DTN dominance violated on query {qi}");
-            dtn_ladder_ordered = false;
-        }
     }
 
-    // --- TOUR forwarding from trace-estimated rates: one more streaming
-    // pass counts the contacts touching the chosen source/destination, the
-    // counts become Poisson-rate estimates, and the optimal-stopping
-    // policy is solved from them.
-    let (src, dst, relay_count) = (0usize, 1usize, 32usize);
-    let mut from_src = vec![0usize; relay_count];
-    let mut to_dst = vec![0usize; relay_count];
-    let mut src_dst = 0usize;
-    city.for_each_contact(&mut |e: ContactEvent| {
-        let (a, b) = (e.u.min(e.v), e.u.max(e.v));
-        if (a, b) == (src, dst) {
-            src_dst += 1;
-            return;
-        }
-        // Relays are nodes 2..2+relay_count; count contacts at both roles.
-        for (end, other) in [(a, b), (b, a)] {
-            if let Some(slot) = other.checked_sub(2).filter(|&i| i < relay_count) {
-                if end == src {
-                    from_src[slot] += 1;
-                } else if end == dst {
-                    to_dst[slot] += 1;
-                }
-            }
-        }
-    });
-    let relays: Vec<Relay> = (0..relay_count)
-        .filter(|&i| from_src[i] > 0 && to_dst[i] > 0)
-        .map(|i| Relay {
-            rate_from_source: from_src[i] as f64 / duration,
-            rate_to_dest: to_dst[i] as f64 / duration,
-        })
-        .collect();
-    let utility = LinearUtility { u0: 1.0, c: 1.0 / 300.0 };
-    let policy =
-        solve_forwarding_policy((src_dst as f64 / duration).max(1e-4), &relays, utility, 0.02, 1.0);
-    // Monotone shrink from t = 0 only holds in the dense-contact regime;
-    // sparse trace-estimated rates legitimately widen the set before the
-    // deadline collapse (see csn-trimming's forwarding docs). Gate the
-    // regime-free invariant and record the shrink flag informationally.
-    let forwarding_windows_contiguous =
-        policy.relay_windows_are_contiguous() && policy.set_at(utility.deadline()).is_empty();
-    if !forwarding_windows_contiguous {
-        eprintln!("FAIL: TOUR policy from trace-estimated rates has non-contiguous relay windows");
-    }
+    // --- TOUR forwarding from the trace's estimated contact rates.
+    let (relays, policy) = tour_policy(&city);
     let tour = TourRow {
         relays: relays.len(),
         set_at_start: policy.set_at(0.0).len(),
-        set_at_deadline: policy.set_at(utility.deadline()).len(),
+        set_at_deadline: policy.set_at(TOUR_UTILITY.deadline()).len(),
         shrinks_monotonically: policy.sets_shrink_monotonically(),
     };
 
     // --- Structure tracking on a mid-size city EG: the incremental k-core
     // maintainer sweeps the whole trace; its counted touches land in the
     // row next to the n·horizon rebuild floor.
-    let track_city = CityScenario::new(250, 150, duration, 13);
-    let track_eg = ContactStream::to_time_evolving_graph(&track_city, dt);
+    let track_city = CityScenario::new(250, 150, CITY_DURATION, 13);
+    let track_eg = ContactStream::to_time_evolving_graph(&track_city, CITY_DT);
     let (track_touches, track_secs) = timed(|| {
         let mut cur = TrackedCursor::new(&track_eg);
-        let _ = cur.register(Box::new(IncrementalCores::default()));
+        cur.register(Box::new(IncrementalCores::default()));
         while cur.advance() {}
         cur.touched_nodes()
     });
@@ -1178,64 +515,24 @@ fn run_scenario(args: &[String]) {
         rebuild_touch_floor: track_eg.node_count() as u64 * track_eg.horizon() as u64,
     };
 
-    // --- Pub-sub under churn. Gate on a small Gnutella-like overlay:
-    // serial vs parallel bit-identical, repeats bit-identical,
-    // conservation law at exit. Row at `pubsub_nodes`.
-    let topics = 8usize;
-    let protocol = PubSub { topics };
-    let protect_publishers = |mut sched: ChurnSchedule| {
-        for p in 0..topics {
-            sched = sched.protect(p);
-        }
-        sched
-    };
-    let gate_overlay = GnutellaStream::new(2_000, 3, 64, 0.05, 21)
-        .expect("gnutella params")
-        .to_compact_csr()
-        .expect("fits u32")
-        .thaw();
-    let gate_faults = FaultModel::lossy(0.05, 17)
-        .with_delay(0.1)
-        .with_churn(protect_publishers(ChurnSchedule::random(2_000, 80, 0.005, 4, 17)));
-    let pubsub_run = |jobs: usize| {
-        let mut sim =
-            Simulator::with_faults(&gate_overlay, &protocol, gate_faults.clone()).with_jobs(jobs);
-        let stats = sim.run_until_stable(300, 4);
-        (stats, sim.states().to_vec(), sim.in_flight())
-    };
-    let ps_ref = pubsub_run(1);
-    let mut pubsub_ok = pubsub_run(1) == ps_ref;
-    if !pubsub_ok {
-        eprintln!("FAIL: pub-sub runs diverge under one churn seed");
-    }
-    for &jobs in &gate_jobs {
-        if pubsub_run(jobs) != ps_ref {
-            eprintln!("FAIL: pub-sub at jobs={jobs} diverges from serial");
-            pubsub_ok = false;
-        }
-    }
-    let conserved = ps_ref.0.sent + ps_ref.0.duplicated
-        == ps_ref.0.messages + ps_ref.0.dropped + ps_ref.0.shed + ps_ref.2;
-    if !conserved {
-        eprintln!("FAIL: pub-sub conservation law violated: {:?}", ps_ref.0);
-        pubsub_ok = false;
-    }
-
-    let overlay = GnutellaStream::new(pubsub_nodes, 3, 64, 0.05, 4)
-        .expect("gnutella params")
-        .to_compact_csr()
-        .expect("fits u32")
-        .thaw();
+    // --- Pub-sub under churn at `pubsub_nodes`.
+    let protocol = PubSub { topics: 8 };
+    let overlay = sized(
+        GnutellaStream::new(pubsub_nodes, 3, 64, 0.05, 4).and_then(|s| s.to_compact_csr()),
+        "--scenario-pubsub-nodes",
+        pubsub_nodes,
+    )
+    .thaw();
     let overlay_edges = overlay.edge_count();
-    let faults = FaultModel::lossy(0.05, 29)
-        .with_delay(0.1)
-        .with_churn(protect_publishers(ChurnSchedule::random(pubsub_nodes, 80, 0.002, 4, 29)));
+    let faults = FaultModel::lossy(0.05, 29).with_delay(0.1).with_churn(
+        protocol.protect_publishers(ChurnSchedule::random(pubsub_nodes, 80, 0.002, 4, 29)),
+    );
     let mut sim = Simulator::with_faults_owned(overlay, &protocol, faults).with_jobs(cores);
     let (ps_stats, ps_wall) = timed(|| sim.run_until_stable(300, 4));
-    let pubsub_row = PubSubRow {
+    let pubsub = PubSubRow {
         nodes: pubsub_nodes,
         edges: overlay_edges,
-        topics,
+        topics: protocol.topics,
         jobs: cores,
         rounds: ps_stats.rounds,
         messages: ps_stats.messages,
@@ -1246,120 +543,52 @@ fn run_scenario(args: &[String]) {
     eprintln!(
         "scenario pub-sub n={pubsub_nodes}: {} rounds, {} messages, \
          delivery ratio {:.4} under churn ({ps_wall:.3}s)",
-        pubsub_row.rounds, pubsub_row.messages, pubsub_row.delivery_ratio
+        pubsub.rounds, pubsub.messages, pubsub.delivery_ratio
     );
 
-    // --- Generalized-hypercube routing. Gates on radix [3, 3, 3]:
-    // fault-free distributed Bellman–Ford distances equal the
-    // feature-distance oracle, faulted runs deterministic and
-    // parallel-identical, and with `d − 1` faults placed one per disjoint
-    // path some path always survives. Row on radix [6, 6, 6, 6].
-    let gate_radix = [3usize, 3, 3];
-    let gate_cube = generalized_hypercube(&gate_radix);
-    let gate_n = gate_cube.node_count();
-    let horizon = gate_radix.len() + 1;
-    let mut hypercube_ok = true;
-    let bf = run(&gate_cube, 0, horizon, 100);
-    let p0 = hypercube_profile(0, &gate_radix);
-    for v in 0..gate_n {
-        let want = feature_distance(&hypercube_profile(v, &gate_radix), &p0);
-        if bf.labels[v].dist != want {
-            eprintln!("FAIL: hypercube BF dist({v}) = {}, oracle {want}", bf.labels[v].dist);
-            hypercube_ok = false;
-        }
-    }
-    let cube_faults = || {
-        FaultModel::lossy(0.2, 31)
-            .with_delay(0.15)
-            .with_churn(ChurnSchedule::random(gate_n, 40, 0.01, 3, 31).protect(0))
-    };
-    let fref = run_resilient_par(&gate_cube, 0, horizon, 300, 3, cube_faults(), 1);
-    if run_resilient_par(&gate_cube, 0, horizon, 300, 3, cube_faults(), 1) != fref {
-        eprintln!("FAIL: faulted hypercube BF runs diverge under one seed");
-        hypercube_ok = false;
-    }
-    for &jobs in &gate_jobs {
-        if run_resilient_par(&gate_cube, 0, horizon, 300, 3, cube_faults(), jobs) != fref {
-            eprintln!("FAIL: faulted hypercube BF at jobs={jobs} diverges from serial");
-            hypercube_ok = false;
-        }
-    }
-    // Disjoint-path fault tolerance: d node-disjoint paths tolerate any
-    // d − 1 faulty intermediate profiles (pigeonhole) — checked, not
-    // assumed, over every profile pair at distance ≥ 2 from node 0.
-    for v in 0..gate_n {
-        let pv = hypercube_profile(v, &gate_radix);
-        let d = feature_distance(&p0, &pv);
-        if d < 2 {
-            continue;
-        }
-        let paths = node_disjoint_paths(&p0, &pv);
-        if paths.len() != d {
-            eprintln!("FAIL: expected {d} disjoint paths to {pv:?}, got {}", paths.len());
-            hypercube_ok = false;
-            continue;
-        }
-        // One fault on each path but the last.
-        let faulty: Vec<Vec<usize>> =
-            paths[..d - 1].iter().filter_map(|p| p.get(1).cloned()).collect();
-        let survives = paths
-            .iter()
-            .any(|p| p[1..p.len().saturating_sub(1)].iter().all(|hop| !faulty.contains(hop)));
-        if !survives {
-            eprintln!("FAIL: no disjoint path to {pv:?} survives {} faults", faulty.len());
-            hypercube_ok = false;
-        }
-    }
-
-    let row_radix = vec![6usize, 6, 6, 6];
-    let cube = generalized_hypercube(&row_radix);
+    // --- Generalized-hypercube routing under faults on radix [6, 6, 6, 6].
+    let radix = vec![6usize, 6, 6, 6];
+    let cube = generalized_hypercube(&radix);
     let (cube_n, cube_edges) = (cube.node_count(), cube.edge_count());
-    let row_horizon = row_radix.len() + 1;
-    let row_faults = FaultModel::lossy(0.2, 37)
+    let cube_horizon = radix.len() + 1;
+    let cube_faults = FaultModel::lossy(0.2, 37)
         .with_delay(0.15)
         .with_churn(ChurnSchedule::random(cube_n, 40, 0.005, 3, 37).protect(0));
     let ((cube_out, _), cube_wall) =
-        timed(|| run_resilient_par(&cube, 0, row_horizon, 400, 3, row_faults, cores));
-    let hypercube_row = HypercubeRow {
-        radix: row_radix.clone(),
+        timed(|| run_resilient_par(&cube, 0, cube_horizon, 400, 3, cube_faults, cores));
+    let hypercube = HypercubeRow {
+        radix,
         nodes: cube_n,
         edges: cube_edges,
         faulted_rounds: cube_out.rounds,
-        faulted_labeled: cube_out.labels.iter().filter(|l| l.dist < row_horizon).count(),
+        faulted_labeled: cube_out.labels.iter().filter(|l| l.dist < cube_horizon).count(),
         wall_secs: cube_wall,
     };
-    eprintln!(
-        "scenario hypercube {row_radix:?}: {} rounds under faults, {}/{cube_n} labeled \
-         ({cube_wall:.3}s)",
-        hypercube_row.faulted_rounds, hypercube_row.faulted_labeled
-    );
 
-    let gates = ScenarioGates {
-        grid_matches_naive,
-        traces_well_formed_and_deterministic: traces_ok,
-        stream_matches_materialized,
-        slice_dtn_and_cursors_match: slice_ok,
-        dtn_ladder_ordered,
-        forwarding_windows_contiguous,
-        contact_floor_met,
-        pubsub_parallel_matches_serial: pubsub_ok,
-        hypercube_routing_sound: hypercube_ok,
-    };
-    let all_ok = gates.all_ok();
-    let doc = BenchScenario {
+    eprintln!(
+        "scenario at n={n}: {contacts} contacts, DTN ratios {:.3}/{:.3}/{:.3}, TOUR {} relays, \
+         hypercube {}/{cube_n} labeled ({cores} core(s))",
+        dtn_rows[0].delivery_ratio,
+        dtn_rows[1].delivery_ratio,
+        dtn_rows[2].delivery_ratio,
+        tour.relays,
+        hypercube.faulted_labeled
+    );
+    serde::json::to_string_pretty(&BenchScenario {
         schema: SCENARIO_SCHEMA.to_string(),
         git_rev: git_rev(),
         detected_cores: cores,
-        contact_floor,
-        gates,
         trace: TraceRow {
             scenario: format!(
-                "city(vehicles={vehicles}, pedestrians={pedestrians}, \
-                 duration={duration}, seed=42)"
+                "city(vehicles={}, pedestrians={}, duration={}, seed={})",
+                city.vehicle_count(),
+                city.pedestrian_count(),
+                city.duration,
+                city.seed
             ),
-            vehicles,
-            pedestrians,
-            duration_secs: duration,
+            vehicles: city.vehicle_count(),
+            pedestrians: city.pedestrian_count(),
+            duration_secs: city.duration,
             contacts,
             stream_secs,
             contacts_per_sec: contacts as f64 / stream_secs.max(1e-9),
@@ -1371,453 +600,7 @@ fn run_scenario(args: &[String]) {
         dtn: dtn_rows,
         tour,
         tracking,
-        pubsub: pubsub_row,
-        hypercube: hypercube_row,
-    };
-    if let Err(e) = std::fs::write(&out_path, serde::json::to_string_pretty(&doc)) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "scenario smoke at n={n}: {contacts} contacts ({:.0}/s), \
-         DTN ratios {:.3}/{:.3}/{:.3}, TOUR {} relays ({cores} core(s)); wrote {out_path}",
-        doc.trace.contacts_per_sec,
-        doc.dtn[0].delivery_ratio,
-        doc.dtn[1].delivery_ratio,
-        doc.dtn[2].delivery_ratio,
-        doc.tour.relays
-    );
-    if !all_ok {
-        std::process::exit(1);
-    }
-    println!(
-        "scenario smoke OK: grid detection bit-identical to all-pairs, traces well-formed \
-         and deterministic, slice DTN equals EG DTN, ladder dominance holds, TOUR relay \
-         windows contiguous, pub-sub and hypercube runs bit-identical under faults"
-    );
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--scenario") {
-        run_scenario(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "--scale") {
-        run_scale(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "--serve") {
-        run_serve(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "--distsim") {
-        run_distsim(&args);
-        return;
-    }
-    let out_path = "BENCH_kernels.json";
-    let (n, m, seed) = (1500usize, 3usize, 42u64);
-    let g = generators::barabasi_albert(n, m, seed).expect("BA params");
-    let frozen = g.freeze().expect("fits u32");
-    let cores = csn_bench::pool::available_parallelism();
-
-    // Frozen gate: serial Brandes and all-pairs BFS bit-identical on the
-    // adjacency list and its frozen form. The parallel Brandes rows below
-    // are checked against the frozen serial result, hence against both.
-    let (bc_adj, t_brandes_adj) = timed(|| betweenness_centrality(&g));
-    let (bc_frozen, t_brandes_frozen) = timed(|| betweenness_centrality(&frozen));
-    let mut frozen_match = bc_adj == bc_frozen;
-    if !frozen_match {
-        eprintln!("FAIL: betweenness differs between adjacency and frozen");
-    }
-    let (bfs_adj, t_bfs_adj) = timed(|| all_pairs_bfs(&g));
-    let (bfs_frozen, t_bfs_frozen) = timed(|| all_pairs_bfs(&frozen));
-    if bfs_adj != bfs_frozen {
-        eprintln!("FAIL: all-pairs BFS differs between adjacency and frozen");
-        frozen_match = false;
-    }
-
-    // Kernel-reuse gate: the fresh-alloc path (one scratch per source, via
-    // the `brandes_delta` wrapper) and the scratch-reusing drivers — serial
-    // `betweenness_centrality` and `betweenness_par` at jobs ∈ {1, 2, 4, 7}
-    // — must agree bit-for-bit.
-    let (bc_alloc, t_alloc) = timed(|| {
-        let mut bc = vec![0.0f64; n];
-        for s in 0..n {
-            let delta = brandes_delta(&frozen, s);
-            for (b, d) in bc.iter_mut().zip(&delta) {
-                *b += d;
-            }
-        }
-        for b in &mut bc {
-            *b /= 2.0;
-        }
-        bc
-    });
-    let scratch_jobs = deduped_jobs(&[1, 2, 4, 7, cores]);
-    let mut scratch_match = bc_alloc == bc_frozen;
-    if !scratch_match {
-        eprintln!("FAIL: fresh-alloc Brandes differs from scratch-reusing Brandes");
-    }
-    let mut par_timings = Vec::new();
-    for &jobs in &scratch_jobs {
-        let (bc_par, t) = timed(|| betweenness_par(&frozen, jobs));
-        if bc_par != bc_frozen {
-            eprintln!("FAIL: betweenness_par(jobs={jobs}) differs from scratch serial");
-            scratch_match = false;
-        }
-        par_timings.push(Timing {
-            kernel: format!("betweenness_par(jobs={jobs})"),
-            representation: "scratch".into(),
-            wall_secs: t,
-        });
-    }
-
-    // Snapshot-sweep gate: a cursor walk over an edge-Markovian EG must
-    // equal the per-step `snapshot(t)` rebuilds at every time unit.
-    let (tn, horizon, p, q, tseed) = (120usize, 400u32, 0.6, 0.02, 7u64);
-    let eg = EdgeMarkovian::new(tn, p, q).generate(horizon, tseed);
-    let (rebuild_acc, t_rebuild) = timed(|| {
-        let mut acc = 0usize;
-        for t in 0..eg.horizon() {
-            acc += eg.snapshot(t).edge_count();
-        }
-        acc
-    });
-    let (cursor_acc, t_cursor) = timed(|| {
-        let mut acc = 0usize;
-        let mut cur = eg.snapshot_cursor();
-        loop {
-            acc += cur.graph().edge_count();
-            if !cur.advance() {
-                break;
-            }
-        }
-        acc
-    });
-    // Untimed pass with full structural equality, not just edge counts.
-    let mut cursor_match = rebuild_acc == cursor_acc;
-    let mut cur = eg.snapshot_cursor();
-    for t in 0..eg.horizon() {
-        if *cur.graph() != eg.snapshot(t) {
-            cursor_match = false;
-        }
-        cur.advance();
-    }
-    if !cursor_match {
-        eprintln!("FAIL: SnapshotCursor sweep differs from per-step snapshot rebuilds");
-    }
-
-    // Maintain gate: the incremental structure maintainers (k-cores, NSF
-    // levels, forwarding sets) riding a `TrackedCursor` must equal their
-    // from-scratch oracles at *every* t of the dense churn trace above.
-    use csn_core::graph::cores::{core_numbers, IncrementalCores};
-    use csn_core::graph::Graph;
-    use csn_core::layering::nsf::{nsf_levels, IncrementalNsf};
-    use csn_core::temporal::TrackedCursor;
-    use csn_core::trimming::incremental::{forwarding_sets_at, IncrementalForwarding};
-
-    // Deterministic synthetic trimmed overlay (~1/11 of all directed arcs):
-    // the maintainer is agnostic to where the frozen trim came from, and a
-    // fixed rule keeps the gate independent of `trim_arcs` runtime.
-    let trimmed: Vec<(usize, usize)> = (0..tn)
-        .flat_map(|u| (0..tn).map(move |w| (u, w)))
-        .filter(|&(u, w)| u != w && (u * 31 + w * 7) % 11 == 0)
-        .collect();
-    let mut maintain_match = true;
-    {
-        let mut mcur = TrackedCursor::new(&eg);
-        let hc = mcur.register(Box::new(IncrementalCores::default()));
-        let hn = mcur.register(Box::new(IncrementalNsf::default()));
-        let hf = mcur.register(Box::new(IncrementalForwarding::new(&Graph::new(0), &trimmed)));
-        loop {
-            let g = mcur.graph();
-            let cores_ok = mcur.view::<IncrementalCores>(hc).expect("cores").core_numbers()
-                == core_numbers(g).as_slice();
-            let nsf_ok = mcur.view::<IncrementalNsf>(hn).expect("nsf").nsf_levels()
-                == nsf_levels(g).as_slice();
-            let fwd_ok = mcur.view::<IncrementalForwarding>(hf).expect("fwd").forwarding_sets()
-                == &forwarding_sets_at(g, &trimmed)[..];
-            if !(cores_ok && nsf_ok && fwd_ok) {
-                eprintln!("FAIL: maintained structure differs from scratch at t={}", mcur.time());
-                maintain_match = false;
-                break;
-            }
-            if !mcur.advance() {
-                break;
-            }
-        }
-    }
-
-    // Counted-touch tier: on a sparse, fragmented trace the forwarding
-    // sweep must perform strictly fewer node touches than per-t rebuilds —
-    // counted, not just timed, so its O(affected) claim is verifiable on a
-    // noisy 1-core box. The cores and NSF sweeps recompute once per
-    // changing batch, so they may reach their floors but never pass them.
-    // Rebuild accounting is a floor: n per step for cores and forwarding
-    // (any rebuild visits every node at least once) and Σ_u level(u) for
-    // NSF (a peel examines each node once per round until it is assigned,
-    // the unit `IncrementalNsf` counts too). Per-t structure checksums
-    // double as an agreement re-check.
-    let (sp, sq) = (0.25, 0.001);
-    let seg = EdgeMarkovian::new(tn, sp, sq).generate(horizon, tseed);
-    let mut maintain_rows: Vec<MaintainRow> = Vec::new();
-    let mut maintain_fewer = true;
-
-    let ((scratch_sum, scratch_touch), t_scratch) = timed(|| {
-        let mut cur = seg.snapshot_cursor();
-        let (mut sum, mut touch) = (0u64, 0u64);
-        loop {
-            sum += core_numbers(cur.graph()).iter().sum::<usize>() as u64;
-            if !cur.advance() {
-                break;
-            }
-            touch += tn as u64;
-        }
-        (sum, touch)
-    });
-    let ((inc_sum, inc_touch), t_inc) = timed(|| {
-        let mut cur = TrackedCursor::new(&seg);
-        let h = cur.register(Box::new(IncrementalCores::default()));
-        let mut sum = 0u64;
-        loop {
-            let inc: &IncrementalCores = cur.view(h).expect("cores");
-            sum += inc.core_numbers().iter().sum::<usize>() as u64;
-            if !cur.advance() {
-                break;
-            }
-        }
-        (sum, cur.touched_nodes())
-    });
-    maintain_rows.push(MaintainRow {
-        structure: "cores".into(),
-        rebuild_secs: t_scratch,
-        incremental_secs: t_inc,
-        rebuild_node_touches: scratch_touch,
-        incremental_node_touches: inc_touch,
-        matches_scratch: scratch_sum == inc_sum,
-    });
-
-    let ((scratch_sum, scratch_touch), t_scratch) = timed(|| {
-        let mut cur = seg.snapshot_cursor();
-        let mut sum = nsf_levels(cur.graph()).iter().sum::<usize>() as u64;
-        let mut touch = 0u64;
-        while cur.advance() {
-            let levels = nsf_levels(cur.graph());
-            sum += levels.iter().sum::<usize>() as u64;
-            // A from-scratch peel examines each node once per round until
-            // it is assigned.
-            touch += levels.iter().sum::<usize>() as u64;
-        }
-        (sum, touch)
-    });
-    let ((inc_sum, inc_touch), t_inc) = timed(|| {
-        let mut cur = TrackedCursor::new(&seg);
-        let h = cur.register(Box::new(IncrementalNsf::default()));
-        let mut sum = 0u64;
-        loop {
-            let inc: &IncrementalNsf = cur.view(h).expect("nsf");
-            sum += inc.nsf_levels().iter().sum::<usize>() as u64;
-            if !cur.advance() {
-                break;
-            }
-        }
-        (sum, cur.touched_nodes())
-    });
-    maintain_rows.push(MaintainRow {
-        structure: "nsf".into(),
-        rebuild_secs: t_scratch,
-        incremental_secs: t_inc,
-        rebuild_node_touches: scratch_touch,
-        incremental_node_touches: inc_touch,
-        matches_scratch: scratch_sum == inc_sum,
-    });
-
-    let ((scratch_sum, scratch_touch), t_scratch) = timed(|| {
-        let mut cur = seg.snapshot_cursor();
-        let (mut sum, mut touch) = (0u64, 0u64);
-        loop {
-            let sets = forwarding_sets_at(cur.graph(), &trimmed);
-            sum += sets.iter().map(Vec::len).sum::<usize>() as u64;
-            if !cur.advance() {
-                break;
-            }
-            touch += tn as u64;
-        }
-        (sum, touch)
-    });
-    let ((inc_sum, inc_touch), t_inc) = timed(|| {
-        let mut cur = TrackedCursor::new(&seg);
-        let h = cur.register(Box::new(IncrementalForwarding::new(&Graph::new(0), &trimmed)));
-        let mut sum = 0u64;
-        loop {
-            let inc: &IncrementalForwarding = cur.view(h).expect("fwd");
-            sum += inc.live_arc_count() as u64;
-            if !cur.advance() {
-                break;
-            }
-        }
-        (sum, cur.touched_nodes())
-    });
-    maintain_rows.push(MaintainRow {
-        structure: "forwarding".into(),
-        rebuild_secs: t_scratch,
-        incremental_secs: t_inc,
-        rebuild_node_touches: scratch_touch,
-        incremental_node_touches: inc_touch,
-        matches_scratch: scratch_sum == inc_sum,
-    });
-
-    for row in &maintain_rows {
-        if !row.matches_scratch {
-            eprintln!(
-                "FAIL: incremental {} sweep checksum differs from per-t rebuilds",
-                row.structure
-            );
-            maintain_match = false;
-        }
-        let over_floor = if row.structure == "forwarding" {
-            row.incremental_node_touches >= row.rebuild_node_touches
-        } else {
-            row.incremental_node_touches > row.rebuild_node_touches
-        };
-        if over_floor {
-            eprintln!(
-                "FAIL: incremental {} touched {} nodes, rebuild floor is {}",
-                row.structure, row.incremental_node_touches, row.rebuild_node_touches
-            );
-            maintain_fewer = false;
-        }
-    }
-
-    // Faulted-run determinism gate: distributed Bellman–Ford under the full
-    // fault model (loss, geometric delay, duplication, reorder, churn), run
-    // twice with one seed — outcome and RunStats must agree bit-for-bit.
-    use csn_core::distsim::{ChurnSchedule, FaultModel};
-    let (fn_, fseed) = (200usize, 13u64);
-    let fg = generators::erdos_renyi(fn_, 0.05, 11).expect("ER params");
-    let fault_run = || {
-        csn_core::labeling::bellman_ford::run_resilient(
-            &fg,
-            0,
-            64,
-            500,
-            3,
-            FaultModel::lossy(0.3, fseed)
-                .with_delay(0.2)
-                .with_duplication(0.1)
-                .with_reorder()
-                .with_churn(ChurnSchedule::random(fn_, 60, 0.01, 5, fseed).protect(0)),
-        )
-    };
-    let (run_a, t_faulted) = timed(fault_run);
-    let (run_b, _) = timed(fault_run);
-    let faulted_match = run_a == run_b;
-    if !faulted_match {
-        eprintln!("FAIL: faulted Bellman–Ford runs diverge under one FaultModel seed");
-    }
-
-    let doc = BenchKernels {
-        schema: "structura-bench-kernels-v4".to_string(),
-        git_rev: git_rev(),
-        graph: format!("barabasi_albert({n}, {m}, seed={seed})"),
-        temporal_graph: format!(
-            "edge_markovian(n={tn}, p={p}, q={q}, horizon={horizon}, seed={tseed})"
-        ),
-        maintain_graph: format!(
-            "edge_markovian(n={tn}, p={sp}, q={sq}, horizon={horizon}, seed={tseed})"
-        ),
-        detected_cores: cores,
-        frozen_matches_adjacency: frozen_match,
-        scratch_jobs_checked: scratch_jobs.clone(),
-        scratch_matches_alloc: scratch_match,
-        cursor_matches_rebuild: cursor_match,
-        faulted_run_deterministic: faulted_match,
-        maintain_matches_scratch: maintain_match,
-        maintain_fewer_touches: maintain_fewer,
-        maintain: maintain_rows,
-        timings: {
-            let mut ts = vec![
-                Timing {
-                    kernel: "all_pairs_bfs".into(),
-                    representation: "adjacency".into(),
-                    wall_secs: t_bfs_adj,
-                },
-                Timing {
-                    kernel: "all_pairs_bfs".into(),
-                    representation: "frozen".into(),
-                    wall_secs: t_bfs_frozen,
-                },
-                Timing {
-                    kernel: "betweenness".into(),
-                    representation: "adjacency".into(),
-                    wall_secs: t_brandes_adj,
-                },
-                Timing {
-                    kernel: "betweenness".into(),
-                    representation: "fresh_alloc".into(),
-                    wall_secs: t_alloc,
-                },
-                Timing {
-                    kernel: "betweenness".into(),
-                    representation: "scratch".into(),
-                    wall_secs: t_brandes_frozen,
-                },
-            ];
-            ts.extend(par_timings);
-            ts.push(Timing {
-                kernel: "snapshot_sweep".into(),
-                representation: "rebuild".into(),
-                wall_secs: t_rebuild,
-            });
-            ts.push(Timing {
-                kernel: "snapshot_sweep".into(),
-                representation: "cursor".into(),
-                wall_secs: t_cursor,
-            });
-            ts.push(Timing {
-                kernel: "faulted_bellman_ford".into(),
-                representation: "simulator".into(),
-                wall_secs: t_faulted,
-            });
-            ts
-        },
-    };
-    if let Err(e) = std::fs::write(out_path, serde::json::to_string_pretty(&doc)) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-
-    eprintln!(
-        "perf smoke on BA({n},{m}): bfs adj {t_bfs_adj:.3}s / frozen {t_bfs_frozen:.3}s; \
-         brandes adj {t_brandes_adj:.3}s / alloc {t_alloc:.3}s / scratch {t_brandes_frozen:.3}s \
-         ({cores} core(s)); snapshot sweep rebuild {t_rebuild:.3}s / cursor {t_cursor:.3}s; \
-         faulted BF {t_faulted:.3}s; wrote {out_path}"
-    );
-    for row in &doc.maintain {
-        eprintln!(
-            "maintain smoke [{}]: rebuild {:.3}s / {} touches vs incremental {:.3}s / {} touches",
-            row.structure,
-            row.rebuild_secs,
-            row.rebuild_node_touches,
-            row.incremental_secs,
-            row.incremental_node_touches
-        );
-    }
-    if !frozen_match
-        || !scratch_match
-        || !cursor_match
-        || !faulted_match
-        || !maintain_match
-        || !maintain_fewer
-    {
-        std::process::exit(1);
-    }
-    println!("perf smoke OK: frozen and parallel kernels bit-identical to serial adjacency");
-    println!("kernel smoke OK: scratch arenas bit-identical; snapshot cursor equals rebuilds");
-    println!("fault smoke OK: faulted Bellman-Ford runs bit-identical per seed");
-    println!(
-        "maintain smoke OK: cores/NSF/forwarding maintainers equal scratch at every t; \
-         forwarding touches strictly fewer nodes than rebuilds, cores/NSF no more"
-    );
+        pubsub,
+        hypercube,
+    })
 }

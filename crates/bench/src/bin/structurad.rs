@@ -3,10 +3,11 @@
 //! Loads a graph once (streamed straight into compact CSR), freezes a
 //! `csn_serve::ServeIndex` over it, generates a seeded Zipf workload, and
 //! drives the deterministic request-loop: batches through the sharded read
-//! path, per-query latency percentiles from a serial pass. There is no
-//! real networking — every run is replayable bit for bit, which is the
-//! point: a front-end that speaks a wire protocol would call exactly the
-//! same `serve_batched` per request wave.
+//! path, then a serial latency pass whose percentiles are printed per query
+//! kind, with the number of `DistanceExact` answers that fell back to a
+//! BFS. There is no real networking — every run is replayable bit for bit,
+//! which is the point: a front-end that speaks a wire protocol would call
+//! exactly the same `serve_batched` per request wave.
 //!
 //! Usage:
 //!
@@ -14,28 +15,30 @@
 //! cargo run -p csn-bench --release --bin structurad -- \
 //!   [--nodes 100000] [--m 3] [--seed 1] [--landmarks 16] [--top-k 64] \
 //!   [--queries 50000] [--users 1000000] [--zipf-users 1.1] [--zipf-nodes 0.9] \
-//!   [--workload-seed 2821] [--batch 1024] [--shards 64] [--jobs N] \
-//!   [--out BENCH_serve.json] [--replay]
+//!   [--workload-seed 2821] [--batch 1024] [--shards 64] [--jobs N] [--replay]
 //! ```
 //!
 //! `--replay` prints the committed standard query trace and exits (the
 //! same bytes as `crates/serve/tests/snapshots/serve_trace.txt`). A
 //! temporal store (journey queries) is attached when `--nodes` is at most
-//! 10 000 — cursor sweeps over a contact trace with millions of nodes are
-//! not what the temporal tier is for.
+//! `TEMPORAL_NODE_CAP` (600) — cursor sweeps over a contact trace with
+//! millions of nodes are not what the temporal tier is for.
 //!
-//! Sampled batched-vs-serial equality is checked on every run (gates
-//! decide the exit code); QPS and latency are informational on a 1-core
-//! box — see SERVING.md.
+//! An unknown flag, an unparsable value or invalid generator parameters
+//! exit with status 2. Sampled batched-vs-serial equality is checked on
+//! every run and a mismatch exits with status 1; QPS and latency are
+//! informational (see SERVING.md).
 
-use csn_bench::serve_bench::{
-    BenchServe, IndexReport, ServeGates, ServeReport, WorkloadReport, SERVE_SCHEMA,
-};
+use csn_bench::cli::{usage_error, Flags};
+use csn_bench::timed;
 use csn_core::graph::stream::{BaStream, EdgeStream};
 use csn_core::graph::view::GraphView;
-use csn_core::serve::bench::{measure_latency, measure_qps};
-use csn_core::serve::{serve_batched, serve_serial, ServeConfig, ServeIndex, WorkloadConfig};
+use csn_core::serve::{
+    serve_batched, serve_serial, Query, Response, ServeConfig, ServeIndex, WorkloadConfig,
+};
 use csn_core::temporal::markovian::EdgeMarkovian;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Largest `--nodes` that still gets a temporal store (journey queries).
 /// The edge-Markovian generator is `O(n² · horizon)` — quadratic by nature,
@@ -43,57 +46,89 @@ use csn_core::temporal::markovian::EdgeMarkovian;
 /// hundreds-of-nodes regime the temporal tier is built for.
 const TEMPORAL_NODE_CAP: usize = 600;
 
-fn arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<T>().ok())
-        .unwrap_or(default)
+/// Queries timed one at a time by the serial latency pass.
+const LATENCY_SAMPLES: usize = 20_000;
+
+/// Query kinds in print order, named as `Query::render` names them.
+const KINDS: [&str; 7] = [
+    "distance",
+    "distance_exact",
+    "forwarding_set",
+    "structure",
+    "rank",
+    "safety_route",
+    "journey",
+];
+
+/// The index of `q`'s kind in [`KINDS`].
+fn kind(q: &Query) -> usize {
+    match q {
+        Query::Distance { .. } => 0,
+        Query::DistanceExact { .. } => 1,
+        Query::ForwardingSet { .. } => 2,
+        Query::Structure { .. } => 3,
+        Query::Rank { .. } => 4,
+        Query::SafetyRoute { .. } => 5,
+        Query::Journey { .. } => 6,
+    }
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = std::time::Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64())
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+/// The `p`-th percentile (0–100, nearest-rank) of an unsorted sample of
+/// nanosecond latencies, in microseconds; `0` for an empty sample.
+fn percentile_us(samples: &mut [u64], p: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.sort_unstable();
+    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
+    samples[rank.clamp(1, samples.len()) - 1] as f64 / 1_000.0
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--replay") {
+    const OPTIONS: [&str; 13] = [
+        "--nodes",
+        "--m",
+        "--seed",
+        "--landmarks",
+        "--top-k",
+        "--queries",
+        "--users",
+        "--zipf-users",
+        "--zipf-nodes",
+        "--workload-seed",
+        "--batch",
+        "--shards",
+        "--jobs",
+    ];
+    let flags = Flags::from_env(&["--replay"], &OPTIONS);
+    if flags.has("--replay") {
         print!("{}", csn_core::serve::standard_trace());
         return;
     }
 
-    let nodes: usize = arg(&args, "--nodes", 100_000);
-    let m: usize = arg(&args, "--m", 3);
-    let seed: u64 = arg(&args, "--seed", 1);
-    let landmarks: usize = arg(&args, "--landmarks", 16);
-    let top_k: usize = arg(&args, "--top-k", 64);
-    let queries: usize = arg(&args, "--queries", 50_000);
-    let users: usize = arg(&args, "--users", 1_000_000);
-    let zipf_users: f64 = arg(&args, "--zipf-users", 1.1);
-    let zipf_nodes: f64 = arg(&args, "--zipf-nodes", 0.9);
-    let workload_seed: u64 = arg(&args, "--workload-seed", 2821);
-    let batch: usize = arg(&args, "--batch", 1024);
-    let shards: usize = arg(&args, "--shards", 64);
+    let nodes: usize = flags.get("--nodes", 100_000);
+    let m: usize = flags.get("--m", 3);
+    let seed: u64 = flags.get("--seed", 1);
+    let landmarks: usize = flags.get("--landmarks", 16);
+    let top_k: usize = flags.get("--top-k", 64);
+    let queries: usize = flags.get("--queries", 50_000);
+    let users: usize = flags.get("--users", 1_000_000);
+    let zipf_users: f64 = flags.get("--zipf-users", 1.1);
+    let zipf_nodes: f64 = flags.get("--zipf-nodes", 0.9);
+    let workload_seed: u64 = flags.get("--workload-seed", 2821);
+    let batch: usize = flags.get("--batch", 1024);
+    let shards: usize = flags.get("--shards", 64);
     let cores = csn_bench::pool::available_parallelism();
-    let jobs: usize = arg(&args, "--jobs", cores);
-    let out_path = args.iter().position(|a| a == "--out").and_then(|i| args.get(i + 1).cloned());
+    let jobs: usize = flags.get("--jobs", cores);
+    if batch == 0 {
+        usage_error("--batch expects at least 1");
+    }
 
     // --- Load & freeze: streamed BA straight into compact CSR, then the
     // whole index in one deterministic build.
-    let g = BaStream::new(nodes, m, seed).expect("BA params").to_compact_csr().expect("fits u32");
+    let g = BaStream::new(nodes, m, seed)
+        .and_then(|s| s.to_compact_csr())
+        .unwrap_or_else(|e| usage_error(format!("--nodes {nodes} --m {m}: {e}")));
     let edges = GraphView::edge_count(&g);
     let cfg = ServeConfig { landmarks, top_k, ..ServeConfig::default() };
     let with_temporal = nodes <= TEMPORAL_NODE_CAP;
@@ -132,9 +167,9 @@ fn main() {
         wl.distinct_users
     );
 
-    // --- Gate: sampled batched-vs-serial equality at several shapes (the
-    // full-trace equality lives in `perf_smoke --serve`; this keeps ad-hoc
-    // runs honest without doubling their wall time).
+    // --- Sampled batched-vs-serial equality at several shapes, so ad-hoc
+    // runs stay honest without doubling their wall time (the full property
+    // is `serve_props::batched_serving_is_bitwise_serial_at_any_jobs`).
     let sample = &wl.queries[..wl.queries.len().min(2_000)];
     let serial = serve_serial(&idx, sample);
     let mut batched_matches_serial = true;
@@ -145,64 +180,69 @@ fn main() {
         }
     }
 
-    // --- The request-loop and the latency pass.
-    let qps = measure_qps(&idx, &wl.queries, batch, shards, jobs);
-    let lat = measure_latency(&idx, &wl.queries, 20_000);
+    // --- The request-loop: the workload in `batch`-sized waves through the
+    // sharded read path, as a network front-end would call it per wave.
+    let ((), loop_secs) = timed(|| {
+        for chunk in wl.queries.chunks(batch) {
+            black_box(serve_batched(&idx, chunk, shards, jobs));
+        }
+    });
+    let qps = if loop_secs > 0.0 { wl.queries.len() as f64 / loop_secs } else { 0.0 };
     eprintln!(
-        "structurad: {:.0} qps over {} batches (batch={batch}, shards={shards}, jobs={jobs}); \
-         p50 {:.1}us p99 {:.1}us over {} samples ({cores} core(s))",
-        qps.qps, qps.batches, lat.p50_us, lat.p99_us, lat.samples
+        "structurad: {qps:.0} qps over {} batches (batch={batch}, shards={shards}, jobs={jobs}, \
+         {cores} core(s))",
+        wl.queries.len().div_ceil(batch)
     );
 
-    if let Some(path) = out_path {
-        let doc = BenchServe {
-            schema: SERVE_SCHEMA.to_string(),
-            git_rev: git_rev(),
-            detected_cores: cores,
-            graph: format!("barabasi_albert(n={nodes}, m={m}, seed={seed}) [compact csr]"),
-            gates: ServeGates {
-                // The ad-hoc runner only checks the equality gate; the
-                // sandwich/exact/replay gates run in `perf_smoke --serve`.
-                landmark_bounds_sandwich: true,
-                exact_matches_bfs: true,
-                batched_matches_serial,
-                trace_replay_matches: true,
-            },
-            index: IndexReport {
-                landmarks,
-                top_k,
-                build_secs,
-                heap_bytes: idx.heap_bytes(),
-                bytes_per_node: idx.heap_bytes() as f64 / nodes as f64,
-            },
-            workload: WorkloadReport {
-                queries,
-                users,
-                distinct_users: wl.distinct_users,
-                zipf_users,
-                zipf_nodes,
-                seed: workload_seed,
-            },
-            serve: ServeReport {
-                qps: qps.qps,
-                p50_us: lat.p50_us,
-                p99_us: lat.p99_us,
-                latency_samples: lat.samples,
-                batch,
-                shards,
-                jobs,
-                wall_secs: qps.wall_secs,
-            },
-        };
-        if let Err(e) = std::fs::write(&path, serde::json::to_string_pretty(&doc)) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("structurad: wrote {path}");
+    // --- The latency pass: queries one at a time through one scratch (the
+    // serial path), bucketed by kind.
+    let mut scratch = idx.scratch();
+    let mut ns: [Vec<u64>; KINDS.len()] = Default::default();
+    let mut fallbacks = 0usize;
+    for q in wl.queries.iter().take(LATENCY_SAMPLES) {
+        let t0 = Instant::now();
+        let r = idx.answer(q, &mut scratch);
+        ns[kind(q)].push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        fallbacks += usize::from(matches!(r, Response::Exact { fallback: true, .. }));
+    }
+    let mut all = ns.concat();
+    eprintln!(
+        "structurad: p50 {:.1}us p99 {:.1}us over {} serial queries",
+        percentile_us(&mut all, 50.0),
+        percentile_us(&mut all, 99.0),
+        all.len()
+    );
+    for (name, samples) in KINDS.iter().zip(&mut ns) {
+        eprintln!(
+            "  {name:<15} count {:>6}  p50 {:>9.1}us  p99 {:>9.1}us{}",
+            samples.len(),
+            percentile_us(samples, 50.0),
+            percentile_us(samples, 99.0),
+            if *name == "distance_exact" {
+                format!("  fallbacks {fallbacks}")
+            } else {
+                String::new()
+            }
+        );
     }
 
     if !batched_matches_serial {
         std::process::exit(1);
     }
     println!("structurad OK: batched serving bit-identical to serial");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentile_nearest_rank() {
+        let mut s = vec![10_000, 20_000, 30_000, 40_000];
+        assert_eq!(percentile_us(&mut s, 50.0), 20.0);
+        assert_eq!(percentile_us(&mut s, 99.0), 40.0);
+        assert_eq!(percentile_us(&mut s, 100.0), 40.0);
+        assert_eq!(percentile_us(&mut [], 50.0), 0.0);
+        assert_eq!(percentile_us(&mut [7_000], 50.0), 7.0);
+    }
 }

@@ -16,7 +16,7 @@ use csn_core::prelude::*;
 
 /// A registered experiment: identity, provenance, and entry point.
 pub struct Experiment {
-    /// Short id used by `--exp` and in file names (`e1`…`e25`).
+    /// Short id used by `--exp` and in file names (`e1`, `e2`, …).
     pub id: &'static str,
     /// Human-readable title.
     pub title: &'static str,

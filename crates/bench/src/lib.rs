@@ -3,9 +3,7 @@
 //! The paper is a position paper: its "evaluation" is the set of worked
 //! figures and checkable claims. The [`experiments`] module regenerates
 //! each of them (experiment ids `e1`–`e28`, indexed in DESIGN.md) through
-//! a registry of report-producing experiment functions; the Criterion
-//! benches under `benches/` cover the performance-flavored questions
-//! (algorithm scaling).
+//! a registry of report-producing experiment functions.
 //!
 //! Architecture:
 //!
@@ -19,28 +17,34 @@
 //!   scheduler dependency).
 //! * [`experiments`] — the 28 experiment bodies plus the
 //!   [`experiments::EXPERIMENTS`] registry and runner.
-//! * [`serve_bench`] — the `BENCH_serve.json` document shared by the two
-//!   query-serving front-ends, `perf_smoke --serve` and `structurad`.
-//! * [`distsim_bench`] — the `BENCH_distsim.json` document of the
-//!   `perf_smoke --distsim` protocol tier: bitwise serial-vs-parallel
-//!   gates over the deterministic distsim stepper plus 10⁴–10⁶-node
-//!   throughput rows (see DISTSIM.md).
-//! * [`scenario_bench`] — the `BENCH_scenario.json` document of the
-//!   `perf_smoke --scenario` city-scale scenario tier: grid-vs-naive
-//!   contact-detection gates, million-contact trace throughput, the DTN
-//!   ladder and TOUR forwarding end-to-end on the city trace, pub-sub
-//!   under churn, and generalized-hypercube routing under faults (see
-//!   SCENARIOS.md).
+//! * [`cli`] — the strict flag parser of the `experiments`, `perf_smoke`
+//!   and `structurad` binaries: a usage error exits with status 2.
+//! * [`kernels_bench`], [`distsim_bench`], [`scenario_bench`] — the
+//!   documents `perf_smoke` writes (`BENCH_kernels.json`,
+//!   `BENCH_distsim.json`, `BENCH_scenario.json`) and the inputs they share
+//!   with the tier-1 tests in `tests/gates.rs`: the counted-touch maintain
+//!   sweep, the bench protocols, the city trace, the DTN query set and TOUR
+//!   forwarding from trace-estimated rates. See DISTSIM.md and
+//!   SCENARIOS.md.
 //!
-//! Run everything with `cargo run -p csn-bench --bin experiments --release`;
-//! one experiment with `--exp e8`; in parallel with machine-readable
-//! reports via `--jobs 8 --json experiments_output/`. Per-experiment text
-//! is byte-identical between serial and parallel runs.
+//! The binaries: `experiments` (every experiment; one with `--exp e8`; in
+//! parallel with machine-readable reports via `--jobs 8 --json
+//! experiments_output/` — per-experiment text is byte-identical between
+//! serial and parallel runs), `perf_smoke` (the `BENCH_*.json` rows no
+//! benchmark workload covers) and `structurad` (the query-serving CLI).
 
+pub mod cli;
 pub mod distsim_bench;
 pub mod experiments;
+pub mod kernels_bench;
 pub mod report;
 pub mod scenario_bench;
-pub mod serve_bench;
 
 pub use csn_parallel as pool;
+
+/// Runs `f` and returns its output with its wall time in seconds.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}

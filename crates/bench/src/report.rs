@@ -89,7 +89,7 @@ impl Report {
 /// A completed experiment: identity, provenance, timing, and body.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExperimentReport {
-    /// Experiment id (`e1`…`e25`).
+    /// Experiment id (`e1`, `e2`, …).
     pub id: String,
     /// Human title.
     pub title: String,

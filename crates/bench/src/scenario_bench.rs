@@ -1,80 +1,111 @@
-//! The `BENCH_scenario.json` document written by `perf_smoke --scenario`:
-//! the city-scale scenario suite (ISSUE 10) — million-contact
-//! vehicular/pedestrian traces streamed through grid-accelerated contact
-//! detection, the DTN strategy ladder and TOUR forwarding end-to-end on
-//! those traces, plus the two heterogeneous-topology runs (Gnutella-style
-//! pub-sub under churn, generalized-hypercube routing under faults).
+//! The `BENCH_scenario.json` document written by `perf_smoke --scenario`,
+//! and the inputs it shares with the scenario tests in `tests/gates.rs`:
+//! million-contact vehicular/pedestrian city traces streamed through
+//! grid-accelerated contact detection, the DTN strategy ladder and TOUR
+//! forwarding end-to-end on those traces, plus the two
+//! heterogeneous-topology runs (Gnutella-style pub-sub under churn,
+//! generalized-hypercube routing under faults).
 //!
-//! As with every bench artifact in this workspace, the boolean `gates`
-//! decide exit codes — grid-vs-naive bitwise identity, trace
-//! well-formedness and replay determinism, slice-vs-EG DTN equality,
-//! serial-vs-parallel pub-sub identity — while contacts/s, bytes/contact,
-//! and delivery-ratio rows are informational (the CI box has one core; see
-//! SCENARIOS.md for the memory model and how to read the rows).
-//! `scripts/check.sh` greps the committed artifact for [`SCENARIO_SCHEMA`]
-//! freshness the same way it does for the other bench artifacts.
+//! Contacts/s, bytes/contact and delivery-ratio rows are informational (see
+//! SCENARIOS.md for the memory model and how to read them); the
+//! correctness checks on these inputs are tier-1 tests. `scripts/check.sh`
+//! greps the committed artifact for [`SCENARIO_SCHEMA`] freshness the same
+//! way it does for the other bench artifacts.
 
-use csn_core::distsim::{Neighborhood, Outbox, Protocol};
+use csn_core::distsim::{ChurnSchedule, Neighborhood, Outbox, Protocol};
 use csn_core::graph::{Graph, NodeId};
+use csn_core::mobility::scenario::CityScenario;
+use csn_core::mobility::stream::ContactStream;
+use csn_core::mobility::ContactEvent;
+use csn_core::temporal::{Contact, TimeUnit};
+use csn_core::trimming::forwarding::{
+    solve_forwarding_policy, ForwardingPolicy, LinearUtility, Relay,
+};
 use serde::Serialize;
 
 /// Schema tag of `BENCH_scenario.json`; bump on layout changes and
 /// regenerate the committed artifact in the same commit.
-pub const SCENARIO_SCHEMA: &str = "structura-bench-scenario-v1";
+pub const SCENARIO_SCHEMA: &str = "structura-bench-scenario-v2";
 
-/// The correctness gates of a scenario bench run. All must hold for the
-/// run to exit zero.
-#[derive(Serialize)]
-pub struct ScenarioGates {
-    /// Grid-indexed contact detection is bitwise-identical to the O(n²)
-    /// all-pairs scan, bounded and unbounded, at small n.
-    pub grid_matches_naive: bool,
-    /// Every generated trace is well-formed (events inside
-    /// `[0, duration]`, no per-pair overlap, canonical order) and replays
-    /// byte-identically per seed.
-    pub traces_well_formed_and_deterministic: bool,
-    /// The streaming discretization equals the materialize-then-discretize
-    /// path (same contact tuples) at small n.
-    pub stream_matches_materialized: bool,
-    /// The flat-slice DTN entry points equal the `TimeEvolvingGraph` forms
-    /// at small n, and `SnapshotCursor`/`TrackedCursor` walks over the
-    /// city EG equal per-step rebuilds and from-scratch structures.
-    pub slice_dtn_and_cursors_match: bool,
-    /// Delivery dominance on the city trace: epidemic delivers wherever
-    /// spray does, spray wherever direct does, and never later.
-    pub dtn_ladder_ordered: bool,
-    /// The TOUR policy solved from trace-estimated contact rates is
-    /// sound in every rate regime: each relay's forwarding window is one
-    /// contiguous interval, the set only shrinks once it has peaked, and
-    /// the terminal set is empty. (Monotone shrink from t = 0 — the
-    /// dense-regime special case — is recorded informationally in
-    /// [`TourRow::shrinks_monotonically`].)
-    pub forwarding_windows_contiguous: bool,
-    /// The trace met the scale floor for this run's node count.
-    pub contact_floor_met: bool,
-    /// Pub-sub under churn: serial and parallel runs bit-identical at
-    /// jobs ∈ {1, 2, 4, 7}, repeats bit-identical, conservation law holds.
-    pub pubsub_parallel_matches_serial: bool,
-    /// Generalized-hypercube routing: fault-free distributed Bellman–Ford
-    /// distances equal the feature-distance oracle, faulted runs are
-    /// deterministic and parallel-identical, and with fewer faults than
-    /// the profile distance some disjoint path always survives.
-    pub hypercube_routing_sound: bool,
+/// Seconds of simulated time in every scenario city trace.
+pub const CITY_DURATION: f64 = 180.0;
+
+/// Seconds per time unit when a city trace is discretized.
+pub const CITY_DT: f64 = 3.0;
+
+/// The utility TOUR forwarding is solved against: unit value, decaying to
+/// zero over 300 s.
+pub const TOUR_UTILITY: LinearUtility = LinearUtility { u0: 1.0, c: 1.0 / 300.0 };
+
+/// The city trace at `nodes` nodes: five eighths vehicles, the rest
+/// pedestrians, [`CITY_DURATION`] seconds, seed 42.
+pub fn city(nodes: usize) -> CityScenario {
+    let vehicles = nodes * 5 / 8;
+    CityScenario::new(vehicles, nodes - vehicles, CITY_DURATION, 42)
 }
 
-impl ScenarioGates {
-    /// Conjunction of all gates.
-    pub fn all_ok(&self) -> bool {
-        self.grid_matches_naive
-            && self.traces_well_formed_and_deterministic
-            && self.stream_matches_materialized
-            && self.slice_dtn_and_cursors_match
-            && self.dtn_ladder_ordered
-            && self.forwarding_windows_contiguous
-            && self.contact_floor_met
-            && self.pubsub_parallel_matches_serial
-            && self.hypercube_routing_sound
-    }
+/// Streams `city` straight into the flat, `(t, u, v)`-sorted, deduplicated
+/// contact slice the `*_over` DTN entry points take, never materializing
+/// the event vector or a `TimeEvolvingGraph`.
+pub fn discretize_flat(city: &CityScenario, dt: f64) -> Vec<Contact> {
+    let horizon = ((ContactStream::duration(city) / dt).ceil() as TimeUnit).max(1);
+    let mut flat: Vec<Contact> = Vec::new();
+    city.for_each_contact(&mut |e: ContactEvent| {
+        let first = (e.start / dt).floor() as TimeUnit;
+        let last_excl = ((e.end / dt).ceil() as TimeUnit).min(horizon);
+        let (u, v) = (e.u.min(e.v), e.u.max(e.v));
+        for t in first..last_excl {
+            flat.push(Contact { u, v, t });
+        }
+    });
+    flat.sort_unstable_by_key(|c| (c.t, c.u, c.v));
+    flat.dedup();
+    flat
+}
+
+/// The DTN ladder's source/destination pairs on an `n`-node trace: 48
+/// strided pairs, self-pairs dropped.
+pub fn dtn_queries(n: usize) -> Vec<(NodeId, NodeId)> {
+    (0..48).map(|q| ((q * 97) % n, (q * 193 + n / 2) % n)).filter(|&(s, d)| s != d).collect()
+}
+
+/// TOUR forwarding from contact rates estimated on `city`: node 0 sends to
+/// node 1, and each of nodes `2..34` that met both becomes a [`Relay`] with
+/// its per-second contact rates. Returns the relays and the policy solved
+/// against [`TOUR_UTILITY`].
+pub fn tour_policy(city: &CityScenario) -> (Vec<Relay>, ForwardingPolicy) {
+    let (src, dst, relay_count) = (0usize, 1usize, 32usize);
+    let mut from_src = vec![0usize; relay_count];
+    let mut to_dst = vec![0usize; relay_count];
+    let mut src_dst = 0usize;
+    city.for_each_contact(&mut |e: ContactEvent| {
+        let (a, b) = (e.u.min(e.v), e.u.max(e.v));
+        if (a, b) == (src, dst) {
+            src_dst += 1;
+            return;
+        }
+        // Count each relay's contacts at both roles.
+        for (end, other) in [(a, b), (b, a)] {
+            if let Some(slot) = other.checked_sub(2).filter(|&i| i < relay_count) {
+                if end == src {
+                    from_src[slot] += 1;
+                } else if end == dst {
+                    to_dst[slot] += 1;
+                }
+            }
+        }
+    });
+    let duration = ContactStream::duration(city);
+    let relays: Vec<Relay> = (0..relay_count)
+        .filter(|&i| from_src[i] > 0 && to_dst[i] > 0)
+        .map(|i| Relay {
+            rate_from_source: from_src[i] as f64 / duration,
+            rate_to_dest: to_dst[i] as f64 / duration,
+        })
+        .collect();
+    let direct = (src_dst as f64 / duration).max(1e-4);
+    let policy = solve_forwarding_policy(direct, &relays, TOUR_UTILITY, 0.02, 1.0);
+    (relays, policy)
 }
 
 /// The trace-construction row: how fast the city stream emits and what a
@@ -135,8 +166,8 @@ pub struct TourRow {
     pub set_at_deadline: usize,
     /// Whether sets shrink monotonically from t = 0 — true in the
     /// dense-contact regime, legitimately false for sparse traces where
-    /// the optimal set widens before collapsing (informational, not
-    /// gated; the gate is `forwarding_windows_contiguous`).
+    /// the optimal set widens before collapsing (informational; the
+    /// invariant every regime keeps is contiguous relay windows).
     pub shrinks_monotonically: bool,
 }
 
@@ -203,10 +234,6 @@ pub struct BenchScenario {
     pub git_rev: String,
     /// Hardware threads detected.
     pub detected_cores: usize,
-    /// Contact floor this run had to meet (scales with `--scenario-nodes`).
-    pub contact_floor: usize,
-    /// Correctness gates.
-    pub gates: ScenarioGates,
     /// Trace construction throughput.
     pub trace: TraceRow,
     /// DTN ladder rows (direct / spray / epidemic) on the city trace.
@@ -224,7 +251,7 @@ pub struct BenchScenario {
 /// Topic-flood pub-sub: nodes `0..topics` each publish one topic at round
 /// zero; every node subscribes to topic `u % topics` and forwards each
 /// topic bitmask bit at most once (dedup flood). State is
-/// `(received_mask, forwarded_mask)` — `Copy`, so gate comparisons are
+/// `(received_mask, forwarded_mask)` — `Copy`, so state comparisons are
 /// cheap and rounds are allocation-free after warmup.
 pub struct PubSub {
     /// Topic count (also the publisher count; must be ≤ 32).
@@ -261,6 +288,12 @@ impl Protocol for PubSub {
 }
 
 impl PubSub {
+    /// `schedule` with every publisher (nodes `0..topics`) kept alive, so
+    /// churn never removes a topic's only source.
+    pub fn protect_publishers(&self, schedule: ChurnSchedule) -> ChurnSchedule {
+        (0..self.topics).fold(schedule, ChurnSchedule::protect)
+    }
+
     /// Fraction of nodes holding their subscribed topic (`u % topics`) in
     /// `states` — the delivery ratio a churn schedule degrades.
     pub fn delivery_ratio(&self, states: &[(u32, u32)]) -> f64 {

@@ -10,8 +10,8 @@
 //! # The ε-agreement gate
 //!
 //! Approximation code is only trustworthy relative to the exact kernels, so
-//! this module is gated two ways (property tests in `scale_props.rs` plus
-//! the `perf_smoke --scale` gates):
+//! this module is gated two ways (property tests in `scale_props.rs` and
+//! this module's unit tests):
 //!
 //! 1. **Full sampling degenerates exactly.** With `samples >= n` the source
 //!    set is `0..n` in order and the rescale factor is exactly `1.0`, so

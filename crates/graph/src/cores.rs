@@ -26,7 +26,8 @@
 //! one of mean degree 4; it won only on a 120-node fragmented trace, by
 //! under 1 µs per step.
 //! [`core_numbers`] is also the oracle the twin is gated against, bit for
-//! bit, in unit tests, in `maintain_props`, and in the `perf_smoke` binary.
+//! bit, in unit tests, in `maintain_props`, and in `csn-bench`'s
+//! `gates::scenario::slice_dtn_and_cursors_match` on a city trace.
 
 use crate::graph::{Graph, NodeId};
 use crate::view::GraphView;

@@ -36,8 +36,9 @@
 //! Reuse is **observationally invisible**: the `_into` kernels produce
 //! results bit-identical to the fresh-allocation wrappers
 //! ([`crate::centrality::brandes_delta`], [`crate::traversal::bfs_distances`],
-//! …), a property pinned down by the `scratch_props` property-test suite and
-//! the `perf_smoke` gate in `csn-bench`.
+//! …), a property pinned down by the `scratch_props` property-test suite
+//! (per-source reuse, and the fresh-alloc Brandes sum against the serial and
+//! parallel drivers).
 //!
 //! # Examples
 //!

@@ -32,7 +32,8 @@
 //! O(1) for [`KleinbergStream`]. No per-node `Vec` is ever allocated.
 //! Throughput (edges/s built per generator) is recorded by
 //! `perf_smoke --scale` in the committed `BENCH_scale.json`; see SCALING.md
-//! for how to read it.
+//! for how to read it. Model invariants, seed replay and equality with the
+//! adjacency-list generators are property tests in `scale_props.rs`.
 //!
 //! # Examples
 //!

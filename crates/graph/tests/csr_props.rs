@@ -36,6 +36,7 @@ proptest! {
     fn generic_kernels_identical_on_csr(g in arb_graph(32)) {
         let frozen = g.freeze().unwrap();
         prop_assert_eq!(traversal::bfs_distances(&g, 0), traversal::bfs_distances(&frozen, 0));
+        prop_assert_eq!(traversal::all_pairs_bfs(&g), traversal::all_pairs_bfs(&frozen));
         prop_assert_eq!(traversal::dfs_preorder(&g, 0), traversal::dfs_preorder(&frozen, 0));
         prop_assert_eq!(
             traversal::connected_components(&g),

@@ -87,7 +87,17 @@ proptest! {
         let bc = centrality::betweenness_centrality(&g);
         let cc = centrality::closeness_centrality(&g);
         let bfs = traversal::all_pairs_bfs(&g);
-        for jobs in [1usize, 2, 4, 7] {
+        // The fresh-alloc path: one `brandes_delta` (and one scratch) per
+        // source, summed and halved, lands on the scratch-reusing result.
+        let mut fresh = vec![0.0f64; g.node_count()];
+        for s in 0..g.node_count() {
+            for (b, d) in fresh.iter_mut().zip(&centrality::brandes_delta(&g, s)) {
+                *b += d;
+            }
+        }
+        fresh.iter_mut().for_each(|b| *b /= 2.0);
+        prop_assert_eq!(&fresh, &bc);
+        for jobs in [1usize, 2, 4, 7, csn_parallel::available_parallelism()] {
             prop_assert_eq!(&bc, &parallel::betweenness_par(&g, jobs));
             prop_assert_eq!(&cc, &parallel::closeness_par(&g, jobs));
             prop_assert_eq!(&bfs, &parallel::all_pairs_bfs_par(&g, jobs));

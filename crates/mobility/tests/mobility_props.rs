@@ -108,5 +108,11 @@ proptest! {
         let eg = stream.to_time_evolving_graph(1.0);
         let eg_via_trace = m.simulate(duration, seed).to_time_evolving_graph(1.0);
         prop_assert_eq!(eg.contacts(), eg_via_trace.contacts());
+        // The composed city stream discretizes like its materialized trace.
+        let city = CityScenario::new(n, n / 2, duration, seed);
+        let eg = city.to_time_evolving_graph(3.0);
+        let eg_via_trace = city.collect_trace().to_time_evolving_graph(3.0);
+        prop_assert_eq!(eg.contacts(), eg_via_trace.contacts());
+        prop_assert_eq!(eg.horizon(), eg_via_trace.horizon());
     }
 }

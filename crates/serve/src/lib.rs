@@ -22,8 +22,6 @@
 //!   query streams from millions of synthetic users.
 //! * [`temporal`] — [`earliest_arrival_via_cursor`]: journey answering by
 //!   snapshot-cursor sweep, equal to the heap-based oracle.
-//! * [`mod@bench`] — latency percentiles and the batched QPS request-loop
-//!   behind `BENCH_serve.json`.
 //! * [`trace`] — [`standard_trace`]: the committed replay gate.
 //!
 //! There is no real networking: the "server" is a deterministic
@@ -49,7 +47,6 @@
 //! assert_eq!(serve_batched(&idx, &queries, 4, 2), serial);
 //! ```
 
-pub mod bench;
 pub mod index;
 pub mod query;
 pub mod shard;

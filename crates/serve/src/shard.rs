@@ -7,8 +7,9 @@
 //! scattered back to request positions. Because every answer is a pure
 //! function of `(index, query)` and the pool returns results in task order,
 //! [`serve_batched`] is **bit-identical** to [`serve_serial`] at any
-//! `(shards, jobs)` — the `perf_smoke --serve` gate and the `serve_props`
-//! suite hold this equality at jobs ∈ {1, 2, 4, 7}.
+//! `(shards, jobs)` — `serve_props::batched_serving_is_bitwise_serial_at_any_jobs`
+//! holds this equality, journeys included, at jobs ∈ {1, 2, 4, 7} and the
+//! detected core count.
 //!
 //! # Performance
 //!
@@ -17,8 +18,8 @@
 //! means zero allocation on the hot path after warm-up. The merge is a
 //! single `O(q)` scatter. With one physical core (the CI box) the batched
 //! path still runs — it just degenerates to the serial loop plus queueing
-//! overhead, which is why `BENCH_serve.json` wall-times are informational
-//! while the equality gates decide the exit code.
+//! overhead, which is why serving wall times are informational there
+//! while the equality tests are the gate.
 
 use crate::index::{ServeIndex, ServeScratch};
 use crate::query::{Query, Response};

@@ -5,8 +5,9 @@
 //! [`SnapshotCursor`] forward — `O(Δ_t)` edge
 //! deltas per step plus one BFS closure per visited time unit — instead of
 //! running the heap-based oracle `csn_temporal::journey::earliest_arrival`
-//! over the whole contact multiset per query. The two agree exactly (the
-//! `serve_props` suite and the `perf_smoke --serve` gate compare them): a
+//! over the whole contact multiset per query. The two agree exactly (this
+//! module's tests and `index.rs`'s `journey_answers_match_the_heap_oracle`
+//! compare them): a
 //! node arrives by time `t` iff it is in the snapshot-`G_t` closure of the
 //! already-arrived set, because transmission within a time unit is
 //! instantaneous (equal labels chain) and labels along a journey are

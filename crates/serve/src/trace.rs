@@ -1,7 +1,6 @@
 //! The standard query trace: a fixed small serving scenario rendered to
-//! canonical text, committed at `tests/snapshots/serve_trace.txt` and
-//! replayed byte-identically by three consumers — the `trace_replay`
-//! integration test, the `perf_smoke --serve` gate, and
+//! canonical text, committed at `tests/snapshots/serve_trace.txt`, replayed
+//! byte-identically by the `trace_replay` integration test and printed by
 //! `structurad --replay`. Any behavioural drift anywhere in the serving
 //! stack (landmark selection, index tables, workload generation, cursor
 //! journeys, response rendering) shows up as a diff against the committed

@@ -10,8 +10,8 @@
 //! permutation so hot users scatter across id space, and query *targets*
 //! drawn from a second Zipf over node popularity ranks. Everything is a
 //! pure function of `(config, node_count)`: the same seed replays the same
-//! query stream byte for byte, which is what lets `BENCH_serve.json` runs
-//! and the determinism gates share a workload.
+//! query stream byte for byte, which is what lets `structurad` runs, the
+//! benchmark's serve workloads and the determinism tests share a workload.
 
 use crate::query::Query;
 use csn_temporal::TimeUnit;

@@ -1,13 +1,15 @@
 //! Property tests for the query-serving layer: landmark bounds sandwich
-//! exact distances on arbitrary graphs, the exact-fallback path equals BFS
+//! exact distances on arbitrary graphs, both from the bare landmark index
+//! and as served `Distance` answers, the exact-fallback path equals BFS
 //! ground truth, the sharded batched read path is bitwise identical to
-//! serial at several worker counts, and the Zipf workload generator is a
-//! pure function of its seed.
+//! serial at several worker counts, journeys included, and the Zipf
+//! workload generator is a pure function of its seed.
 
 use csn_graph::{traversal, Graph, LandmarkIndex};
 use csn_serve::{
     serve_batched, serve_serial, Query, Response, ServeConfig, ServeIndex, WorkloadConfig,
 };
+use csn_temporal::markovian::EdgeMarkovian;
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph as an edge list over `n` nodes
@@ -38,6 +40,9 @@ proptest! {
     ) {
         let n = g.node_count();
         let idx = LandmarkIndex::build(&g, k, seed);
+        let cfg = ServeConfig { landmarks: k, landmark_seed: seed, ..ServeConfig::default() };
+        let served = ServeIndex::build(g.clone(), &cfg);
+        let mut scratch = served.scratch();
         for u in 0..n {
             let truth = traversal::bfs_distances(&g, u);
             for v in 0..n {
@@ -47,6 +52,13 @@ proptest! {
                     b.lower <= exact && exact <= b.upper,
                     "[{}, {}] misses d({u},{v}) = {exact}", b.lower, b.upper
                 );
+                match served.answer(&Query::Distance { u, v }, &mut scratch) {
+                    Response::Bounds { lower, upper } => prop_assert!(
+                        lower <= exact && exact <= upper,
+                        "served [{}, {}] misses d({u},{v}) = {exact}", lower, upper
+                    ),
+                    other => prop_assert!(false, "unexpected response {:?}", other),
+                }
             }
         }
     }
@@ -77,19 +89,29 @@ proptest! {
         g in arb_graph(50),
         wl_seed in 0u64..1000,
         shards in 1usize..40,
+        journey_horizon in 0u32..12,
     ) {
         let n = g.node_count();
-        let idx = ServeIndex::build(g, &ServeConfig { landmarks: 4, ..ServeConfig::default() });
+        let mut idx =
+            ServeIndex::build(g, &ServeConfig { landmarks: 4, ..ServeConfig::default() });
+        // A positive horizon attaches an edge-Markovian temporal store, so
+        // journeys are answered from each worker's own snapshot cursor; at
+        // zero they fold into exact distances.
+        if journey_horizon > 0 {
+            let trace = EdgeMarkovian::new(n, 0.4, 4.0 / n as f64).generate(journey_horizon, wl_seed);
+            idx = idx.with_temporal(trace);
+        }
         let wl = WorkloadConfig {
             queries: 300,
             users: 5_000,
             seed: wl_seed,
             safety_space: 1usize << idx.safety_dims(),
+            journey_horizon,
             ..WorkloadConfig::default()
         }
         .generate(n);
         let serial = serve_serial(&idx, &wl.queries);
-        for jobs in [1usize, 2, 4, 7] {
+        for jobs in [1usize, 2, 4, 7, csn_parallel::available_parallelism()] {
             prop_assert_eq!(
                 &serve_batched(&idx, &wl.queries, shards, jobs),
                 &serial,

@@ -43,10 +43,12 @@
 //! the cursor applies each delta once, and every maintainer reads its
 //! snapshot. Every maintainer counts the nodes it touches
 //! ([`StructureMaintainer::touched_nodes`]), so each cost is *verifiable*:
-//! `perf_smoke` records in `BENCH_kernels.json` (its `maintain` block) that
-//! the forwarding sweep touches strictly fewer nodes than per-`t` rebuilds
-//! and the cores and NSF sweeps no more, which matters on a 1-core CI box
-//! where wall-clock alone is noisy.
+//! `csn-bench`'s `gates::kernels::maintain_fewer_touches` test asserts that
+//! on a sparse trace the forwarding sweep touches strictly fewer nodes than
+//! per-`t` rebuilds and the cores and NSF sweeps no more, `perf_smoke`
+//! records the counts in `BENCH_kernels.json` (its `maintain` block), and
+//! `scripts/check.sh` fails when they drift from the committed file. That
+//! matters on a 1-core CI box where wall-clock alone is noisy.
 //!
 //! # Examples
 //!

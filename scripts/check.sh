@@ -22,6 +22,9 @@ cargo test --workspace --offline -q
 echo "==> cargo test -p csn-distsim --release (misroute validation without debug asserts)"
 cargo test -p csn-distsim --release --offline -q
 
+echo "==> cargo test -p csn-bench --release --test gates (the fixed-size correctness tests in a release build)"
+cargo test -p csn-bench --release --offline -q --test gates
+
 echo "==> experiments capture (serial stdout == committed experiments_output.txt; --jobs 2 stdout == serial)"
 for jobs in 1 2; do
   cargo run -p csn-bench --release --offline --quiet --bin experiments -- --jobs "$jobs" \
@@ -40,10 +43,9 @@ if ! diff -u target/experiments_jobs1_check.txt target/experiments_jobs2_check.t
   exit 1
 fi
 
-# Schema freshness. Must run BEFORE the smokes regenerate the files: each
-# committed artifact has to carry the schema version its writer source
-# currently writes. Columns: artifact, writer source, perf_smoke flag that
-# regenerates it.
+# Schema freshness: each committed artifact has to carry the schema version
+# its writer source currently writes. Columns: artifact, writer source,
+# perf_smoke flag that regenerates it.
 checked=" "
 while read -r artifact writer flag; do
   echo "==> $artifact schema freshness"
@@ -58,9 +60,8 @@ while read -r artifact writer flag; do
     exit 1
   fi
 done <<'ARTIFACTS'
-BENCH_kernels.json crates/bench/src/bin/perf_smoke.rs
+BENCH_kernels.json crates/bench/src/kernels_bench.rs
 BENCH_scale.json crates/bench/src/bin/perf_smoke.rs --scale
-BENCH_serve.json crates/bench/src/serve_bench.rs --serve
 BENCH_distsim.json crates/bench/src/distsim_bench.rs --distsim
 BENCH_scenario.json crates/bench/src/scenario_bench.rs --scenario
 ARTIFACTS
@@ -73,27 +74,30 @@ for artifact in BENCH_*.json; do
   fi
 done
 
-echo "==> perf smoke (frozen/scratch/parallel/cursor kernels bit-identical; maintainers equal scratch, forwarding with strictly fewer counted touches than rebuilds, cores + NSF with no more; timings and touches to BENCH_kernels.json)"
-cargo run -p csn-bench --release --offline --quiet --bin perf_smoke
-
-echo "==> scale smoke (small-n: streamed CSR + sampled-kernel ε-gates; committed BENCH_scale.json untouched)"
+echo "==> perf smoke (kernel timings and counted-touch maintain rows; the maintain touch counts must equal the committed BENCH_kernels.json)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --scale --scale-nodes 20000 --scale-out target/BENCH_scale_check.json
+  --out target/BENCH_kernels_check.json
+touches() { grep -E '"(structure|rebuild_node_touches|incremental_node_touches)"' "$1"; }
+if ! diff -u <(touches BENCH_kernels.json) <(touches target/BENCH_kernels_check.json); then
+  echo "FAIL: maintain touch counts differ from the committed BENCH_kernels.json" >&2
+  echo "      if the change is intended, regenerate with: cargo run -p csn-bench --release --bin perf_smoke" >&2
+  exit 1
+fi
 
-echo "==> serve smoke (small-n: landmark sandwich + exact-fallback + batched==serial + trace replay; committed BENCH_serve.json untouched)"
+echo "==> scale smoke (small-n rows: streamed generators, frozen-form memory, sampled kernels)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --serve --serve-nodes 4000 --serve-out target/BENCH_serve_check.json
+  --scale --scale-nodes 20000 --out target/BENCH_scale_check.json
 
-echo "==> distsim smoke (small-n: parallel rounds bitwise == serial for flood/BF/MIS/CDS + faulted determinism; committed BENCH_distsim.json untouched)"
+echo "==> distsim smoke (small-n rows: flood, Bellman-Ford, MIS and CDS marking throughput)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --distsim --distsim-nodes 2000 --distsim-out target/BENCH_distsim_check.json
+  --distsim --distsim-nodes 2000 --out target/BENCH_distsim_check.json
 
-echo "==> scenario smoke (small-n: grid==naive contact detection, trace well-formedness, slice DTN == EG DTN, pub-sub + hypercube under faults; committed BENCH_scenario.json untouched)"
+echo "==> scenario smoke (small-n rows: city trace, DTN ladder, TOUR, tracking, pub-sub and hypercube under faults)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
   --scenario --scenario-nodes 220 --scenario-pubsub-nodes 3000 \
-  --scenario-out target/BENCH_scenario_check.json
+  --out target/BENCH_scenario_check.json
 
 echo "==> benchmark package (its own fmt, clippy, tests and a smoke run of all five workloads, built against the library API)"
 bash benchmark/check.sh
 
-echo "OK: fmt, clippy, doc, test, experiments capture, perf smoke, scale smoke, serve smoke, distsim smoke, scenario smoke, benchmark all clean"
+echo "OK: fmt, clippy, doc, test, release gates, experiments capture, perf smoke + touch counts, scale smoke, distsim smoke, scenario smoke, benchmark all clean"
