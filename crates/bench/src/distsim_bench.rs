@@ -41,7 +41,7 @@ pub struct ProtocolRow {
     pub rounds_per_sec: f64,
     /// `messages / wall_secs`.
     pub messages_per_sec: f64,
-    /// Simulator heap after the run (queues, arenas, graph, contexts).
+    /// Simulator heap after the run (queues, arenas, graph).
     pub sim_heap_bytes: usize,
     /// `sim_heap_bytes / nodes` — the DISTSIM.md memory-model headline.
     pub bytes_per_node: f64,

@@ -44,7 +44,8 @@ pub struct TopologyDelta {
     pub remove: Vec<(NodeId, NodeId)>,
 }
 
-/// A scheduled fault event, applied at the start of its round.
+/// A scheduled fault event, applied at the start of its round; one naming
+/// a node outside the graph is skipped ([`crate::RunStats::rejected_events`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// The node stops executing rounds; its queued messages are shed and
@@ -53,8 +54,8 @@ pub enum FaultEvent {
     /// The node rejoins with a fresh [`crate::Protocol::init`] state and
     /// empty queues (crash-recover with state loss).
     Recover(NodeId),
-    /// The topology is rewired; affected [`crate::Neighborhood`]s are
-    /// rebuilt incrementally.
+    /// The topology is rewired: removals first, then additions. Every
+    /// later [`crate::Neighborhood`] borrows the rewired rows.
     Delta(TopologyDelta),
 }
 

@@ -35,8 +35,8 @@
 //!   events ([`ChurnSchedule`]): crashed nodes skip rounds and shed their
 //!   queues; recovered nodes rejoin with a fresh [`Protocol::init`] state;
 //! * **dynamic topology** — [`FaultEvent::Delta`] events (or direct
-//!   [`Simulator::apply_delta`] calls) rewire the owned graph and rebuild
-//!   the affected [`Neighborhood`]s incrementally; [`snapshot_delta_events`]
+//!   [`Simulator::apply_delta`] calls) rewire the owned graph, whose rows
+//!   every later [`Neighborhood`] borrows; [`snapshot_delta_events`]
 //!   streams the deltas of a [`csn_temporal::SnapshotCursor`] so protocols
 //!   run over the same time-evolving traces the trimming experiments use.
 //!
@@ -45,7 +45,9 @@
 //! being delivered (which would violate the LOCAL model). In debug builds a
 //! misroute on a *static* topology additionally asserts, since there it is
 //! always a protocol bug; once churn or deltas have fired, stale sends to
-//! departed neighbors are expected and only counted.
+//! departed neighbors are expected and only counted. A fault event naming a
+//! node outside the graph is skipped and counted in
+//! [`RunStats::rejected_events`].
 //!
 //! Every fault decision derives from [`FaultModel::seed`] in a fixed order
 //! — ascending receiver, messages in canonical send order — so a faulted
@@ -116,16 +118,22 @@ pub mod reliable;
 pub use fault::{snapshot_delta_events, ChurnSchedule, FaultEvent, FaultModel, TopologyDelta};
 pub use reliable::{stats_with_overhead, Reliable, ReliableMsg, ReliableOverhead, ReliableState};
 
-use queue::{FlatInbox, RouteScratch, Transmit, WaveSeg, WorkerOutbox, NONE};
+use queue::{FlatInbox, RouteScratch, Transmit, WaveSeg, WorkerOutbox};
 
-/// What a node sees locally: its id, its neighbors, and priorities.
-#[derive(Debug, Clone)]
-pub struct Neighborhood {
+/// What a node sees locally: its id and its neighbors, borrowed from the
+/// simulator's graph for the duration of one [`Protocol`] call.
+#[derive(Debug, Clone, Copy)]
+pub struct Neighborhood<'a> {
     node: NodeId,
-    neighbors: Vec<NodeId>,
+    neighbors: &'a [NodeId],
 }
 
-impl Neighborhood {
+impl<'a> Neighborhood<'a> {
+    /// Node `u`'s view of `graph`.
+    fn of(graph: &'a Graph, u: NodeId) -> Self {
+        Neighborhood { node: u, neighbors: graph.neighbors(u) }
+    }
+
     /// The node's own id (distinct ids double as priorities for symmetry
     /// breaking, as the paper assumes).
     pub fn id(&self) -> NodeId {
@@ -134,8 +142,8 @@ impl Neighborhood {
 
     /// Open neighborhood (adjacent nodes), reflecting the *current*
     /// topology under churn or deltas.
-    pub fn neighbors(&self) -> &[NodeId] {
-        &self.neighbors
+    pub fn neighbors(&self) -> &'a [NodeId] {
+        self.neighbors
     }
 
     /// Degree.
@@ -144,7 +152,7 @@ impl Neighborhood {
     }
 
     /// Closed neighborhood iterator (neighbors plus the node itself).
-    pub fn closed_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn closed_neighbors(&self) -> impl Iterator<Item = NodeId> + 'a {
         self.neighbors.iter().copied().chain(std::iter::once(self.node))
     }
 }
@@ -265,14 +273,14 @@ pub trait Protocol: Sync {
     /// Initial state of node `u` (round 0 happens after init; nodes may
     /// inspect their 1-hop neighborhood, which radio neighbors know from
     /// hello exchanges). Also invoked when a crashed node recovers.
-    fn init(&self, u: NodeId, ctx: &Neighborhood) -> Self::State;
+    fn init(&self, u: NodeId, ctx: &Neighborhood<'_>) -> Self::State;
 
     /// One round at node `u`.
     fn round(
         &self,
         u: NodeId,
         state: &mut Self::State,
-        ctx: &Neighborhood,
+        ctx: &Neighborhood<'_>,
         inbox: &[(NodeId, Self::Msg)],
         out: &mut Outbox<'_, Self::Msg>,
     );
@@ -324,6 +332,9 @@ pub struct RunStats {
     pub shed: usize,
     /// Unicasts to non-neighbors, rejected by validation in all builds.
     pub misrouted: usize,
+    /// Crash or recover events of a node `>= n`, and delta edges with an
+    /// endpoint `>= n` or `u == v` (one per edge), skipped in all builds.
+    pub rejected_events: usize,
     /// Retransmissions performed by a [`Reliable`] adapter (filled by
     /// [`stats_with_overhead`]; the raw simulator leaves it 0).
     pub retransmissions: usize,
@@ -348,11 +359,12 @@ fn wave_size(n: usize, jobs: usize) -> usize {
 /// The synchronous simulator.
 ///
 /// Owns its working copy of the graph so scheduled [`FaultEvent::Delta`]s
-/// and [`Simulator::apply_delta`] can rewire it mid-run.
+/// and [`Simulator::apply_delta`] can rewire it mid-run. That copy is the
+/// only adjacency it keeps: each [`Neighborhood`] handed to a protocol
+/// borrows the node's row of it.
 pub struct Simulator<'p, P: Protocol> {
     graph: Graph,
     protocol: &'p P,
-    contexts: Vec<Neighborhood>,
     states: Vec<P::State>,
     alive: Vec<bool>,
     inbox: FlatInbox<P::Msg>,
@@ -384,17 +396,14 @@ impl<'p, P: Protocol> Simulator<'p, P> {
     }
 
     /// [`Simulator::with_faults`] taking ownership of the graph — at
-    /// million-node scale this avoids holding two copies of the adjacency
-    /// lists (the simulator needs its own mutable copy for topology deltas
-    /// either way).
+    /// million-node scale this avoids the caller and the simulator each
+    /// holding a copy of the adjacency lists (the simulator needs its own
+    /// mutable copy for topology deltas either way).
     pub fn with_faults_owned(graph: Graph, protocol: &'p P, mut faults: FaultModel) -> Self {
         let n = graph.node_count();
         assert!(n <= u32::MAX as usize, "simulator node ids must fit in u32");
-        let contexts: Vec<Neighborhood> = graph
-            .nodes()
-            .map(|u| Neighborhood { node: u, neighbors: graph.neighbors(u).to_vec() })
-            .collect();
-        let states = contexts.iter().map(|c| protocol.init(c.node, c)).collect();
+        let states =
+            graph.nodes().map(|u| protocol.init(u, &Neighborhood::of(&graph, u))).collect();
         faults.schedule.sort_by_key(|(round, _)| *round);
         let edge_drop = faults
             .edge_drop
@@ -406,7 +415,6 @@ impl<'p, P: Protocol> Simulator<'p, P> {
         Simulator {
             graph,
             protocol,
-            contexts,
             states,
             alive: vec![true; n],
             inbox,
@@ -500,8 +508,8 @@ impl<'p, P: Protocol> Simulator<'p, P> {
         self.next_event < self.faults.schedule.len()
     }
 
-    /// Heap bytes owned by the simulator's queues, scratch arenas, graph,
-    /// and neighborhoods, plus the inline size of the state array. Heap
+    /// Heap bytes owned by the simulator's queues, scratch arenas and
+    /// graph, plus the inline size of the state array. Heap
     /// owned *behind* `Protocol::State` / `Protocol::Msg` payloads (e.g. a
     /// state's `HashMap`) is not traversed — this measures the simulator's
     /// own footprint, the DISTSIM.md bytes/node model.
@@ -512,12 +520,6 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             .map(|u| std::mem::size_of_val(self.graph.neighbors(u)))
             .sum::<usize>()
             + self.graph.node_count() * std::mem::size_of::<Vec<NodeId>>();
-        let ctx_bytes: usize = self
-            .contexts
-            .iter()
-            .map(|c| c.neighbors.capacity() * std::mem::size_of::<NodeId>())
-            .sum::<usize>()
-            + self.contexts.capacity() * std::mem::size_of::<Neighborhood>();
         let delayed_bytes: usize = self
             .delayed
             .iter()
@@ -527,7 +529,6 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             + self.delayed_tmp.capacity() * std::mem::size_of::<(NodeId, P::Msg)>();
         let outbox_bytes: usize = self.worker_outboxes.iter().map(WorkerOutbox::heap_bytes).sum();
         graph_bytes
-            + ctx_bytes
             + delayed_bytes
             + outbox_bytes
             + self.inbox.heap_bytes()
@@ -548,28 +549,22 @@ impl<'p, P: Protocol> Simulator<'p, P> {
         self.states = states;
     }
 
-    /// Rewires the topology immediately, rebuilding the [`Neighborhood`]s
-    /// of affected nodes only. Scheduled [`FaultEvent::Delta`]s go through
-    /// the same path.
+    /// Rewires the topology immediately: removals first, then additions.
+    /// Every later [`Neighborhood`] reads the rewired rows. Scheduled
+    /// [`FaultEvent::Delta`]s go through the same path. An edge with an
+    /// endpoint outside the graph or with `u == v` is skipped and counted
+    /// in [`RunStats::rejected_events`].
     pub fn apply_delta(&mut self, delta: &TopologyDelta) {
         self.topology_dirty = true;
-        let mut touched = Vec::with_capacity(2 * (delta.add.len() + delta.remove.len()));
-        for &(u, v) in &delta.remove {
-            if self.graph.remove_edge(u, v) {
-                touched.push(u);
-                touched.push(v);
-            }
+        let n = self.graph.node_count();
+        let valid = |&&(u, v): &&(NodeId, NodeId)| u < n && v < n && u != v;
+        let invalid = delta.remove.iter().chain(&delta.add).filter(|e| !valid(e)).count();
+        self.stats.rejected_events += invalid;
+        for &(u, v) in delta.remove.iter().filter(valid) {
+            self.graph.remove_edge(u, v);
         }
-        for &(u, v) in &delta.add {
-            if self.graph.add_edge(u, v) {
-                touched.push(u);
-                touched.push(v);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for u in touched {
-            self.contexts[u].neighbors = self.graph.neighbors(u).to_vec();
+        for &(u, v) in delta.add.iter().filter(valid) {
+            self.graph.add_edge(u, v);
         }
     }
 
@@ -584,6 +579,9 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             self.next_event += 1;
             fired = true;
             match event {
+                FaultEvent::Crash(u) | FaultEvent::Recover(u) if u >= self.graph.node_count() => {
+                    self.stats.rejected_events += 1;
+                }
                 FaultEvent::Crash(u) => {
                     if self.alive[u] {
                         self.alive[u] = false;
@@ -598,7 +596,7 @@ impl<'p, P: Protocol> Simulator<'p, P> {
                 FaultEvent::Recover(u) => {
                     if !self.alive[u] {
                         self.alive[u] = true;
-                        self.states[u] = self.protocol.init(u, &self.contexts[u]);
+                        self.states[u] = self.protocol.init(u, &Neighborhood::of(&self.graph, u));
                     }
                 }
                 FaultEvent::Delta(delta) => self.apply_delta(&delta),
@@ -629,30 +627,30 @@ impl<'p, P: Protocol> Simulator<'p, P> {
     ///    `jobs == 1` (the default) this degenerates to an inline loop on
     ///    the calling thread.
     /// 2. **Canonical merge (serial).** Segments are replayed in wave
-    ///    order — which is sender-ascending, emission-order-within-sender,
-    ///    regardless of which worker ran which wave or of the wave width —
-    ///    building per-receiver delivery chains. This is the
-    ///    `betweenness_par` wave-ordered-merge trick applied to messages.
+    ///    order — sender-ascending, emission order within a sender, whatever
+    ///    worker ran a wave and however wide it was — through a stable
+    ///    counting sort by receiver, which leaves each receiver's messages
+    ///    in one contiguous range in that order: the `betweenness_par`
+    ///    wave-ordered-merge trick applied to messages.
     /// 3. **Delivery (serial).** Receivers are visited in ascending order;
     ///    per receiver, delayed messages are re-examined first (queue
-    ///    order), then fresh messages in chain order. Every fault RNG draw
+    ///    order), then the fresh messages of its range. Every fault RNG draw
     ///    therefore happens in exactly the serial order, so loss, delay,
     ///    duplication, reorder shuffles, and churn interact bit-identically
     ///    at any job count.
     /// 4. **Accounting.** Per-wave `sent`/`misrouted` counters are summed
     ///    in wave order.
     ///
-    /// All message storage is epoch-stamped flat arenas reused across
-    /// rounds (the flat arenas of the private `queue` module): after
-    /// warmup, a round of a `Copy`-message
-    /// protocol (e.g. a 1M-node flood) performs no per-message heap
-    /// allocation — the only per-round allocations are O(waves) scheduler
-    /// bookkeeping and the pool's result slots. Messages with owned
-    /// payloads (`Vec`, etc.) still clone per delivered copy.
-    ///
-    /// The CI box is 1-core, so committed benches record wall clock per
-    /// `detected_cores` without asserting speedups; bit-identity across
-    /// `jobs` is the gate (see `BENCH_distsim.json` and DISTSIM.md).
+    /// All message storage is flat arenas reused across rounds (the
+    /// private `queue` module), and each node's [`Neighborhood`] borrows
+    /// its row of the simulator's graph: after warmup, a round of a
+    /// `Copy`-message protocol (e.g. a 1M-node flood) performs no
+    /// per-message heap allocation — the only per-round allocations are
+    /// O(waves) scheduler bookkeeping and the pool's result slots.
+    /// Messages with owned payloads (`Vec`, etc.) still clone per
+    /// delivered copy.
+    /// Bit-identity across `jobs` is tested; speed is only recorded (see
+    /// `BENCH_distsim.json` and DISTSIM.md).
     pub fn step(&mut self) -> usize {
         self.apply_due_events();
         let n = self.graph.node_count();
@@ -674,7 +672,7 @@ impl<'p, P: Protocol> Simulator<'p, P> {
                 outboxes.iter_mut().take(workers).map(Mutex::new).collect();
             let chunks: Vec<Mutex<&mut [P::State]>> =
                 self.states.chunks_mut(wave.max(1)).map(Mutex::new).collect();
-            let contexts = &self.contexts;
+            let graph = &self.graph;
             let alive = &self.alive;
             let inbox = &self.inbox;
             let protocol = self.protocol;
@@ -693,18 +691,18 @@ impl<'p, P: Protocol> Simulator<'p, P> {
                         if !alive[u] {
                             continue;
                         }
-                        let ctx = &contexts[u];
+                        let ctx = Neighborhood::of(graph, u);
                         let mut out = Outbox {
                             sink: Sink::Direct {
                                 from: u as u32,
-                                neighbors: &ctx.neighbors,
+                                neighbors: ctx.neighbors,
                                 topology_dirty,
                                 stream: &mut ob.stream,
                                 sent: &mut sent,
                                 misrouted: &mut misrouted,
                             },
                         };
-                        protocol.round(u, &mut chunk[u - base], ctx, inbox.get(u), &mut out);
+                        protocol.round(u, &mut chunk[u - base], &ctx, inbox.get(u), &mut out);
                     }
                     assert!(ob.stream.len() <= u32::MAX as usize, "outbox stream overflow");
                     let seg_end = ob.stream.len() as u32;
@@ -724,11 +722,10 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             "every wave must produce exactly one segment"
         );
 
-        // --- Phase 2: canonical merge. Wave order == sender order, so the
-        // per-receiver chains list messages exactly as the serial
-        // simulator's outgoing queues would.
+        // --- Phase 2: canonical merge. Wave order == sender order, so a
+        // stable counting sort by receiver lists each receiver's messages
+        // exactly as the serial simulator's outgoing queues would.
         let mut route = std::mem::take(&mut self.route);
-        route.begin(n);
         self.seg_order.clear();
         self.seg_order.resize(n_waves, (0, 0));
         for (w, ob) in outboxes.iter().enumerate() {
@@ -737,25 +734,24 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             }
         }
         let mut sent = 0usize;
-        for &(w, si) in self.seg_order.iter() {
-            let ob = &outboxes[w as usize];
-            let seg = ob.segs[si as usize];
+        for &(w, si) in &self.seg_order {
+            let seg = outboxes[w as usize].segs[si as usize];
             sent += seg.sent as usize;
             self.stats.misrouted += seg.misrouted as usize;
-            for j in seg.start..seg.end {
-                route.append(ob.stream[j as usize].to as usize, w, j);
-            }
         }
-        if self.in_flight_count > 0 {
-            // Receivers holding only delayed messages still take their
-            // re-examination draws; fold them into the touched set.
-            for v in 0..n {
-                if !self.delayed[v].is_empty() {
-                    route.touch(v);
-                }
-            }
-        }
-        route.touched.sort_unstable();
+        let canonical = || {
+            self.seg_order.iter().flat_map(|&(w, si)| {
+                let ob = &outboxes[w as usize];
+                let seg = ob.segs[si as usize];
+                let stream = &ob.stream[seg.start as usize..seg.end as usize];
+                stream.iter().zip(seg.start..).map(move |(t, j)| (t.to as usize, w, j))
+            })
+        };
+        // Receivers holding only delayed messages still take their
+        // re-examination draws, so they are routed too; with nothing
+        // delayed there is nothing to scan for.
+        let holders = if self.in_flight_count > 0 { 0..n } else { 0..0 };
+        route.sort(n, canonical, holders.filter(|&v| !self.delayed[v].is_empty()));
 
         // --- Phase 3: serial delivery in ascending receiver order — the
         // exact RNG draw order of the serial path: shed mail to crashed
@@ -766,16 +762,11 @@ impl<'p, P: Protocol> Simulator<'p, P> {
         let delay_prob = self.faults.delay_prob;
         let dup_prob = self.faults.duplicate_prob;
         let reorder = self.faults.reorder;
-        for ti in 0..route.touched.len() {
-            let v = route.touched[ti] as usize;
+        for (v, fresh) in route.receivers() {
             if !self.alive[v] {
                 // Crashed receivers shed their fresh mail without draws;
                 // their delayed queues are empty by the crash invariant.
-                let mut c = route.head_of(v);
-                while c != NONE {
-                    self.stats.shed += 1;
-                    c = route.next[c as usize];
-                }
+                self.stats.shed += fresh.len();
                 continue;
             }
             let open_at = self.inbox.open(v);
@@ -791,10 +782,7 @@ impl<'p, P: Protocol> Simulator<'p, P> {
                     }
                 }
             }
-            let mut c = route.head_of(v);
-            while c != NONE {
-                let (w, j) = route.loc[c as usize];
-                c = route.next[c as usize];
+            for &(w, j) in fresh {
                 let t = &outboxes[w as usize].stream[j as usize];
                 let from = t.from as usize;
                 let p_drop = self.drop_prob_for(from, v);
@@ -880,8 +868,12 @@ impl<'p, P: Protocol> Simulator<'p, P> {
 }
 
 /// The nodes within `k` hops of `u` (excluding `u`), with their hop
-/// distances — the paper's "k-hop information" / local horizon.
+/// distances — the paper's "k-hop information" / local horizon. Empty when
+/// `u` is not a node of `g`.
 pub fn k_hop_view(g: &Graph, u: NodeId, k: usize) -> Vec<(NodeId, usize)> {
+    if u >= g.node_count() {
+        return Vec::new();
+    }
     let mut dist = vec![usize::MAX; g.node_count()];
     dist[u] = 0;
     let mut queue = std::collections::VecDeque::new();
@@ -903,8 +895,12 @@ pub fn k_hop_view(g: &Graph, u: NodeId, k: usize) -> Vec<(NodeId, usize)> {
 }
 
 /// The subgraph induced by `u`'s k-hop view (including `u`), re-indexed;
-/// returns the subgraph and the mapping from new ids to original ids.
+/// returns the subgraph and the mapping from new ids to original ids. Both
+/// are empty when `u` is not a node of `g`.
 pub fn k_hop_subgraph(g: &Graph, u: NodeId, k: usize) -> (Graph, Vec<NodeId>) {
+    if u >= g.node_count() {
+        return (Graph::new(0), Vec::new());
+    }
     let mut keep = vec![false; g.node_count()];
     keep[u] = true;
     for (v, _) in k_hop_view(g, u, k) {

@@ -1,8 +1,8 @@
-//! Flat, epoch-stamped message storage for the parallel stepper.
+//! Flat message storage for the parallel stepper.
 //!
 //! The hot path of [`crate::Simulator::step`] must not allocate per round
-//! once warmed up, so every queue here is a flat `Vec` with offset indexing
-//! — the `csn_graph::scratch` epoch-stamp idiom applied to messages:
+//! once warmed up, so every queue here is a flat `Vec` with offset
+//! indexing, reused across rounds:
 //!
 //! * [`WorkerOutbox`] — one per pool worker; node waves append
 //!   [`Transmit`]s to a single stream and record a [`WaveSeg`] per wave so
@@ -10,17 +10,15 @@
 //! * [`FlatInbox`] — the per-node inboxes of one round, packed into one
 //!   buffer with `(start, len)` offsets and a per-node epoch stamp; stale
 //!   entries from previous rounds are never cleared, just out-stamped.
-//! * [`RouteScratch`] — per-receiver chains over the merged transmit
-//!   streams, built in canonical order (wave ascending = sender ascending,
-//!   emission order within a sender) so delivery walks each receiver's
-//!   messages exactly as the serial simulator would.
+//! * [`RouteScratch`] — a stable counting sort of the merged transmit
+//!   streams by receiver, counted and placed in canonical order (wave
+//!   ascending = sender ascending, emission order within a sender), so
+//!   delivery reads each receiver's messages as one contiguous slice in
+//!   exactly the serial simulator's order.
 //!
 //! Everything is `pub(crate)`: this is plumbing for `lib.rs`, not API.
 
 use csn_graph::NodeId;
-
-/// Chain terminator / "no fresh messages" sentinel.
-pub(crate) const NONE: u32 = u32::MAX;
 
 /// One validated, accepted message in a worker's outbox stream.
 #[derive(Debug, Clone)]
@@ -184,95 +182,94 @@ impl<M> FlatInbox<M> {
     }
 }
 
-/// Per-receiver delivery chains over the merged worker streams.
-///
-/// [`RouteScratch::append`] is called once per transmit in canonical order;
-/// each receiver's chain therefore lists its messages in exactly the order
-/// the serial simulator's `outgoing[v]` held them, and `touched` collects
-/// every receiver with work this round (sorted ascending by the caller
-/// before delivery so RNG draws happen in serial order).
+/// The merged worker streams, grouped by receiver with a stable counting
+/// sort: after [`RouteScratch::sort`], [`RouteScratch::receivers`] lists
+/// the round's receivers ascending, each with its transmits in exactly the
+/// order the serial simulator's `outgoing[v]` held them, as one contiguous
+/// slice.
 #[derive(Debug, Default)]
 pub(crate) struct RouteScratch {
-    epoch: u64,
-    stamp: Vec<u64>,
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    /// `next[g]` chains global transmit `g` to the same receiver's next.
-    pub next: Vec<u32>,
-    /// `loc[g]` = (worker, stream index) of global transmit `g`.
-    pub loc: Vec<(u32, u32)>,
-    /// Receivers with fresh or delayed messages this round.
-    pub touched: Vec<u32>,
+    /// Per node: transmits counted this round, then the receiver's write
+    /// cursor into `placed`, left at the end of its range. Zero for every
+    /// node outside `touched`.
+    pos: Vec<u32>,
+    /// Receivers with fresh or delayed messages this round, ascending.
+    touched: Vec<u32>,
+    /// `(worker, stream index)` of every transmit, grouped by receiver.
+    placed: Vec<(u32, u32)>,
 }
 
 impl RouteScratch {
-    /// Starts a fresh round over `n` nodes.
-    pub fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.head.resize(n, NONE);
-            self.tail.resize(n, NONE);
+    /// Groups one round's transmits by receiver over `n` nodes.
+    /// `canonical()` yields every transmit as `(receiver, worker, stream
+    /// index)` in canonical order; it is walked twice, to count and then to
+    /// place. `delayed` yields each receiver holding delayed messages once,
+    /// so it is delivered to even with no fresh ones.
+    pub fn sort<I: Iterator<Item = (NodeId, u32, u32)>>(
+        &mut self,
+        n: usize,
+        canonical: impl Fn() -> I,
+        delayed: impl Iterator<Item = NodeId>,
+    ) {
+        for &v in &self.touched {
+            self.pos[v as usize] = 0;
         }
-        self.epoch += 1;
-        self.next.clear();
-        self.loc.clear();
+        if self.pos.len() < n {
+            self.pos.resize(n, 0);
+        }
         self.touched.clear();
-    }
-
-    /// Appends the transmit at `(worker, stream_idx)` to receiver `v`'s
-    /// chain, preserving call order within the chain.
-    pub fn append(&mut self, v: NodeId, worker: u32, stream_idx: u32) {
-        let g = self.loc.len() as u32;
-        assert!(g != NONE, "more than u32::MAX transmits in one round");
-        self.loc.push((worker, stream_idx));
-        self.next.push(NONE);
-        if self.stamp[v] == self.epoch {
-            if self.tail[v] == NONE {
-                self.head[v] = g; // touched via `touch` first, chain empty
-            } else {
-                self.next[self.tail[v] as usize] = g;
+        let mut total = 0usize;
+        for (v, _, _) in canonical() {
+            if self.pos[v] == 0 {
+                self.touched.push(v as u32);
             }
-        } else {
-            self.stamp[v] = self.epoch;
-            self.head[v] = g;
-            self.touched.push(v as u32);
+            self.pos[v] += 1;
+            total += 1;
         }
-        self.tail[v] = g;
+        assert!(total < u32::MAX as usize, "more than u32::MAX transmits in one round");
+        for v in delayed {
+            if self.pos[v] == 0 {
+                self.touched.push(v as u32);
+            }
+        }
+        self.touched.sort_unstable();
+        let mut at = 0;
+        for &v in &self.touched {
+            let count = self.pos[v as usize];
+            self.pos[v as usize] = at;
+            at += count;
+        }
+        self.placed.clear();
+        self.placed.resize(total, (0, 0));
+        for (v, worker, j) in canonical() {
+            let cursor = &mut self.pos[v];
+            self.placed[*cursor as usize] = (worker, j);
+            *cursor += 1;
+        }
     }
 
-    /// Marks `v` touched with no fresh messages (delayed-queue holders).
-    pub fn touch(&mut self, v: NodeId) {
-        if self.stamp[v] != self.epoch {
-            self.stamp[v] = self.epoch;
-            self.head[v] = NONE;
-            self.tail[v] = NONE;
-            self.touched.push(v as u32);
-        }
-    }
-
-    /// Head of `v`'s chain this round ([`NONE`] if no fresh messages).
-    pub fn head_of(&self, v: NodeId) -> u32 {
-        if self.stamp[v] == self.epoch {
-            self.head[v]
-        } else {
-            NONE
-        }
+    /// The round's receivers in ascending order, each with its placed
+    /// transmits in canonical order (empty for delayed-only receivers).
+    pub fn receivers(&self) -> impl Iterator<Item = (NodeId, &[(u32, u32)])> + '_ {
+        let mut start = 0;
+        self.touched.iter().map(move |&v| {
+            let end = self.pos[v as usize] as usize;
+            let range = &self.placed[start..end];
+            start = end;
+            (v as usize, range)
+        })
     }
 
     /// Owned heap bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.stamp.capacity() * 8
-            + self.head.capacity() * 4
-            + self.tail.capacity() * 4
-            + self.next.capacity() * 4
-            + self.loc.capacity() * 8
-            + self.touched.capacity() * 4
+        self.pos.capacity() * 4 + self.touched.capacity() * 4 + self.placed.capacity() * 8
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn flat_inbox_round_trips_and_restamps() {
@@ -297,35 +294,73 @@ mod tests {
         assert_eq!(ib.get(0), &[(3, 7)]);
     }
 
-    #[test]
-    fn route_scratch_chains_preserve_append_order() {
-        let mut rs = RouteScratch::default();
-        rs.begin(3);
-        rs.append(1, 0, 0);
-        rs.append(2, 0, 1);
-        rs.append(1, 1, 0);
-        rs.touch(0);
-        rs.touch(1); // already touched: no-op
-        assert_eq!(rs.touched, vec![1, 2, 0]);
-        let mut chain = Vec::new();
-        let mut c = rs.head_of(1);
-        while c != NONE {
-            chain.push(rs.loc[c as usize]);
-            c = rs.next[c as usize];
+    /// Sorts one round of `fresh` transmits, `(receiver, worker, stream
+    /// index)` in canonical order, plus the `delayed`-only holders; returns
+    /// each receiver with its placed entries.
+    fn route(
+        rs: &mut RouteScratch,
+        n: usize,
+        fresh: &[(NodeId, u32, u32)],
+        delayed: &[NodeId],
+    ) -> Vec<(NodeId, Vec<(u32, u32)>)> {
+        rs.sort(n, || fresh.iter().copied(), delayed.iter().copied());
+        rs.receivers().map(|(v, r)| (v, r.to_vec())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Wave `i` of the canonical stream `tos` is `tos[3i..3i + 3]`,
+        /// stepped by worker `waves[i].0`; the workers step the waves in
+        /// the order of the keys `waves[i].1`, not in wave order, so each
+        /// transmit's `(worker, stream index)` slot is assigned out of
+        /// canonical order. Routing must give each receiver its transmits
+        /// as a stable sort of the canonical stream by receiver does.
+        #[test]
+        fn route_is_a_stable_sort_by_receiver(case in (
+            proptest::collection::vec(0usize..12, 0..80),
+            proptest::collection::vec((0u32..3, 0u32..1_000), 27..28),
+        )) {
+            let (tos, waves) = case;
+            let n_waves = tos.len().div_ceil(3);
+            let mut step_order: Vec<usize> = (0..n_waves).collect();
+            step_order.sort_by_key(|&i| waves[i].1);
+            let mut stream_len = [0u32; 3];
+            let mut canonical = vec![Vec::new(); n_waves];
+            for i in step_order {
+                let w = waves[i].0;
+                for &to in &tos[3 * i..(3 * i + 3).min(tos.len())] {
+                    canonical[i].push((to, w, stream_len[w as usize]));
+                    stream_len[w as usize] += 1;
+                }
+            }
+            let canonical = canonical.concat();
+            let want: Vec<(NodeId, Vec<(u32, u32)>)> = (0..12)
+                .map(|v| (v, canonical.iter().filter(|t| t.0 == v).map(|t| (t.1, t.2)).collect()))
+                .filter(|(_, r): &(NodeId, Vec<_>)| !r.is_empty())
+                .collect();
+            prop_assert_eq!(route(&mut RouteScratch::default(), 12, &canonical, &[]), want);
         }
-        assert_eq!(chain, vec![(0, 0), (1, 0)]);
-        assert_eq!(rs.head_of(0), NONE);
-        rs.begin(3);
-        assert_eq!(rs.head_of(1), NONE, "epoch bump stales all chains");
     }
 
     #[test]
-    fn touch_then_append_links_the_chain() {
+    fn delayed_only_receivers_sort_in_with_empty_ranges() {
+        // Receiver 1 holds delayed messages as well as a fresh one.
+        let got =
+            route(&mut RouteScratch::default(), 6, &[(4, 0, 0), (1, 0, 1), (4, 1, 0)], &[5, 1, 0]);
+        assert_eq!(
+            got,
+            vec![(0, vec![]), (1, vec![(0, 1)]), (4, vec![(0, 0), (1, 0)]), (5, vec![])]
+        );
+    }
+
+    #[test]
+    fn a_round_starts_with_no_leftover_counts() {
         let mut rs = RouteScratch::default();
-        rs.begin(2);
-        rs.touch(0);
-        rs.append(0, 0, 5);
-        assert_eq!(rs.head_of(0), 0);
-        assert_eq!(rs.touched, vec![0]);
+        let got = route(&mut rs, 3, &[(2, 0, 0), (0, 0, 1), (2, 0, 2)], &[]);
+        assert_eq!(got, vec![(0, vec![(0, 1)]), (2, vec![(0, 0), (0, 2)])]);
+        // Leftover counts would hide 2 from the delayed holders and shift
+        // 0's range.
+        assert_eq!(route(&mut rs, 3, &[(0, 1, 7)], &[2]), vec![(0, vec![(1, 7)]), (2, vec![])]);
     }
 }

@@ -88,9 +88,16 @@ echo "==> scale smoke (small-n rows: streamed generators, frozen-form memory, sa
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
   --scale --scale-nodes 20000 --out target/BENCH_scale_check.json
 
-echo "==> distsim smoke (small-n rows: flood, Bellman-Ford, MIS and CDS marking throughput)"
+echo "==> distsim smoke (the 10^4-node rows: flood, Bellman-Ford, MIS and CDS marking; their exact counts must equal the committed BENCH_distsim.json's first four rows)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --distsim --distsim-nodes 2000 --out target/BENCH_distsim_check.json
+  --distsim --distsim-nodes 10000 --out target/BENCH_distsim_check.json
+# Four rows of six exact fields each.
+distsim_counts() { grep -E '"(protocol|nodes|edges|rounds|messages|converged)":' "$1" | head -n 24; }
+if ! diff -u <(distsim_counts BENCH_distsim.json) <(distsim_counts target/BENCH_distsim_check.json); then
+  echo "FAIL: distsim exact counts differ from the committed BENCH_distsim.json's 10^4-node rows" >&2
+  echo "      if the change is intended, regenerate with: cargo run -p csn-bench --release --bin perf_smoke -- --distsim" >&2
+  exit 1
+fi
 
 echo "==> scenario smoke (small-n rows: city trace, DTN ladder, TOUR, tracking, pub-sub and hypercube under faults)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
@@ -100,4 +107,4 @@ cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
 echo "==> benchmark package (its own fmt, clippy, tests and a smoke run of all five workloads, built against the library API)"
 bash benchmark/check.sh
 
-echo "OK: fmt, clippy, doc, test, release gates, experiments capture, perf smoke + touch counts, scale smoke, distsim smoke, scenario smoke, benchmark all clean"
+echo "OK: fmt, clippy, doc, test, release gates, experiments capture, perf smoke + touch counts, scale smoke, distsim smoke + exact counts, scenario smoke, benchmark all clean"
