@@ -21,7 +21,8 @@
 //!    and traversed edges/s per kernel. See SCALING.md.
 //! 3. **`--distsim`** → `BENCH_distsim.json`: protocol throughput at n ∈
 //!    {10⁴, 10⁵, 10⁶} capped by `--distsim-nodes` — rounds/s, messages/s
-//!    and the simulator's bytes/node. See DISTSIM.md.
+//!    and the simulator's bytes/node, on one stepper worker so the memory
+//!    is an exact count. See DISTSIM.md.
 //! 4. **`--scenario`** → `BENCH_scenario.json`: contacts/s and
 //!    bytes/contact of the `--scenario-nodes` city trace (default 3000
 //!    nodes ⇒ ≥10⁶ contacts), the DTN ladder on it, TOUR forwarding from
@@ -331,7 +332,7 @@ fn run_scale(flags: &Flags) -> String {
 
 /// The `--distsim` tier: protocol throughput at n ∈ {10⁴, 10⁵, 10⁶} ∩
 /// [0, `--distsim-nodes`] on BA topologies thawed from the compact-CSR
-/// streaming builder, at the detected core count.
+/// streaming builder, on one stepper worker.
 fn run_distsim(flags: &Flags) -> String {
     use csn_bench::distsim_bench::{
         mis_priorities, BenchDistsim, BenchFlood, ProtocolRow, DISTSIM_SCHEMA,
@@ -345,19 +346,22 @@ fn run_distsim(flags: &Flags) -> String {
     let nodes: usize = flags.get("--distsim-nodes", 1_000_000);
     let cores = csn_bench::pool::available_parallelism();
 
-    // Fault-free protocol runs at cores-many jobs. Graph construction is
-    // excluded from the timed region; the simulator takes the graph by
-    // value so only one adjacency copy is resident.
+    // Fault-free protocol runs on one worker: with more, the arenas'
+    // capacity, and so `sim_heap_bytes`, varies with work stealing, and on
+    // few cores a second worker barely speeds a round up. Bit-identity
+    // across job counts is a tier-1 test. Graph construction is excluded
+    // from the timed region; the simulator takes the graph by value so
+    // only one adjacency copy is resident.
+    const JOBS: usize = 1;
     fn scale_row<P: Protocol>(
         name: &str,
         g: Graph,
         protocol: &P,
         max_rounds: usize,
-        jobs: usize,
     ) -> ProtocolRow {
         let n = g.node_count();
         let edges = g.edge_count();
-        let mut sim = Simulator::with_faults_owned(g, protocol, FaultModel::none()).with_jobs(jobs);
+        let mut sim = Simulator::with_faults_owned(g, protocol, FaultModel::none()).with_jobs(JOBS);
         let (stats, wall) = timed(|| sim.run_until_quiet(max_rounds));
         let heap = sim.heap_bytes();
         let wall_div = wall.max(1e-9);
@@ -369,7 +373,7 @@ fn run_distsim(flags: &Flags) -> String {
             protocol: name.to_string(),
             nodes: n,
             edges,
-            jobs,
+            jobs: JOBS,
             rounds: stats.rounds,
             messages: stats.messages,
             converged: stats.quiescent,
@@ -400,15 +404,15 @@ fn run_distsim(flags: &Flags) -> String {
             nodes,
         )
         .thaw();
-        protocols.push(scale_row("flood", graph.clone(), &BenchFlood, 200, cores));
+        protocols.push(scale_row("flood", graph.clone(), &BenchFlood, 200));
         let bf = BellmanFord { dest: 0, horizon: 64 };
-        protocols.push(scale_row("bellman_ford", graph.clone(), &bf, 2000, cores));
+        protocols.push(scale_row("bellman_ford", graph.clone(), &bf, 2000));
         if n <= MIS_CAP {
             let mis = MisProtocol { priority: mis_priorities(n) };
-            protocols.push(scale_row("mis", graph.clone(), &mis, 10_000, cores));
+            protocols.push(scale_row("mis", graph.clone(), &mis, 10_000));
         }
         if n <= CDS_CAP {
-            protocols.push(scale_row("cds_marking", graph, &MarkingProtocol, 10, cores));
+            protocols.push(scale_row("cds_marking", graph, &MarkingProtocol, 10));
         }
     }
 

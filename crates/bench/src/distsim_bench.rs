@@ -41,7 +41,8 @@ pub struct ProtocolRow {
     pub rounds_per_sec: f64,
     /// `messages / wall_secs`.
     pub messages_per_sec: f64,
-    /// Simulator heap after the run (queues, arenas, graph).
+    /// Simulator heap after the run (queues, arenas, graph); exact at one
+    /// worker, and compared with the committed file by `scripts/check.sh`.
     pub sim_heap_bytes: usize,
     /// `sim_heap_bytes / nodes` — the DISTSIM.md memory-model headline.
     pub bytes_per_node: f64,
@@ -54,7 +55,7 @@ pub struct BenchDistsim {
     pub schema: String,
     /// `git rev-parse HEAD` at run time.
     pub git_rev: String,
-    /// Hardware threads detected; large-n rows run at this job count.
+    /// Hardware threads detected (the rows run on one stepper worker).
     pub detected_cores: usize,
     /// Description of the topology family of the scale rows.
     pub scale_graph: String,

@@ -18,9 +18,11 @@
 //!   adapter ([`Reliable`]) — see below,
 //! * **deterministic parallel round stepping** ([`Simulator::set_jobs`]):
 //!   per-round node execution fans out over `csn_parallel` in node-index
-//!   waves whose outboxes are merged in canonical order, so every
-//!   `(seed, jobs)` pair yields byte-identical [`RunStats`] and final
-//!   states — including under faults (see [`Simulator::step`]).
+//!   waves whose outboxes are merged in canonical order by a counting sort
+//!   that carries the payloads, so every `(seed, jobs)` pair yields
+//!   byte-identical [`RunStats`] and final states — including under
+//!   faults (see [`Simulator::step`]). Messages held by delay faults wait
+//!   in one flat queue sorted by receiver.
 //!
 //! # Fault model
 //!
@@ -118,7 +120,7 @@ pub mod reliable;
 pub use fault::{snapshot_delta_events, ChurnSchedule, FaultEvent, FaultModel, TopologyDelta};
 pub use reliable::{stats_with_overhead, Reliable, ReliableMsg, ReliableOverhead, ReliableState};
 
-use queue::{FlatInbox, RouteScratch, Transmit, WaveSeg, WorkerOutbox};
+use queue::{FlatInbox, NodeSet, RouteScratch, Transmit, WaveSeg, WorkerOutbox};
 
 /// What a node sees locally: its id and its neighbors, borrowed from the
 /// simulator's graph for the duration of one [`Protocol`] call.
@@ -368,16 +370,21 @@ pub struct Simulator<'p, P: Protocol> {
     states: Vec<P::State>,
     alive: Vec<bool>,
     inbox: FlatInbox<P::Msg>,
-    delayed: Vec<Vec<(NodeId, P::Msg)>>,
-    delayed_tmp: Vec<(NodeId, P::Msg)>,
-    in_flight_count: usize,
+    /// Messages held by delay faults, `(to, from, msg)`, sorted by `to`
+    /// and in delivery order within a receiver.
+    delayed: Vec<(u32, u32, P::Msg)>,
+    /// The previous round's queue, emptied; swapped with `delayed` each
+    /// round so both keep their capacity.
+    delayed_spare: Vec<(u32, u32, P::Msg)>,
+    /// Nodes crashed by the event batch being applied.
+    crashed: NodeSet,
     faults: FaultModel,
     edge_drop: HashMap<(NodeId, NodeId), f64>,
     next_event: usize,
     topology_dirty: bool,
     jobs: usize,
     worker_outboxes: Vec<WorkerOutbox<P::Msg>>,
-    route: RouteScratch,
+    route: RouteScratch<P::Msg>,
     seg_order: Vec<(u32, u32)>,
     rng: StdRng,
     stats: RunStats,
@@ -418,9 +425,9 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             states,
             alive: vec![true; n],
             inbox,
-            delayed: vec![Vec::new(); n],
-            delayed_tmp: Vec::new(),
-            in_flight_count: 0,
+            delayed: Vec::new(),
+            delayed_spare: Vec::new(),
+            crashed: NodeSet::default(),
             rng: StdRng::seed_from_u64(faults.seed),
             edge_drop,
             faults,
@@ -480,20 +487,15 @@ impl<'p, P: Protocol> Simulator<'p, P> {
     }
 
     /// Messages queued by delay faults, not yet delivered to any inbox.
-    /// O(1): the count is maintained alongside the queues (the full scan
-    /// survives as a debug-build cross-check).
+    /// O(1): the length of the one flat delayed queue.
     pub fn in_flight(&self) -> usize {
-        debug_assert_eq!(
-            self.in_flight_count,
-            self.delayed.iter().map(Vec::len).sum::<usize>(),
-            "maintained in-flight counter diverged from the queues"
-        );
-        self.in_flight_count
+        self.delayed.len()
     }
 
     /// Messages awaiting processing: undelivered delayed messages plus
-    /// delivered-but-unconsumed inbox entries. O(1) via maintained counters
-    /// (debug builds cross-check against a queue scan).
+    /// delivered-but-unconsumed inbox entries. O(1): the delayed queue's
+    /// length plus the inbox's maintained total (debug builds cross-check
+    /// that total against the inbox slices).
     pub fn pending_messages(&self) -> usize {
         debug_assert_eq!(
             self.inbox.total(),
@@ -520,13 +522,9 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             .map(|u| std::mem::size_of_val(self.graph.neighbors(u)))
             .sum::<usize>()
             + self.graph.node_count() * std::mem::size_of::<Vec<NodeId>>();
-        let delayed_bytes: usize = self
-            .delayed
-            .iter()
-            .map(|q| q.capacity() * std::mem::size_of::<(NodeId, P::Msg)>())
-            .sum::<usize>()
-            + self.delayed.capacity() * std::mem::size_of::<Vec<(NodeId, P::Msg)>>()
-            + self.delayed_tmp.capacity() * std::mem::size_of::<(NodeId, P::Msg)>();
+        let delayed_bytes = (self.delayed.capacity() + self.delayed_spare.capacity())
+            * std::mem::size_of::<(u32, u32, P::Msg)>()
+            + self.crashed.heap_bytes();
         let outbox_bytes: usize = self.worker_outboxes.iter().map(WorkerOutbox::heap_bytes).sum();
         graph_bytes
             + delayed_bytes
@@ -569,9 +567,12 @@ impl<'p, P: Protocol> Simulator<'p, P> {
     }
 
     /// Applies every event scheduled for the current round; returns whether
-    /// any fired.
+    /// any fired. The delayed messages of every node the batch crashed are
+    /// shed in one pass at the end, so a node crashed and recovered in the
+    /// same round still loses them.
     fn apply_due_events(&mut self) -> bool {
         let mut fired = false;
+        let mut crashed = false;
         while self.next_event < self.faults.schedule.len()
             && self.faults.schedule[self.next_event].0 <= self.stats.rounds
         {
@@ -585,11 +586,11 @@ impl<'p, P: Protocol> Simulator<'p, P> {
                 FaultEvent::Crash(u) => {
                     if self.alive[u] {
                         self.alive[u] = false;
-                        // Undelivered messages are shed; inbox entries were
-                        // already counted as delivered, so they just vanish.
-                        self.stats.shed += self.delayed[u].len();
-                        self.in_flight_count -= self.delayed[u].len();
-                        self.delayed[u].clear();
+                        // Inbox entries were already counted as delivered,
+                        // so they just vanish; delayed ones are shed below.
+                        self.crashed.ensure(self.graph.node_count());
+                        self.crashed.insert(u);
+                        crashed = true;
                         self.inbox.clear_node(u);
                     }
                 }
@@ -601,6 +602,13 @@ impl<'p, P: Protocol> Simulator<'p, P> {
                 }
                 FaultEvent::Delta(delta) => self.apply_delta(&delta),
             }
+        }
+        if crashed {
+            let held = self.delayed.len();
+            let marks = &self.crashed;
+            self.delayed.retain(|&(to, _, _)| !marks.contains(to as usize));
+            self.stats.shed += held - self.delayed.len();
+            self.crashed.clear();
         }
         fired
     }
@@ -629,26 +637,31 @@ impl<'p, P: Protocol> Simulator<'p, P> {
     /// 2. **Canonical merge (serial).** Segments are replayed in wave
     ///    order — sender-ascending, emission order within a sender, whatever
     ///    worker ran a wave and however wide it was — through a stable
-    ///    counting sort by receiver, which leaves each receiver's messages
-    ///    in one contiguous range in that order: the `betweenness_par`
-    ///    wave-ordered-merge trick applied to messages.
+    ///    counting sort by receiver that places each message's sender and
+    ///    payload, which leaves each receiver's messages in one contiguous
+    ///    range in that order: the `betweenness_par` wave-ordered-merge
+    ///    trick applied to messages. The receivers, those of fresh messages
+    ///    and those holding delayed ones, come out ascending from a bitset.
     /// 3. **Delivery (serial).** Receivers are visited in ascending order;
-    ///    per receiver, delayed messages are re-examined first (queue
-    ///    order), then the fresh messages of its range. Every fault RNG draw
-    ///    therefore happens in exactly the serial order, so loss, delay,
-    ///    duplication, reorder shuffles, and churn interact bit-identically
-    ///    at any job count.
+    ///    per receiver, its delayed messages are re-examined first (queue
+    ///    order), then the fresh messages of its range are taken in order.
+    ///    Every fault RNG draw therefore happens in exactly the serial
+    ///    order, so loss, delay, duplication, reorder shuffles, and churn
+    ///    interact bit-identically at any job count. The delayed messages
+    ///    are one flat queue sorted by receiver: delivery reads it with one
+    ///    cursor and writes the next round's queue in the same order.
     /// 4. **Accounting.** Per-wave `sent`/`misrouted` counters are summed
     ///    in wave order.
     ///
     /// All message storage is flat arenas reused across rounds (the
-    /// private `queue` module), and each node's [`Neighborhood`] borrows
-    /// its row of the simulator's graph: after warmup, a round of a
-    /// `Copy`-message protocol (e.g. a 1M-node flood) performs no
-    /// per-message heap allocation — the only per-round allocations are
-    /// O(waves) scheduler bookkeeping and the pool's result slots.
-    /// Messages with owned payloads (`Vec`, etc.) still clone per
-    /// delivered copy.
+    /// private `queue` module, and the two buffers of the delayed queue),
+    /// and each node's [`Neighborhood`] borrows its row of the simulator's
+    /// graph: after warmup, a round of a `Copy`-message protocol (e.g. a
+    /// 1M-node flood) performs no per-message heap allocation — the only
+    /// per-round allocations are O(waves) scheduler bookkeeping and the
+    /// pool's result slots. A message with an owned payload (`Vec`, etc.)
+    /// is cloned once, when the merge places it; delivery moves it, and
+    /// only a duplication fault's extra copy clones again.
     /// Bit-identity across `jobs` is tested; speed is only recorded (see
     /// `BENCH_distsim.json` and DISTSIM.md).
     pub fn step(&mut self) -> usize {
@@ -743,65 +756,59 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             self.seg_order.iter().flat_map(|&(w, si)| {
                 let ob = &outboxes[w as usize];
                 let seg = ob.segs[si as usize];
-                let stream = &ob.stream[seg.start as usize..seg.end as usize];
-                stream.iter().zip(seg.start..).map(move |(t, j)| (t.to as usize, w, j))
+                &ob.stream[seg.start as usize..seg.end as usize]
             })
         };
         // Receivers holding only delayed messages still take their
-        // re-examination draws, so they are routed too; with nothing
-        // delayed there is nothing to scan for.
-        let holders = if self.in_flight_count > 0 { 0..n } else { 0..0 };
-        route.sort(n, canonical, holders.filter(|&v| !self.delayed[v].is_empty()));
+        // re-examination draws, so they are routed too.
+        route.sort(n, canonical, self.delayed.iter().map(|&(to, _, _)| to as usize));
 
         // --- Phase 3: serial delivery in ascending receiver order — the
         // exact RNG draw order of the serial path: shed mail to crashed
         // nodes, re-examine delayed messages (geometric delay), then run
         // each fresh message through loss / duplication / delay, and
-        // optionally reorder the inbox.
+        // optionally reorder the inbox. The messages that stay delayed go
+        // to the next queue in receiver order, held ones first, so it comes
+        // out sorted.
         self.inbox.begin_round(n);
         let delay_prob = self.faults.delay_prob;
         let dup_prob = self.faults.duplicate_prob;
         let reorder = self.faults.reorder;
+        let mut held =
+            std::mem::replace(&mut self.delayed, std::mem::take(&mut self.delayed_spare));
+        let mut held_iter = held.drain(..).peekable();
         for (v, fresh) in route.receivers() {
             if !self.alive[v] {
                 // Crashed receivers shed their fresh mail without draws;
-                // their delayed queues are empty by the crash invariant.
+                // they hold no delayed messages since their crash.
                 self.stats.shed += fresh.len();
                 continue;
             }
             let open_at = self.inbox.open(v);
-            if !self.delayed[v].is_empty() {
-                std::mem::swap(&mut self.delayed[v], &mut self.delayed_tmp);
-                self.in_flight_count -= self.delayed_tmp.len();
-                for (from, msg) in self.delayed_tmp.drain(..) {
-                    if self.rng.gen::<f64>() < delay_prob {
-                        self.delayed[v].push((from, msg));
-                        self.in_flight_count += 1;
-                    } else {
-                        self.inbox.push(from, msg);
-                    }
+            while let Some((to, from, msg)) = held_iter.next_if(|e| e.0 as usize == v) {
+                if self.rng.gen::<f64>() < delay_prob {
+                    self.delayed.push((to, from, msg));
+                } else {
+                    self.inbox.push(from as usize, msg);
                 }
             }
-            for &(w, j) in fresh {
-                let t = &outboxes[w as usize].stream[j as usize];
-                let from = t.from as usize;
-                let p_drop = self.drop_prob_for(from, v);
+            for slot in fresh {
+                let (sender, msg) = slot.take().expect("every placed slot holds a message");
+                let from = sender.get() - 1;
+                let p_drop = self.drop_prob_for(from as usize, v);
                 if p_drop > 0.0 && self.rng.gen::<f64>() < p_drop {
                     self.stats.dropped += 1;
                     continue;
                 }
-                let copies = if dup_prob > 0.0 && self.rng.gen::<f64>() < dup_prob {
+                let extra = (dup_prob > 0.0 && self.rng.gen::<f64>() < dup_prob).then(|| {
                     self.stats.duplicated += 1;
-                    2
-                } else {
-                    1
-                };
-                for _ in 0..copies {
+                    msg.clone()
+                });
+                for msg in extra.into_iter().chain(std::iter::once(msg)) {
                     if delay_prob > 0.0 && self.rng.gen::<f64>() < delay_prob {
-                        self.delayed[v].push((from, t.msg.clone()));
-                        self.in_flight_count += 1;
+                        self.delayed.push((v as u32, from, msg));
                     } else {
-                        self.inbox.push(from, t.msg.clone());
+                        self.inbox.push(from as usize, msg);
                     }
                 }
             }
@@ -813,6 +820,9 @@ impl<'p, P: Protocol> Simulator<'p, P> {
             }
             self.stats.messages += self.inbox.close(v, open_at);
         }
+        assert!(held_iter.next().is_none(), "delivery must visit every delayed message's receiver");
+        drop(held_iter);
+        self.delayed_spare = held;
         self.route = route;
         self.worker_outboxes = outboxes;
         self.stats.rounds += 1;
@@ -1294,10 +1304,59 @@ mod tests {
     }
 
     #[test]
+    fn owned_payloads_reach_their_receivers_intact() {
+        // Each node broadcasts, for four rounds, a heap payload naming
+        // itself; every delivered copy, duplicated, delayed or reordered,
+        // must name its `from`. State: `(rounds, received, misnamed)`.
+        struct Named;
+        impl Protocol for Named {
+            type State = (u32, usize, usize);
+            type Msg = Vec<NodeId>;
+            fn init(&self, _u: NodeId, _ctx: &Neighborhood) -> Self::State {
+                (0, 0, 0)
+            }
+            fn round(
+                &self,
+                u: NodeId,
+                state: &mut Self::State,
+                _ctx: &Neighborhood,
+                inbox: &[(NodeId, Vec<NodeId>)],
+                out: &mut Outbox<'_, Vec<NodeId>>,
+            ) {
+                state.1 += inbox.len();
+                state.2 += inbox
+                    .iter()
+                    .filter(|(from, msg)| msg.is_empty() || msg.iter().any(|x| x != from))
+                    .count();
+                if state.0 < 4 {
+                    out.broadcast(vec![u; 1 + u % 3]);
+                }
+                state.0 += 1;
+            }
+        }
+        let g = generators::erdos_renyi(40, 0.15, 4).unwrap();
+        let faults = FaultModel {
+            seed: 12,
+            ..FaultModel::none().with_duplication(0.3).with_delay(0.4).with_reorder()
+        };
+        let run = |jobs: usize| {
+            let mut sim = Simulator::with_faults(&g, &Named, faults.clone()).with_jobs(jobs);
+            let stats = sim.run_until_quiet(200);
+            assert_conservation(&sim);
+            (stats, sim.states().to_vec())
+        };
+        let (stats, states) = run(1);
+        assert!(stats.quiescent && stats.duplicated > 0 && stats.messages > stats.sent);
+        assert_eq!(stats.messages, states.iter().map(|s| s.1).sum::<usize>());
+        assert!(states.iter().all(|s| s.2 == 0), "a payload named the wrong sender");
+        assert_eq!(run(2), (stats, states));
+    }
+
+    #[test]
     fn pending_counters_are_maintained_through_delay_and_churn() {
-        // Exercise in_flight/pending_messages (whose debug_asserts
-        // cross-check the maintained counters against full queue scans)
-        // at every round of a delayed, churning run.
+        // Exercise in_flight/pending_messages (whose debug_assert
+        // cross-checks the inbox total against the inbox slices) at every
+        // round of a delayed, churning run.
         let g = generators::erdos_renyi(20, 0.2, 3).unwrap();
         let faults = FaultModel { seed: 5, ..FaultModel::none().with_delay(0.6) }
             .with_churn(ChurnSchedule::random(20, 30, 0.05, 3, 5).protect(0));

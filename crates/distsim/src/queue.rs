@@ -12,13 +12,20 @@
 //!   entries from previous rounds are never cleared, just out-stamped.
 //! * [`RouteScratch`] — a stable counting sort of the merged transmit
 //!   streams by receiver, counted and placed in canonical order (wave
-//!   ascending = sender ascending, emission order within a sender), so
-//!   delivery reads each receiver's messages as one contiguous slice in
-//!   exactly the serial simulator's order.
+//!   ascending = sender ascending, emission order within a sender). It
+//!   places each message's sender and payload, so delivery reads each
+//!   receiver's messages sequentially, as one contiguous slice, in exactly
+//!   the serial simulator's order. Its receivers come out ascending from a
+//!   [`NodeSet`] bitset, with no sort.
+//!
+//! The simulator's delayed messages live in one flat `(to, from, msg)`
+//! queue sorted by receiver (`lib.rs`), which delivery rebuilds in order
+//! each round.
 //!
 //! Everything is `pub(crate)`: this is plumbing for `lib.rs`, not API.
 
 use csn_graph::NodeId;
+use std::num::NonZeroU32;
 
 /// One validated, accepted message in a worker's outbox stream.
 #[derive(Debug, Clone)]
@@ -182,57 +189,122 @@ impl<M> FlatInbox<M> {
     }
 }
 
-/// The merged worker streams, grouped by receiver with a stable counting
-/// sort: after [`RouteScratch::sort`], [`RouteScratch::receivers`] lists
-/// the round's receivers ascending, each with its transmits in exactly the
-/// order the serial simulator's `outgoing[v]` held them, as one contiguous
-/// slice.
+/// One bit per node, all clear between uses: the route's receiver set and
+/// the crash marks of one event batch.
 #[derive(Debug, Default)]
-pub(crate) struct RouteScratch {
+pub(crate) struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    /// Grows the set to cover `n` nodes.
+    pub fn ensure(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Adds `v` (covered by an earlier [`NodeSet::ensure`]).
+    pub fn insert(&mut self, v: NodeId) {
+        self.words[v / 64] |= 1 << (v % 64);
+    }
+
+    /// Whether `v` is in the set (covered by an earlier
+    /// [`NodeSet::ensure`]).
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.words[v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// Appends the members to `out` in ascending order, emptying the set.
+    pub fn drain_into(&mut self, out: &mut Vec<u32>) {
+        for (i, word) in self.words.iter_mut().enumerate() {
+            while *word != 0 {
+                out.push((i * 64) as u32 + word.trailing_zeros());
+                *word &= *word - 1;
+            }
+        }
+    }
+
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Owned heap bytes.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * 8
+    }
+}
+
+/// One placed message: its sender plus one, and its payload. The niche of
+/// `NonZeroU32` keeps an empty slot as small as a full one.
+pub(crate) type Placed<M> = Option<(NonZeroU32, M)>;
+
+/// The merged worker streams, grouped by receiver with a stable counting
+/// sort that carries the payloads: after [`RouteScratch::sort`],
+/// [`RouteScratch::receivers`] lists the round's receivers ascending, each
+/// with its messages in exactly the order the serial simulator's
+/// `outgoing[v]` held them, as one contiguous slice for delivery to take
+/// from in order.
+#[derive(Debug)]
+pub(crate) struct RouteScratch<M> {
     /// Per node: transmits counted this round, then the receiver's write
     /// cursor into `placed`, left at the end of its range. Zero for every
     /// node outside `touched`.
     pos: Vec<u32>,
+    /// The receivers of the round being sorted; empty otherwise.
+    seen: NodeSet,
     /// Receivers with fresh or delayed messages this round, ascending.
     touched: Vec<u32>,
-    /// `(worker, stream index)` of every transmit, grouped by receiver.
-    placed: Vec<(u32, u32)>,
+    /// Every transmit's sender and payload, grouped by receiver.
+    placed: Vec<Placed<M>>,
 }
 
-impl RouteScratch {
+impl<M> Default for RouteScratch<M> {
+    fn default() -> Self {
+        RouteScratch {
+            pos: Vec::new(),
+            seen: NodeSet::default(),
+            touched: Vec::new(),
+            placed: Vec::new(),
+        }
+    }
+}
+
+impl<M: Clone> RouteScratch<M> {
     /// Groups one round's transmits by receiver over `n` nodes.
-    /// `canonical()` yields every transmit as `(receiver, worker, stream
-    /// index)` in canonical order; it is walked twice, to count and then to
-    /// place. `delayed` yields each receiver holding delayed messages once,
-    /// so it is delivered to even with no fresh ones.
-    pub fn sort<I: Iterator<Item = (NodeId, u32, u32)>>(
+    /// `canonical()` yields every transmit in canonical order; it is walked
+    /// twice, to count and then to place a clone of each payload. `delayed`
+    /// yields every receiver holding delayed messages (repeats allowed), so
+    /// it is delivered to even with no fresh ones.
+    pub fn sort<'t, I: Iterator<Item = &'t Transmit<M>>>(
         &mut self,
         n: usize,
         canonical: impl Fn() -> I,
         delayed: impl Iterator<Item = NodeId>,
-    ) {
+    ) where
+        M: 't,
+    {
         for &v in &self.touched {
             self.pos[v as usize] = 0;
         }
         if self.pos.len() < n {
             self.pos.resize(n, 0);
         }
-        self.touched.clear();
+        self.seen.ensure(n);
         let mut total = 0usize;
-        for (v, _, _) in canonical() {
-            if self.pos[v] == 0 {
-                self.touched.push(v as u32);
-            }
-            self.pos[v] += 1;
+        for t in canonical() {
+            self.pos[t.to as usize] += 1;
+            self.seen.insert(t.to as usize);
             total += 1;
         }
         assert!(total < u32::MAX as usize, "more than u32::MAX transmits in one round");
         for v in delayed {
-            if self.pos[v] == 0 {
-                self.touched.push(v as u32);
-            }
+            self.seen.insert(v);
         }
-        self.touched.sort_unstable();
+        self.touched.clear();
+        self.seen.drain_into(&mut self.touched);
         let mut at = 0;
         for &v in &self.touched {
             let count = self.pos[v as usize];
@@ -240,29 +312,36 @@ impl RouteScratch {
             at += count;
         }
         self.placed.clear();
-        self.placed.resize(total, (0, 0));
-        for (v, worker, j) in canonical() {
-            let cursor = &mut self.pos[v];
-            self.placed[*cursor as usize] = (worker, j);
+        self.placed.resize(total, None);
+        for t in canonical() {
+            let cursor = &mut self.pos[t.to as usize];
+            self.placed[*cursor as usize] =
+                Some((NonZeroU32::MIN.saturating_add(t.from), t.msg.clone()));
             *cursor += 1;
         }
     }
 
     /// The round's receivers in ascending order, each with its placed
-    /// transmits in canonical order (empty for delayed-only receivers).
-    pub fn receivers(&self) -> impl Iterator<Item = (NodeId, &[(u32, u32)])> + '_ {
+    /// messages in canonical order (empty for delayed-only receivers).
+    pub fn receivers(&mut self) -> impl Iterator<Item = (NodeId, &mut [Placed<M>])> + '_ {
+        let RouteScratch { pos, touched, placed, .. } = self;
+        let mut rest = placed.as_mut_slice();
         let mut start = 0;
-        self.touched.iter().map(move |&v| {
-            let end = self.pos[v as usize] as usize;
-            let range = &self.placed[start..end];
+        touched.iter().map(move |&v| {
+            let end = pos[v as usize] as usize;
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            rest = tail;
             start = end;
             (v as usize, range)
         })
     }
 
-    /// Owned heap bytes.
+    /// Owned heap bytes (payload heap behind `M` not traversed).
     pub fn heap_bytes(&self) -> usize {
-        self.pos.capacity() * 4 + self.touched.capacity() * 4 + self.placed.capacity() * 8
+        self.pos.capacity() * 4
+            + self.seen.heap_bytes()
+            + self.touched.capacity() * 4
+            + self.placed.capacity() * std::mem::size_of::<Placed<M>>()
     }
 }
 
@@ -294,73 +373,86 @@ mod tests {
         assert_eq!(ib.get(0), &[(3, 7)]);
     }
 
-    /// Sorts one round of `fresh` transmits, `(receiver, worker, stream
-    /// index)` in canonical order, plus the `delayed`-only holders; returns
-    /// each receiver with its placed entries.
+    /// `(from, to)` pairs as a canonical transmit stream whose payloads
+    /// number the transmits in order.
+    fn stream(pairs: &[(u32, u32)]) -> Vec<Transmit<u32>> {
+        pairs.iter().zip(0..).map(|(&(from, to), msg)| Transmit { from, to, msg }).collect()
+    }
+
+    /// Sorts one round of `fresh` transmits, in canonical order, plus the
+    /// `delayed`-only holders; returns each receiver with the `(from, msg)`
+    /// entries taken out of its range, which the route leaves empty.
     fn route(
-        rs: &mut RouteScratch,
+        rs: &mut RouteScratch<u32>,
         n: usize,
-        fresh: &[(NodeId, u32, u32)],
+        fresh: &[Transmit<u32>],
         delayed: &[NodeId],
     ) -> Vec<(NodeId, Vec<(u32, u32)>)> {
-        rs.sort(n, || fresh.iter().copied(), delayed.iter().copied());
-        rs.receivers().map(|(v, r)| (v, r.to_vec())).collect()
+        rs.sort(n, || fresh.iter(), delayed.iter().copied());
+        let got: Vec<(NodeId, Vec<(u32, u32)>)> = rs
+            .receivers()
+            .map(|(v, range)| {
+                let entries = range.iter_mut().map(|slot| {
+                    let (from1, msg) = slot.take().expect("placed");
+                    (from1.get() - 1, msg)
+                });
+                (v, entries.collect())
+            })
+            .collect();
+        assert!(rs.receivers().all(|(_, range)| range.iter().all(Option::is_none)));
+        got
     }
+
+    /// 200 nodes: four bitset words, the last one partial.
+    const N: usize = 200;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Wave `i` of the canonical stream `tos` is `tos[3i..3i + 3]`,
-        /// stepped by worker `waves[i].0`; the workers step the waves in
-        /// the order of the keys `waves[i].1`, not in wave order, so each
-        /// transmit's `(worker, stream index)` slot is assigned out of
-        /// canonical order. Routing must give each receiver its transmits
-        /// as a stable sort of the canonical stream by receiver does.
+        /// Sender `i / 3` sends transmit `i` to `tos[i]`, and `holders`
+        /// hold delayed messages. Routing must give each receiver its
+        /// transmits, payloads included, as a stable sort of the canonical
+        /// stream by receiver does, and list the receivers and holders
+        /// ascending across every bitset word.
         #[test]
         fn route_is_a_stable_sort_by_receiver(case in (
-            proptest::collection::vec(0usize..12, 0..80),
-            proptest::collection::vec((0u32..3, 0u32..1_000), 27..28),
+            proptest::collection::vec(0u32..N as u32, 0..300),
+            proptest::collection::vec(0usize..N, 0..8),
         )) {
-            let (tos, waves) = case;
-            let n_waves = tos.len().div_ceil(3);
-            let mut step_order: Vec<usize> = (0..n_waves).collect();
-            step_order.sort_by_key(|&i| waves[i].1);
-            let mut stream_len = [0u32; 3];
-            let mut canonical = vec![Vec::new(); n_waves];
-            for i in step_order {
-                let w = waves[i].0;
-                for &to in &tos[3 * i..(3 * i + 3).min(tos.len())] {
-                    canonical[i].push((to, w, stream_len[w as usize]));
-                    stream_len[w as usize] += 1;
-                }
-            }
-            let canonical = canonical.concat();
-            let want: Vec<(NodeId, Vec<(u32, u32)>)> = (0..12)
-                .map(|v| (v, canonical.iter().filter(|t| t.0 == v).map(|t| (t.1, t.2)).collect()))
-                .filter(|(_, r): &(NodeId, Vec<_>)| !r.is_empty())
+            let (tos, holders) = case;
+            let pairs: Vec<(u32, u32)> = tos.iter().zip(0..).map(|(&to, i)| (i / 3, to)).collect();
+            let fresh = stream(&pairs);
+            let want: Vec<(NodeId, Vec<(u32, u32)>)> = (0..N)
+                .map(|v| {
+                    let mine = fresh.iter().filter(|t| t.to as usize == v);
+                    (v, mine.map(|t| (t.from, t.msg)).collect::<Vec<_>>())
+                })
+                .filter(|(v, r)| !r.is_empty() || holders.contains(v))
                 .collect();
-            prop_assert_eq!(route(&mut RouteScratch::default(), 12, &canonical, &[]), want);
+            prop_assert_eq!(route(&mut RouteScratch::default(), N, &fresh, &holders), want);
         }
     }
 
     #[test]
     fn delayed_only_receivers_sort_in_with_empty_ranges() {
-        // Receiver 1 holds delayed messages as well as a fresh one.
-        let got =
-            route(&mut RouteScratch::default(), 6, &[(4, 0, 0), (1, 0, 1), (4, 1, 0)], &[5, 1, 0]);
+        // Receiver 70 holds delayed messages as well as a fresh one; the
+        // holders span three words and one of them is listed twice.
+        let fresh = stream(&[(0, 130), (1, 70), (2, 130)]);
+        let got = route(&mut RouteScratch::default(), N, &fresh, &[199, 70, 5, 199]);
         assert_eq!(
             got,
-            vec![(0, vec![]), (1, vec![(0, 1)]), (4, vec![(0, 0), (1, 0)]), (5, vec![])]
+            vec![(5, vec![]), (70, vec![(1, 1)]), (130, vec![(0, 0), (2, 2)]), (199, vec![])]
         );
     }
 
     #[test]
     fn a_round_starts_with_no_leftover_counts() {
         let mut rs = RouteScratch::default();
-        let got = route(&mut rs, 3, &[(2, 0, 0), (0, 0, 1), (2, 0, 2)], &[]);
-        assert_eq!(got, vec![(0, vec![(0, 1)]), (2, vec![(0, 0), (0, 2)])]);
-        // Leftover counts would hide 2 from the delayed holders and shift
-        // 0's range.
-        assert_eq!(route(&mut rs, 3, &[(0, 1, 7)], &[2]), vec![(0, vec![(1, 7)]), (2, vec![])]);
+        let got = route(&mut rs, N, &stream(&[(0, 150), (1, 3), (1, 150)]), &[64]);
+        assert_eq!(got, vec![(3, vec![(1, 1)]), (64, vec![]), (150, vec![(0, 0), (1, 2)])]);
+        // Leftover counts would shift 3's range; leftover bits would route
+        // 64 and 150 again.
+        let got = route(&mut rs, N, &stream(&[(4, 3)]), &[129]);
+        assert_eq!(got, vec![(3, vec![(4, 0)]), (129, vec![])]);
     }
 }

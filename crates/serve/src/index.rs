@@ -218,8 +218,13 @@ impl<G: GraphView> ServeIndex<G> {
 
     /// Answers one query. Pure in `(self, q)` — scratch reuse never shows
     /// in the response, which is what lets the sharded read path be
-    /// bit-identical to serial at any worker count.
+    /// bit-identical to serial at any worker count. A query naming an id
+    /// outside the index (see [`Response::Invalid`]) is answered
+    /// `Invalid`; no query panics.
     pub fn answer(&self, q: &Query, scratch: &mut ServeScratch) -> Response {
+        if !self.in_range(q) {
+            return Response::Invalid;
+        }
         match *q {
             Query::Distance { u, v } => {
                 let b = self.landmarks.bounds(u, v);
@@ -254,29 +259,35 @@ impl<G: GraphView> ServeIndex<G> {
                 }
             }
             Query::SafetyRoute { source, dest } => {
-                let route = self.safety.as_ref().and_then(|s| {
-                    let space = 1usize << s.dims();
-                    if source < space && dest < space {
-                        s.route(source, dest)
-                    } else {
-                        None
-                    }
-                });
-                Response::SafetyRoute(route)
+                Response::SafetyRoute(self.safety.as_ref().and_then(|s| s.route(source, dest)))
             }
             Query::Journey { source, target, start } => {
                 let arrival = match (&self.temporal, &mut scratch.cursor) {
-                    (Some(store), Some(cur)) => {
-                        if source < store.eg.node_count() && target < store.eg.node_count() {
-                            earliest_arrival_via_cursor(cur, source, target, start)
-                        } else {
-                            None
-                        }
-                    }
+                    (Some(_), Some(cur)) => earliest_arrival_via_cursor(cur, source, target, start),
                     _ => None,
                 };
                 Response::Arrival(arrival)
             }
+        }
+    }
+
+    /// Whether every id `q` names lies inside the index: graph nodes for
+    /// the five node-keyed kinds, overlay addresses for a safety route and
+    /// trace nodes for a journey. A kind whose structure the index lacks
+    /// (no overlay, no temporal store) is in range and answers `None`.
+    fn in_range(&self, q: &Query) -> bool {
+        let n = self.g.node_count();
+        match *q {
+            Query::Distance { u, v } | Query::DistanceExact { u, v } => u < n && v < n,
+            Query::ForwardingSet { u } | Query::Structure { u } | Query::Rank { u } => u < n,
+            Query::SafetyRoute { source, dest } => self.safety.as_ref().is_none_or(|s| {
+                let space = 1usize << s.dims();
+                source < space && dest < space
+            }),
+            Query::Journey { source, target, .. } => self.temporal.as_ref().is_none_or(|t| {
+                let n = t.eg.node_count();
+                source < n && target < n
+            }),
         }
     }
 
@@ -387,10 +398,10 @@ mod tests {
                 routed += 1;
             }
         }
-        // Out-of-range addresses answer None instead of panicking.
+        // Out-of-range addresses answer Invalid instead of panicking.
         assert_eq!(
             idx.answer(&Query::SafetyRoute { source: 64, dest: 0 }, &mut scratch),
-            Response::SafetyRoute(None)
+            Response::Invalid
         );
         let _ = routed; // how many succeed depends on the derived fault set
     }

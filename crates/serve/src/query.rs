@@ -22,9 +22,11 @@ pub use csn_graph::landmark::UNREACHABLE;
 
 /// One request against a frozen [`crate::ServeIndex`].
 ///
-/// Node ids must be `< node_count` of the indexed graph (the workload
+/// Node ids are `< node_count` of the indexed graph (the workload
 /// generator only emits valid ids); hypercube addresses in
-/// [`Query::SafetyRoute`] live in the overlay's own `0..2^dims` space.
+/// [`Query::SafetyRoute`] live in the overlay's own `0..2^dims` space, and
+/// journey ids in the temporal store's. Any other id is answered
+/// [`Response::Invalid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Query {
     /// Certified distance interval for `d(u, v)` from the landmark tables —
@@ -148,12 +150,15 @@ pub enum Response {
         degree: usize,
     },
     /// Route for [`Query::SafetyRoute`]: the address walk, or `None` when
-    /// the overlay is absent, an address is out of range, or no safe
-    /// shortest path exists.
+    /// the overlay is absent or no safe shortest path exists.
     SafetyRoute(Option<Vec<usize>>),
     /// Earliest arrival for [`Query::Journey`] (`None` when the index has
     /// no temporal store or the target is unreachable in the horizon).
     Arrival(Option<TimeUnit>),
+    /// The query names an id outside the index: a node `>= node_count` of
+    /// the graph, a safety-route address outside the overlay's `2^dims`
+    /// space, or a journey node outside the temporal store.
+    Invalid,
 }
 
 impl Response {
@@ -195,6 +200,7 @@ impl Response {
                 Some(t) => format!("arrival {t}"),
                 None => "arrival none".to_string(),
             },
+            Response::Invalid => "invalid".to_string(),
         }
     }
 }
@@ -223,5 +229,6 @@ mod tests {
             "route [1101 -> 101]"
         );
         assert_eq!(Response::Arrival(None).render(), "arrival none");
+        assert_eq!(Response::Invalid.render(), "invalid");
     }
 }

@@ -2,8 +2,10 @@
 //! exact distances on arbitrary graphs, both from the bare landmark index
 //! and as served `Distance` answers, the exact-fallback path equals BFS
 //! ground truth, the sharded batched read path is bitwise identical to
-//! serial at several worker counts, journeys included, and the Zipf
-//! workload generator is a pure function of its seed.
+//! serial at several worker counts, journeys included, arbitrary queries
+//! (out-of-range ids and `u == v` included) never panic and are answered
+//! `Invalid` exactly when an id is out of range, on both paths, and the
+//! Zipf workload generator is a pure function of its seed.
 
 use csn_graph::{traversal, Graph, LandmarkIndex};
 use csn_serve::{
@@ -114,6 +116,63 @@ proptest! {
         for jobs in [1usize, 2, 4, 7, csn_parallel::available_parallelism()] {
             prop_assert_eq!(
                 &serve_batched(&idx, &wl.queries, shards, jobs),
+                &serial,
+                "shards={} jobs={}", shards, jobs
+            );
+        }
+    }
+
+    #[test]
+    fn arbitrary_queries_never_panic_and_both_paths_agree(
+        g in arb_graph(40),
+        raw in proptest::collection::vec((0u8..9, 0usize..64, 0usize..64, 0u32..12), 1..120),
+        journey_horizon in 0u32..8,
+        shards in 1usize..9,
+    ) {
+        let n = g.node_count();
+        let mut idx =
+            ServeIndex::build(g, &ServeConfig { landmarks: 3, ..ServeConfig::default() });
+        if journey_horizon > 0 {
+            let trace = EdgeMarkovian::new(n, 0.4, 4.0 / n as f64).generate(journey_horizon, 7);
+            idx = idx.with_temporal(trace);
+        }
+        let space = 1usize << idx.safety_dims();
+        // Ids a little past each id space, and the largest id of all.
+        let id = |x: usize, bound: usize| if x >= bound + 3 { usize::MAX } else { x };
+        let queries: Vec<Query> = raw
+            .iter()
+            .map(|&(kind, a, b, start)| {
+                let (u, v) = (id(a, n), id(b, n));
+                match kind {
+                    0 => Query::Distance { u, v },
+                    1 => Query::DistanceExact { u, v },
+                    2 => Query::ForwardingSet { u },
+                    3 => Query::Structure { u },
+                    4 => Query::Rank { u },
+                    5 => Query::SafetyRoute { source: id(a, space), dest: id(b, space) },
+                    6 => Query::Journey { source: u, target: v, start },
+                    7 => Query::Distance { u, v: u },
+                    _ => Query::DistanceExact { u, v: u },
+                }
+            })
+            .collect();
+        let serial = serve_serial(&idx, &queries);
+        for (q, r) in queries.iter().zip(&serial) {
+            let in_range = match *q {
+                Query::Distance { u, v } | Query::DistanceExact { u, v } => u < n && v < n,
+                Query::ForwardingSet { u } | Query::Structure { u } | Query::Rank { u } => u < n,
+                Query::SafetyRoute { source, dest } => {
+                    idx.safety_dims() == 0 || (source < space && dest < space)
+                }
+                Query::Journey { source, target, .. } => {
+                    journey_horizon == 0 || (source < n && target < n)
+                }
+            };
+            prop_assert_eq!(*r == Response::Invalid, !in_range, "{:?} -> {:?}", q, r);
+        }
+        for jobs in [1usize, 2, 4] {
+            prop_assert_eq!(
+                &serve_batched(&idx, &queries, shards, jobs),
                 &serial,
                 "shards={} jobs={}", shards, jobs
             );

@@ -88,11 +88,12 @@ echo "==> scale smoke (small-n rows: streamed generators, frozen-form memory, sa
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
   --scale --scale-nodes 20000 --out target/BENCH_scale_check.json
 
-echo "==> distsim smoke (the 10^4-node rows: flood, Bellman-Ford, MIS and CDS marking; their exact counts must equal the committed BENCH_distsim.json's first four rows)"
+echo "==> distsim smoke (the 10^4-node rows: flood, Bellman-Ford, MIS and CDS marking; their exact counts and one-worker heap bytes must equal the committed BENCH_distsim.json's first four rows)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
   --distsim --distsim-nodes 10000 --out target/BENCH_distsim_check.json
-# Four rows of six exact fields each.
-distsim_counts() { grep -E '"(protocol|nodes|edges|rounds|messages|converged)":' "$1" | head -n 24; }
+# Four rows of seven exact fields each; the rows run on one worker, so
+# sim_heap_bytes repeats exactly and a memory change shows as a diff.
+distsim_counts() { grep -E '"(protocol|nodes|edges|rounds|messages|converged|sim_heap_bytes)":' "$1" | head -n 28; }
 if ! diff -u <(distsim_counts BENCH_distsim.json) <(distsim_counts target/BENCH_distsim_check.json); then
   echo "FAIL: distsim exact counts differ from the committed BENCH_distsim.json's 10^4-node rows" >&2
   echo "      if the change is intended, regenerate with: cargo run -p csn-bench --release --bin perf_smoke -- --distsim" >&2
