@@ -11,9 +11,11 @@
 //!
 //! 1. **Default tier** → `BENCH_kernels.json`: Brandes betweenness and
 //!    all-pairs BFS on a BA graph's adjacency list and its frozen form,
-//!    fresh-alloc vs scratch Brandes, `betweenness_par` per worker count, a
-//!    snapshot sweep by rebuilds and by cursor, a faulted Bellman–Ford run,
-//!    and the counted-touch `maintain` rows: node touches of the k-core,
+//!    fresh-alloc vs scratch Brandes, `betweenness_par` per worker count,
+//!    the landmark-table build (k = 16) one BFS per landmark vs
+//!    multi-source with the arcs each scans, a snapshot sweep by rebuilds
+//!    and by cursor, a faulted Bellman–Ford run, and the counted-touch
+//!    `maintain` rows: node touches of the k-core,
 //!    NSF and forwarding-set maintainers on a sparse edge-Markovian trace
 //!    next to per-step rebuilds (see `csn_bench::kernels_bench`).
 //! 2. **`--scale`** → `BENCH_scale.json`: at `--scale-nodes` (default 10⁶),
@@ -39,13 +41,15 @@
 
 use csn_bench::cli::{usage_error, Flags};
 use csn_bench::kernels_bench::{
-    maintain_rows, synthetic_trim, BenchKernels, Timing, KERNELS_SCHEMA,
+    maintain_rows, synthetic_trim, BenchKernels, LandmarkRow, Timing, KERNELS_SCHEMA,
 };
 use csn_bench::timed;
 use csn_core::graph::centrality::{betweenness_centrality, brandes_delta};
+use csn_core::graph::landmark::UNREACHABLE;
 use csn_core::graph::parallel::betweenness_par;
-use csn_core::graph::traversal::all_pairs_bfs;
-use csn_core::graph::{generators, GraphError, GraphView};
+use csn_core::graph::scratch::BfsScratch;
+use csn_core::graph::traversal::{all_pairs_bfs, bfs_distances_into};
+use csn_core::graph::{generators, GraphError, GraphView, LandmarkIndex, NodeId};
 use csn_core::temporal::markovian::EdgeMarkovian;
 use serde::Serialize;
 use std::hint::black_box;
@@ -118,6 +122,20 @@ fn fresh_alloc_betweenness<G: GraphView>(g: &G) -> Vec<f64> {
     bc
 }
 
+/// The landmark tables the per-landmark way: one `bfs_distances_into` per
+/// landmark over one scratch, narrowed into the `k × n` `u32` layout of
+/// `LandmarkIndex`.
+fn per_landmark_tables<G: GraphView>(g: &G, landmarks: &[NodeId]) -> Vec<u32> {
+    let mut scratch = BfsScratch::new();
+    let mut row = Vec::new();
+    let mut dist = Vec::with_capacity(landmarks.len() * g.node_count());
+    for &l in landmarks {
+        bfs_distances_into(g, l, &mut scratch, &mut row);
+        dist.extend(row.iter().map(|&d| u32::try_from(d).unwrap_or(UNREACHABLE)));
+    }
+    dist
+}
+
 /// Times `run` and appends its row to `timings`.
 fn time<T>(timings: &mut Vec<Timing>, kernel: &str, representation: &str, run: impl FnOnce() -> T) {
     let (out, wall_secs) = timed(run);
@@ -163,6 +181,14 @@ fn run_kernels(_: &Flags) -> String {
             betweenness_par(&frozen, jobs)
         });
     }
+    let (k, landmark_seed) = (16usize, 0xC5u64);
+    let idx = LandmarkIndex::build(&frozen, k, landmark_seed);
+    let landmarks = LandmarkRow::new(&frozen, &idx, landmark_seed);
+    let kernel = format!("landmark_build(k={k})");
+    time(&mut timings, &kernel, "per_landmark_bfs", || {
+        per_landmark_tables(&frozen, idx.landmarks())
+    });
+    time(&mut timings, &kernel, "multi_source", || LandmarkIndex::build(&frozen, k, landmark_seed));
     time(&mut timings, "snapshot_sweep", "rebuild", || {
         for t in 0..eg.horizon() {
             black_box(eg.snapshot(t));
@@ -192,6 +218,10 @@ fn run_kernels(_: &Flags) -> String {
             row.incremental_node_touches
         );
     }
+    eprintln!(
+        "landmarks (k={k}): {} arcs scanned vs {} one BFS per landmark",
+        landmarks.arcs_scanned, landmarks.per_landmark_arcs
+    );
     eprintln!("kernels on BA({n},{m}): {} timing rows ({cores} core(s))", timings.len());
     serde::json::to_string_pretty(&BenchKernels {
         schema: KERNELS_SCHEMA.to_string(),
@@ -204,6 +234,7 @@ fn run_kernels(_: &Flags) -> String {
             "edge_markovian(n={tn}, p={sp}, q={sq}, horizon={horizon}, seed={tseed})"
         ),
         detected_cores: cores,
+        landmarks,
         maintain,
         timings,
     })

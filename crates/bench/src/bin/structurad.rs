@@ -145,8 +145,9 @@ fn main() {
         }
     });
     eprintln!(
-        "structurad: indexed BA(n={nodes}, m={m}) — {edges} edges, {landmarks} landmarks, \
-         {build_secs:.3}s build, {} index bytes ({:.1} bytes/node)",
+        "structurad: indexed BA(n={nodes}, m={m}) — {edges} edges, {landmarks} landmarks \
+         ({} arcs scanned), {build_secs:.3}s build, {} index bytes ({:.1} bytes/node)",
+        idx.landmarks().arcs_scanned(),
         idx.heap_bytes(),
         idx.heap_bytes() as f64 / nodes as f64
     );

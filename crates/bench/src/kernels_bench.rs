@@ -3,15 +3,19 @@
 //!
 //! The document holds kernel wall times (Brandes and all-pairs BFS on the
 //! adjacency list and its frozen form, fresh-alloc vs scratch Brandes,
-//! `betweenness_par`, snapshot sweeps, a faulted Bellman–Ford run) and the
-//! `maintain` block: per structure maintainer, the node touches of a
-//! `TrackedCursor` sweep next to those of per-step rebuilds. Wall times are
-//! informational; the touch counts are exact, and `scripts/check.sh`
-//! compares them with the committed artifact.
+//! `betweenness_par`, the landmark-table build one BFS per landmark vs
+//! multi-source, snapshot sweeps, a faulted Bellman–Ford run), the
+//! `landmarks` block — the arcs the landmark-table build scanned next to
+//! the arcs one BFS per landmark scans — and the `maintain` block: per
+//! structure maintainer, the node touches of a `TrackedCursor` sweep next
+//! to those of per-step rebuilds. Wall times are informational; the arc
+//! and touch counts are exact, and `scripts/check.sh` compares them with
+//! the committed artifact.
 
 use crate::timed;
 use csn_core::graph::cores::{core_numbers, IncrementalCores};
-use csn_core::graph::{Graph, NodeId};
+use csn_core::graph::landmark::UNREACHABLE;
+use csn_core::graph::{Graph, GraphView, LandmarkIndex, NodeId};
 use csn_core::layering::nsf::{nsf_levels, IncrementalNsf};
 use csn_core::temporal::maintain::StructureMaintainer;
 use csn_core::temporal::{TimeEvolvingGraph, TrackedCursor};
@@ -21,7 +25,7 @@ use std::hint::black_box;
 
 /// Schema tag of `BENCH_kernels.json`; bump on layout changes and
 /// regenerate the committed artifact in the same commit.
-pub const KERNELS_SCHEMA: &str = "structura-bench-kernels-v5";
+pub const KERNELS_SCHEMA: &str = "structura-bench-kernels-v6";
 
 /// One timed kernel run.
 #[derive(Serialize)]
@@ -49,6 +53,38 @@ pub struct MaintainRow {
     pub incremental_node_touches: u64,
 }
 
+/// The landmark-table build on the kernel graph, counted two ways.
+#[derive(Serialize)]
+pub struct LandmarkRow {
+    /// Landmark count.
+    pub k: usize,
+    /// Seed of the random half of landmark selection.
+    pub seed: u64,
+    /// Arcs the build's multi-source traversal scanned
+    /// (`LandmarkIndex::arcs_scanned`).
+    pub arcs_scanned: u64,
+    /// Arcs one BFS per landmark scans: over the landmarks, the degrees of
+    /// the nodes each one reaches, read from the built tables.
+    pub per_landmark_arcs: u64,
+}
+
+impl LandmarkRow {
+    /// The counts of `idx`, built on `g` with `seed`.
+    pub fn new<G: GraphView>(g: &G, idx: &LandmarkIndex, seed: u64) -> Self {
+        let per_landmark_arcs = (0..idx.landmark_count())
+            .flat_map(|l| idx.distance_row(l).iter().enumerate())
+            .filter(|&(_, &d)| d != UNREACHABLE)
+            .map(|(v, _)| g.degree(v) as u64)
+            .sum();
+        LandmarkRow {
+            k: idx.landmark_count(),
+            seed,
+            arcs_scanned: idx.arcs_scanned(),
+            per_landmark_arcs,
+        }
+    }
+}
+
 /// The whole `BENCH_kernels.json` document.
 #[derive(Serialize)]
 pub struct BenchKernels {
@@ -64,6 +100,8 @@ pub struct BenchKernels {
     pub maintain_graph: String,
     /// Hardware threads detected.
     pub detected_cores: usize,
+    /// Arc counts of the landmark-table build on the frozen `graph`.
+    pub landmarks: LandmarkRow,
     /// Counted-touch rows, one per structure maintainer.
     pub maintain: Vec<MaintainRow>,
     /// Kernel wall times.

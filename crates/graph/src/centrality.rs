@@ -27,6 +27,22 @@ pub fn degree_centrality<G: GraphView>(g: &G) -> Vec<f64> {
     g.nodes().map(|u| g.degree(u) as f64 / denom).collect()
 }
 
+/// The `count` highest-degree nodes, highest first, ties to the lower id —
+/// the prefix of a full `(−degree, id)` sort, found by one `O(n)` selection
+/// plus a sort of the prefix. The result holds exactly `min(count, n)`
+/// slots.
+pub fn top_by_degree<G: GraphView>(g: &G, count: usize) -> Vec<NodeId> {
+    let key = |&u: &NodeId| (std::cmp::Reverse(g.degree(u)), u);
+    let mut nodes: Vec<NodeId> = g.nodes().collect();
+    let count = count.min(nodes.len());
+    if count < nodes.len() {
+        nodes.select_nth_unstable_by_key(count, key);
+    }
+    let mut top = nodes[..count].to_vec();
+    top.sort_unstable_by_key(key);
+    top
+}
+
 /// The closeness score of a single node: one BFS plus the Wasserman–Faust
 /// reachable-fraction scaling. [`closeness_centrality`] and
 /// [`crate::parallel::closeness_par`] both delegate here.
@@ -360,6 +376,19 @@ mod tests {
         let dc = degree_centrality(&g);
         assert_eq!(dc[0], 1.0);
         assert!((dc[1] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn top_by_degree_is_the_prefix_of_a_full_degree_sort() {
+        let g = generators::barabasi_albert(300, 2, 4).unwrap();
+        let mut sorted: Vec<NodeId> = g.nodes().collect();
+        sorted.sort_by_key(|&u| (std::cmp::Reverse(g.degree(u)), u));
+        for count in [0, 1, 7, 64, 299, 300, 1000] {
+            let top = top_by_degree(&g, count);
+            assert_eq!(top, sorted[..count.min(300)], "count {count}");
+            assert_eq!(top.capacity(), count.min(300), "count {count}");
+        }
+        assert!(top_by_degree(&Graph::new(0), 5).is_empty());
     }
 
     #[test]

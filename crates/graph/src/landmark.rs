@@ -26,9 +26,18 @@
 //!
 //! # Performance
 //!
-//! Building the index costs `k` BFS passes (`O(k · (n + m))`, one reusable
-//! [`BfsScratch`]) and stores `k · n` `u32` entries — 4 bytes per node per
-//! landmark, the dominant memory term of a serve index (see SERVING.md).
+//! Building the index costs `⌈k / 64⌉` level-synchronous traversals, each a
+//! bit-parallel BFS from up to 64 landmarks at once (Then et al., "The More
+//! the Merrier", PVLDB 2014; the bit-parallel roots of Akiba, Iwata &
+//! Yoshida's pruned landmark labeling, SIGMOD 2013). Every node carries
+//! three `u64` masks — seen, frontier, next — in which bit `i` stands for
+//! the batch's landmark `i`, so each level sweeps the `n` masks twice and
+//! scans a node's arcs once for all the landmarks that reach it at that
+//! level, instead of once per landmark. The masks are 24 bytes per node of
+//! temporary memory, freed when `build` returns;
+//! [`LandmarkIndex::arcs_scanned`] reports the exact arc work. The index
+//! stores `k · n` `u32` entries — 4 bytes per node per landmark, the
+//! dominant memory term of a serve index (see SERVING.md).
 //! [`LandmarkIndex::bounds`] is an `O(k)` scan with no allocation and no
 //! graph access, which is what makes batched query serving cache-friendly:
 //! the graph itself is only touched on bound misses.
@@ -48,9 +57,8 @@
 //! }
 //! ```
 
+use crate::centrality::top_by_degree;
 use crate::graph::NodeId;
-use crate::scratch::BfsScratch;
-use crate::traversal::bfs_distances_into;
 use crate::view::GraphView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,6 +94,8 @@ pub struct LandmarkIndex {
     /// Row-major `k × n` table: `dist[l * nodes + v]` is the exact BFS
     /// distance from `landmarks[l]` to `v` ([`UNREACHABLE`] if none).
     dist: Vec<u32>,
+    /// Arcs the build's traversals scanned (see [`Self::arcs_scanned`]).
+    arcs_scanned: u64,
 }
 
 impl LandmarkIndex {
@@ -93,17 +103,27 @@ impl LandmarkIndex {
     /// `ceil(k / 2)` highest-degree nodes (ties broken by lower id), then
     /// seeded-random distinct fill from the rest. Deterministic per
     /// `(graph, k, seed)`.
+    ///
+    /// The tables come from one bit-parallel multi-source BFS per batch of
+    /// 64 landmarks, `⌈k / 64⌉` passes in all, with 24 bytes per node of
+    /// temporary masks (see the [module docs](self#performance)). Each row
+    /// equals the BFS distance vector from its landmark.
+    ///
+    /// # Panics
+    ///
+    /// If `g` has `u32::MAX` or more nodes (distances are stored as `u32`).
     pub fn build<G: GraphView>(g: &G, k: usize, seed: u64) -> Self {
         let n = g.node_count();
+        assert!(
+            n < UNREACHABLE as usize,
+            "landmark tables store u32 distances: {n} nodes do not fit"
+        );
         let k = k.min(n);
         let mut chosen = vec![false; n];
         let mut landmarks = Vec::with_capacity(k);
 
         // Hub half: highest degree first, lower id on ties.
-        let hubs = k.div_ceil(2);
-        let mut by_degree: Vec<NodeId> = g.nodes().collect();
-        by_degree.sort_by_key(|&u| (std::cmp::Reverse(g.degree(u)), u));
-        for &u in by_degree.iter().take(hubs) {
+        for u in top_by_degree(g, k.div_ceil(2)) {
             chosen[u] = true;
             landmarks.push(u);
         }
@@ -118,20 +138,9 @@ impl LandmarkIndex {
             }
         }
 
-        let mut dist = Vec::with_capacity(k * n);
-        let mut scratch = BfsScratch::new();
-        let mut row = Vec::new();
-        for &l in &landmarks {
-            bfs_distances_into(g, l, &mut scratch, &mut row);
-            dist.extend(row.iter().map(|&d| {
-                if d == usize::MAX {
-                    UNREACHABLE
-                } else {
-                    u32::try_from(d).expect("hop distance below node count fits u32")
-                }
-            }));
-        }
-        LandmarkIndex { nodes: n, landmarks, dist }
+        let mut dist = vec![UNREACHABLE; k * n];
+        let arcs_scanned = fill_rows(g, &landmarks, &mut dist);
+        LandmarkIndex { nodes: n, landmarks, dist, arcs_scanned }
     }
 
     /// The landmark nodes, in selection order.
@@ -200,6 +209,64 @@ impl LandmarkIndex {
         self.dist.capacity() * std::mem::size_of::<u32>()
             + self.landmarks.capacity() * std::mem::size_of::<NodeId>()
     }
+
+    /// Arcs the build's traversals scanned: `deg(v)` for every node `v`
+    /// each time a level pushed `v`'s frontier mask. One BFS per landmark
+    /// would scan `deg(v)` once per landmark that reaches `v`; a batch
+    /// scans it once per distinct distance from the batch's landmarks.
+    pub fn arcs_scanned(&self) -> u64 {
+        self.arcs_scanned
+    }
+}
+
+/// Fills the `landmarks.len() × n` row-major table `dist` (pre-filled with
+/// [`UNREACHABLE`]) with exact BFS distances: one level-synchronous
+/// traversal per batch of 64 landmarks, bit `i` of batch `b`'s masks
+/// standing for landmark `64 · b + i`. Returns the arcs scanned.
+fn fill_rows<G: GraphView>(g: &G, landmarks: &[NodeId], dist: &mut [u32]) -> u64 {
+    let n = g.node_count();
+    let (mut seen, mut frontier, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+    let mut arcs = 0u64;
+    for (b, batch) in landmarks.chunks(64).enumerate() {
+        let rows = &mut dist[64 * b * n..][..batch.len() * n];
+        seen.fill(0);
+        frontier.fill(0);
+        next.fill(0);
+        for (i, &l) in batch.iter().enumerate() {
+            seen[l] |= 1 << i;
+            frontier[l] |= 1 << i;
+            rows[i * n + l] = 0;
+        }
+        // `n < u32::MAX`, so a level never reaches UNREACHABLE.
+        let mut level = 0u32;
+        let mut grew = true;
+        while grew {
+            level += 1;
+            for v in 0..n {
+                let f = frontier[v];
+                if f != 0 {
+                    arcs += g.degree(v) as u64;
+                    for w in g.neighbors(v) {
+                        next[w] |= f;
+                    }
+                }
+            }
+            grew = false;
+            for w in 0..n {
+                let new = next[w] & !seen[w];
+                next[w] = 0;
+                frontier[w] = new;
+                seen[w] |= new;
+                grew |= new != 0;
+                let mut bits = new;
+                while bits != 0 {
+                    rows[bits.trailing_zeros() as usize * n + w] = level;
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+    arcs
 }
 
 #[cfg(test)]
@@ -266,6 +333,37 @@ mod tests {
             assert!(b.is_exact(), "bounds at a landmark must be tight");
             assert_eq!(b.upper as usize, exact[v]);
         }
+
+        // Every row equals one BFS from its landmark across three batches
+        // of 64 (the last one partial): k = 130 on three components plus
+        // ten isolated nodes, on both graph forms.
+        let mut g = crate::Graph::new(210);
+        for (offset, size, seed) in [(0, 90, 1), (90, 70, 2), (160, 40, 3)] {
+            for (u, v) in generators::barabasi_albert(size, 2, seed).unwrap().edges() {
+                g.add_edge(offset + u, offset + v);
+            }
+        }
+        let idx = LandmarkIndex::build(&g, 130, 7);
+        assert_eq!(idx, LandmarkIndex::build(&g.freeze().unwrap(), 130, 7));
+        assert_eq!(idx.landmark_count(), 130);
+        assert!(idx.landmarks().iter().any(|&l| l >= 200), "an isolated landmark");
+        let mut per_landmark_arcs = 0;
+        for (r, &l) in idx.landmarks().iter().enumerate() {
+            let truth: Vec<u32> = bfs_distances(&g, l)
+                .iter()
+                .map(|&d| if d == usize::MAX { UNREACHABLE } else { d as u32 })
+                .collect();
+            assert_eq!(idx.distance_row(r), truth, "row {r} (landmark {l})");
+            per_landmark_arcs += (0..210)
+                .filter(|&v| truth[v] != UNREACHABLE)
+                .map(|v| g.degree(v) as u64)
+                .sum::<u64>();
+        }
+        assert!(idx.arcs_scanned() < per_landmark_arcs);
+        // One landmark: the traversal scans exactly what one BFS scans.
+        let one = LandmarkIndex::build(&g, 1, 0);
+        let reached = one.distance_row(0).iter().enumerate().filter(|&(_, &d)| d != UNREACHABLE);
+        assert_eq!(one.arcs_scanned(), reached.map(|(v, _)| g.degree(v) as u64).sum::<u64>());
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!
 //! # Performance
 //!
-//! Build cost is dominated by the `k` landmark BFS passes
-//! (`O(k · (n + m))`) plus one NSF peel and one core decomposition; see
-//! `SERVING.md` for the measured build times and the index memory model
+//! Build cost is the landmark tables — one bit-parallel multi-source BFS
+//! per 64 landmarks, so up to 64 landmarks share one traversal (see
+//! [`LandmarkIndex::build`]) — plus one NSF peel and one core
+//! decomposition; see `SERVING.md` for the measured build times and the
+//! index memory model
 //! ([`ServeIndex::heap_bytes`] reports the real footprint, dominated by the
 //! `k × n` `u32` landmark table). Answer cost per query kind: `O(k)` for
 //! bounds, `O(k)` + a scratch-arena BFS only on a bound miss for exact
@@ -23,6 +25,7 @@
 
 use crate::query::{Query, Response, UNREACHABLE};
 use crate::temporal::earliest_arrival_via_cursor;
+use csn_graph::centrality::top_by_degree;
 use csn_graph::scratch::BfsScratch;
 use csn_graph::traversal::bfs_distances_into;
 use csn_graph::{GraphView, LandmarkIndex, NodeId};
@@ -121,9 +124,7 @@ impl<G: GraphView> ServeIndex<G> {
 
         // Top-k by degree, ties to the lower id — the same ordering the
         // sampled-centrality tier reports.
-        let mut by_degree: Vec<NodeId> = g.nodes().collect();
-        by_degree.sort_by_key(|&u| (std::cmp::Reverse(g.degree(u)), u));
-        let top: Vec<NodeId> = by_degree.into_iter().take(cfg.top_k).collect();
+        let top = top_by_degree(&g, cfg.top_k);
         let mut rank_of = vec![UNRANKED; n];
         for (r, &u) in top.iter().enumerate() {
             rank_of[u] = u32::try_from(r).expect("top_k fits u32");
@@ -132,7 +133,8 @@ impl<G: GraphView> ServeIndex<G> {
         // Live forwarding sets under the frozen trim overlay, flattened.
         let cut: HashSet<(NodeId, NodeId)> = cfg.trimmed_arcs.iter().copied().collect();
         let mut fwd_off = Vec::with_capacity(n + 1);
-        let mut fwd = Vec::new();
+        // Each set is a subset of the node's row: 2m slots hold them all.
+        let mut fwd = Vec::with_capacity(2 * g.edge_count());
         fwd_off.push(0);
         for u in g.nodes() {
             push_forwarding_set(&g, &cut, u, &mut fwd);
@@ -436,7 +438,7 @@ mod tests {
     #[test]
     fn build_is_deterministic_and_reports_heap_bytes() {
         let g = ba(60, 2, 9);
-        let cfg = ServeConfig::default();
+        let cfg = ServeConfig { top_k: 8, ..ServeConfig::default() };
         let a = ServeIndex::build(g.clone(), &cfg);
         let b = ServeIndex::build(g, &cfg);
         let mut sa = a.scratch();
@@ -445,8 +447,17 @@ mod tests {
             let q = Query::Distance { u, v: (u * 7 + 3) % 60 };
             assert_eq!(a.answer(&q, &mut sa), b.answer(&q, &mut sb));
         }
-        assert!(a.heap_bytes() > 0);
-        // The landmark table dominates: k × n × 4 bytes.
-        assert!(a.heap_bytes() >= 16 * 60 * 4);
+        // Every table holds exactly the slots it uses.
+        let (n, k, m, word) = (60, 16, a.graph().edge_count(), std::mem::size_of::<usize>());
+        let tables = [
+            k * n * 4,      // landmark distance table
+            k * word,       // landmark list
+            2 * n * word,   // NSF level and core number columns
+            n * 4,          // rank-of table
+            8 * word,       // top-k list
+            (n + 1) * word, // forwarding-set offsets
+            2 * m * word,   // forwarding-set entries (no trim)
+        ];
+        assert_eq!(a.heap_bytes(), tables.iter().sum::<usize>());
     }
 }

@@ -110,8 +110,13 @@ impl WorkloadConfig {
     /// distances (35%), exact distances (15%), forwarding sets (15%),
     /// structure (10%), ranks (10%), safety routes (7%), journeys (8%) —
     /// with disabled kinds folded into the distance buckets.
+    ///
+    /// A graph with no nodes has no query to ask: `n = 0` gives an empty
+    /// workload (no queries, no users).
     pub fn generate(&self, n: usize) -> Workload {
-        assert!(n > 0, "workload needs a non-empty graph");
+        if n == 0 {
+            return Workload { queries: Vec::new(), distinct_users: 0 };
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let user_zipf = Zipf::new(self.users, self.zipf_users);
         let node_zipf = Zipf::new(n, self.zipf_nodes);
@@ -240,5 +245,12 @@ mod tests {
                 "disabled kind generated: {q:?}"
             );
         }
+    }
+
+    #[test]
+    fn an_empty_graph_gets_an_empty_workload() {
+        let wl = WorkloadConfig { safety_space: 64, journey_horizon: 16, ..Default::default() }
+            .generate(0);
+        assert_eq!(wl, Workload { queries: Vec::new(), distinct_users: 0 });
     }
 }

@@ -1,6 +1,7 @@
-//! Property tests for the query-serving layer: landmark bounds sandwich
-//! exact distances on arbitrary graphs, both from the bare landmark index
-//! and as served `Distance` answers, the exact-fallback path equals BFS
+//! Property tests for the query-serving layer: every landmark table row
+//! equals one BFS from its landmark, landmark bounds sandwich exact
+//! distances on arbitrary graphs, both from the bare landmark index and as
+//! served `Distance` answers, the exact-fallback path equals BFS
 //! ground truth, the sharded batched read path is bitwise identical to
 //! serial at several worker counts, journeys included, arbitrary queries
 //! (out-of-range ids and `u == v` included) never panic and are answered
@@ -31,6 +32,16 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A BFS hop distance as the index stores it: `usize::MAX` (no path)
+/// becomes `u32::MAX`.
+fn as_u32(d: usize) -> u32 {
+    if d == usize::MAX {
+        u32::MAX
+    } else {
+        d as u32
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -47,9 +58,13 @@ proptest! {
         let mut scratch = served.scratch();
         for u in 0..n {
             let truth = traversal::bfs_distances(&g, u);
+            if let Some(l) = idx.landmarks().iter().position(|&l| l == u) {
+                let row: Vec<u32> = truth.iter().map(|&d| as_u32(d)).collect();
+                prop_assert_eq!(idx.distance_row(l), &row[..], "row of landmark {}", u);
+            }
             for v in 0..n {
                 let b = idx.bounds(u, v);
-                let exact = if truth[v] == usize::MAX { u32::MAX } else { truth[v] as u32 };
+                let exact = as_u32(truth[v]);
                 prop_assert!(
                     b.lower <= exact && exact <= b.upper,
                     "[{}, {}] misses d({u},{v}) = {exact}", b.lower, b.upper
@@ -77,7 +92,7 @@ proptest! {
         for u in 0..n {
             let truth = traversal::bfs_distances(&g, u);
             for v in 0..n {
-                let exact = if truth[v] == usize::MAX { u32::MAX } else { truth[v] as u32 };
+                let exact = as_u32(truth[v]);
                 match idx.answer(&Query::DistanceExact { u, v }, &mut scratch) {
                     Response::Exact { dist, .. } => prop_assert_eq!(dist, exact),
                     other => prop_assert!(false, "unexpected response {:?}", other),

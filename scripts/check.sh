@@ -74,12 +74,12 @@ for artifact in BENCH_*.json; do
   fi
 done
 
-echo "==> perf smoke (kernel timings and counted-touch maintain rows; the maintain touch counts must equal the committed BENCH_kernels.json)"
+echo "==> perf smoke (kernel timings, landmark arc counts and counted-touch maintain rows; the arc and touch counts must equal the committed BENCH_kernels.json)"
 cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
   --out target/BENCH_kernels_check.json
-touches() { grep -E '"(structure|rebuild_node_touches|incremental_node_touches)"' "$1"; }
+touches() { grep -E '"(arcs_scanned|per_landmark_arcs|structure|rebuild_node_touches|incremental_node_touches)"' "$1"; }
 if ! diff -u <(touches BENCH_kernels.json) <(touches target/BENCH_kernels_check.json); then
-  echo "FAIL: maintain touch counts differ from the committed BENCH_kernels.json" >&2
+  echo "FAIL: landmark arc or maintain touch counts differ from the committed BENCH_kernels.json" >&2
   echo "      if the change is intended, regenerate with: cargo run -p csn-bench --release --bin perf_smoke" >&2
   exit 1
 fi
@@ -108,4 +108,4 @@ cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
 echo "==> benchmark package (its own fmt, clippy, tests and a smoke run of all five workloads, built against the library API)"
 bash benchmark/check.sh
 
-echo "OK: fmt, clippy, doc, test, release gates, experiments capture, perf smoke + touch counts, scale smoke, distsim smoke + exact counts, scenario smoke, benchmark all clean"
+echo "OK: fmt, clippy, doc, test, release gates, experiments capture, perf smoke + arc and touch counts, scale smoke, distsim smoke + exact counts, scenario smoke, benchmark all clean"
