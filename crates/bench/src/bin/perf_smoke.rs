@@ -123,8 +123,9 @@ fn fresh_alloc_betweenness<G: GraphView>(g: &G) -> Vec<f64> {
 }
 
 /// The landmark tables the per-landmark way: one `bfs_distances_into` per
-/// landmark over one scratch, narrowed into the `k × n` `u32` layout of
-/// `LandmarkIndex`.
+/// landmark over one scratch, narrowed into a row-major `k × n` `u32`
+/// table, one row per landmark. This is the measured alternative to
+/// `LandmarkIndex::build`, which stores the node-major transpose.
 fn per_landmark_tables<G: GraphView>(g: &G, landmarks: &[NodeId]) -> Vec<u32> {
     let mut scratch = BfsScratch::new();
     let mut row = Vec::new();

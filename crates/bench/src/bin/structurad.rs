@@ -24,10 +24,11 @@
 //! `TEMPORAL_NODE_CAP` (600) — cursor sweeps over a contact trace with
 //! millions of nodes are not what the temporal tier is for.
 //!
-//! An unknown flag, an unparsable value or invalid generator parameters
-//! exit with status 2. Sampled batched-vs-serial equality is checked on
-//! every run and a mismatch exits with status 1; QPS and latency are
-//! informational (see SERVING.md).
+//! An unknown flag, an unparsable value, invalid generator parameters or a
+//! `--queries` or `--users` count too large to allocate exit with status 2.
+//! Sampled batched-vs-serial equality is checked on every run and a
+//! mismatch exits with status 1; QPS and latency are informational (see
+//! SERVING.md).
 
 use csn_bench::cli::{usage_error, Flags};
 use csn_bench::timed;
@@ -122,6 +123,14 @@ fn main() {
     let jobs: usize = flags.get("--jobs", cores);
     if batch == 0 {
         usage_error("--batch expects at least 1");
+    }
+    // The workload allocates one `Query` per query and one CDF entry per
+    // user up front; refuse counts no allocation can hold before building.
+    let sizes = [("--queries", queries, size_of::<Query>()), ("--users", users, size_of::<f64>())];
+    for (flag, count, size) in sizes {
+        if count.checked_mul(size).is_none_or(|bytes| bytes > isize::MAX as usize) {
+            usage_error(format!("{flag} {count}: too large to allocate"));
+        }
     }
 
     // --- Load & freeze: streamed BA straight into compact CSR, then the

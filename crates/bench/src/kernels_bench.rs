@@ -63,18 +63,20 @@ pub struct LandmarkRow {
     /// Arcs the build's multi-source traversal scanned
     /// (`LandmarkIndex::arcs_scanned`).
     pub arcs_scanned: u64,
-    /// Arcs one BFS per landmark scans: over the landmarks, the degrees of
-    /// the nodes each one reaches, read from the built tables.
+    /// Arcs one BFS per landmark scans: over the nodes, each degree times
+    /// the landmarks that reach the node, read from the built tables.
     pub per_landmark_arcs: u64,
 }
 
 impl LandmarkRow {
     /// The counts of `idx`, built on `g` with `seed`.
     pub fn new<G: GraphView>(g: &G, idx: &LandmarkIndex, seed: u64) -> Self {
-        let per_landmark_arcs = (0..idx.landmark_count())
-            .flat_map(|l| idx.distance_row(l).iter().enumerate())
-            .filter(|&(_, &d)| d != UNREACHABLE)
-            .map(|(v, _)| g.degree(v) as u64)
+        let per_landmark_arcs = g
+            .nodes()
+            .map(|v| {
+                let reached = idx.distances(v).iter().filter(|&&d| d != UNREACHABLE).count();
+                g.degree(v) as u64 * reached as u64
+            })
             .sum();
         LandmarkRow {
             k: idx.landmark_count(),

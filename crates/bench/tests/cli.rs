@@ -21,12 +21,14 @@ fn assert_usage_error(exe: &str, args: &[&str]) {
 
 #[test]
 fn structurad_rejects_bad_flags() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 7] = [
         &["--nodes", "0"],
         &["--nodes", "2"],
         &["--m", "0"],
         &["--nodes", "abc"],
         &["--bogus", "1"],
+        &["--nodes", "100", "--queries", "18446744073709551615"],
+        &["--nodes", "100", "--users", "18446744073709551615"],
     ];
     for args in cases {
         assert_usage_error(env!("CARGO_BIN_EXE_structurad"), args);

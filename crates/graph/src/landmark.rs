@@ -36,11 +36,12 @@
 //! level, instead of once per landmark. The masks are 24 bytes per node of
 //! temporary memory, freed when `build` returns;
 //! [`LandmarkIndex::arcs_scanned`] reports the exact arc work. The index
-//! stores `k · n` `u32` entries — 4 bytes per node per landmark, the
-//! dominant memory term of a serve index (see SERVING.md).
-//! [`LandmarkIndex::bounds`] is an `O(k)` scan with no allocation and no
-//! graph access, which is what makes batched query serving cache-friendly:
-//! the graph itself is only touched on bound misses.
+//! stores `n · k` `u32` entries — 4 bytes per node per landmark, the
+//! dominant memory term of a serve index (see SERVING.md) — node-major:
+//! node `v`'s distances from all `k` landmarks are one contiguous row.
+//! [`LandmarkIndex::bounds`] zips two such `k`-entry rows, an `O(k)` scan
+//! over a few cache lines with no allocation and no graph access; the graph
+//! itself is only touched on bound misses.
 //!
 //! # Examples
 //!
@@ -85,13 +86,14 @@ impl DistanceBounds {
     }
 }
 
-/// Precomputed BFS distance tables from `k` deterministic landmarks.
+/// Precomputed BFS distance tables from `k` deterministic landmarks,
+/// stored node-major so one bound reads two `k`-entry rows.
 /// See the [module docs](self) for selection, bounds, and cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LandmarkIndex {
     nodes: usize,
     landmarks: Vec<NodeId>,
-    /// Row-major `k × n` table: `dist[l * nodes + v]` is the exact BFS
+    /// Node-major `n × k` table: `dist[v * k + l]` is the exact BFS
     /// distance from `landmarks[l]` to `v` ([`UNREACHABLE`] if none).
     dist: Vec<u32>,
     /// Arcs the build's traversals scanned (see [`Self::arcs_scanned`]).
@@ -106,8 +108,9 @@ impl LandmarkIndex {
     ///
     /// The tables come from one bit-parallel multi-source BFS per batch of
     /// 64 landmarks, `⌈k / 64⌉` passes in all, with 24 bytes per node of
-    /// temporary masks (see the [module docs](self#performance)). Each row
-    /// equals the BFS distance vector from its landmark.
+    /// temporary masks (see the [module docs](self#performance)). They are
+    /// stored node-major: entry `l` of node `v`'s row (see
+    /// [`Self::distances`]) is the BFS distance from landmark `l` to `v`.
     ///
     /// # Panics
     ///
@@ -138,7 +141,7 @@ impl LandmarkIndex {
             }
         }
 
-        let mut dist = vec![UNREACHABLE; k * n];
+        let mut dist = vec![UNREACHABLE; n * k];
         let arcs_scanned = fill_rows(g, &landmarks, &mut dist);
         LandmarkIndex { nodes: n, landmarks, dist, arcs_scanned }
     }
@@ -158,13 +161,20 @@ impl LandmarkIndex {
         self.nodes
     }
 
-    /// The exact distance row of landmark `l` (by selection position).
-    pub fn distance_row(&self, l: usize) -> &[u32] {
-        &self.dist[l * self.nodes..(l + 1) * self.nodes]
+    /// Node `v`'s exact distances from every landmark, in selection order
+    /// ([`UNREACHABLE`] where a landmark does not reach `v`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not below [`Self::node_count`].
+    pub fn distances(&self, v: NodeId) -> &[u32] {
+        assert!(v < self.nodes, "node id {v} out of range for {} nodes", self.nodes);
+        let k = self.landmarks.len();
+        &self.dist[v * k..][..k]
     }
 
     /// Triangle-inequality bounds on `d(u, v)`: an `O(k)` scan over the
-    /// tables, no graph access. `[0, 0]` for `u == v`; collapses to
+    /// two nodes' rows, no graph access. `[0, 0]` for `u == v`; collapses to
     /// `[UNREACHABLE, UNREACHABLE]` when some landmark certifies the pair
     /// disconnected; `[0, UNREACHABLE]` when no landmark reaches either
     /// endpoint (no information).
@@ -172,8 +182,8 @@ impl LandmarkIndex {
     /// # Panics
     ///
     /// Panics if `u` or `v` is not below [`Self::node_count`], as slice
-    /// indexing does. Without the check an id past the end would silently
-    /// read the next landmark's row of the flat table.
+    /// indexing does. The check runs first, so an id outside the index
+    /// never takes the `u == v` shortcut to `[0, 0]`.
     pub fn bounds(&self, u: NodeId, v: NodeId) -> DistanceBounds {
         assert!(
             u < self.nodes && v < self.nodes,
@@ -183,10 +193,9 @@ impl LandmarkIndex {
         if u == v {
             return DistanceBounds { lower: 0, upper: 0 };
         }
+        let k = self.landmarks.len();
         let (mut lower, mut upper) = (0u32, UNREACHABLE);
-        for l in 0..self.landmarks.len() {
-            let du = self.dist[l * self.nodes + u];
-            let dv = self.dist[l * self.nodes + v];
+        for (&du, &dv) in self.dist[u * k..][..k].iter().zip(&self.dist[v * k..][..k]) {
             match (du == UNREACHABLE, dv == UNREACHABLE) {
                 (false, false) => {
                     upper = upper.min(du + dv);
@@ -203,7 +212,7 @@ impl LandmarkIndex {
         DistanceBounds { lower, upper }
     }
 
-    /// Heap bytes held by the index (the `k × n` table plus the landmark
+    /// Heap bytes held by the index (the `n × k` table plus the landmark
     /// list).
     pub fn heap_bytes(&self) -> usize {
         self.dist.capacity() * std::mem::size_of::<u32>()
@@ -219,23 +228,25 @@ impl LandmarkIndex {
     }
 }
 
-/// Fills the `landmarks.len() × n` row-major table `dist` (pre-filled with
-/// [`UNREACHABLE`]) with exact BFS distances: one level-synchronous
+/// Fills the `n × landmarks.len()` node-major table `dist` (pre-filled
+/// with [`UNREACHABLE`]) with exact BFS distances: one level-synchronous
 /// traversal per batch of 64 landmarks, bit `i` of batch `b`'s masks
-/// standing for landmark `64 · b + i`. Returns the arcs scanned.
+/// standing for landmark `64 · b + i`, so a batch writes segment
+/// `64 · b ..` of each node's row. Returns the arcs scanned.
 fn fill_rows<G: GraphView>(g: &G, landmarks: &[NodeId], dist: &mut [u32]) -> u64 {
     let n = g.node_count();
+    let k = landmarks.len();
     let (mut seen, mut frontier, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
     let mut arcs = 0u64;
     for (b, batch) in landmarks.chunks(64).enumerate() {
-        let rows = &mut dist[64 * b * n..][..batch.len() * n];
+        let segment = 64 * b;
         seen.fill(0);
         frontier.fill(0);
         next.fill(0);
         for (i, &l) in batch.iter().enumerate() {
             seen[l] |= 1 << i;
             frontier[l] |= 1 << i;
-            rows[i * n + l] = 0;
+            dist[l * k + segment + i] = 0;
         }
         // `n < u32::MAX`, so a level never reaches UNREACHABLE.
         let mut level = 0u32;
@@ -260,7 +271,7 @@ fn fill_rows<G: GraphView>(g: &G, landmarks: &[NodeId], dist: &mut [u32]) -> u64
                 grew |= new != 0;
                 let mut bits = new;
                 while bits != 0 {
-                    rows[bits.trailing_zeros() as usize * n + w] = level;
+                    dist[w * k + segment + bits.trailing_zeros() as usize] = level;
                     bits &= bits - 1;
                 }
             }
@@ -301,9 +312,9 @@ mod tests {
 
     #[test]
     fn bounds_reject_ids_past_the_node_count() {
-        // Two 3-node paths, 4 landmarks: an unchecked id 6 lands in the next
-        // landmark's row (every pair then looks disconnected), and (7, 7)
-        // would take the u == v shortcut to [0, 0].
+        // Two 3-node paths, 4 landmarks: every id past the node count
+        // panics, (7, 7) included, which would otherwise take the u == v
+        // shortcut to [0, 0].
         let g = crate::Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
         let idx = LandmarkIndex::build(&g, 4, 0);
         for v in 0..6 {
@@ -334,9 +345,10 @@ mod tests {
             assert_eq!(b.upper as usize, exact[v]);
         }
 
-        // Every row equals one BFS from its landmark across three batches
-        // of 64 (the last one partial): k = 130 on three components plus
-        // ten isolated nodes, on both graph forms.
+        // Every landmark's distances, read through the node rows, equal one
+        // BFS from it across three batches of 64 (the last one partial):
+        // k = 130 on three components plus ten isolated nodes, on both
+        // graph forms.
         let mut g = crate::Graph::new(210);
         for (offset, size, seed) in [(0, 90, 1), (90, 70, 2), (160, 40, 3)] {
             for (u, v) in generators::barabasi_albert(size, 2, seed).unwrap().edges() {
@@ -353,7 +365,8 @@ mod tests {
                 .iter()
                 .map(|&d| if d == usize::MAX { UNREACHABLE } else { d as u32 })
                 .collect();
-            assert_eq!(idx.distance_row(r), truth, "row {r} (landmark {l})");
+            let read: Vec<u32> = (0..210).map(|v| idx.distances(v)[r]).collect();
+            assert_eq!(read, truth, "landmark {r} (node {l})");
             per_landmark_arcs += (0..210)
                 .filter(|&v| truth[v] != UNREACHABLE)
                 .map(|v| g.degree(v) as u64)
@@ -362,8 +375,8 @@ mod tests {
         assert!(idx.arcs_scanned() < per_landmark_arcs);
         // One landmark: the traversal scans exactly what one BFS scans.
         let one = LandmarkIndex::build(&g, 1, 0);
-        let reached = one.distance_row(0).iter().enumerate().filter(|&(_, &d)| d != UNREACHABLE);
-        assert_eq!(one.arcs_scanned(), reached.map(|(v, _)| g.degree(v) as u64).sum::<u64>());
+        let reached = (0..210).filter(|&v| one.distances(v)[0] != UNREACHABLE);
+        assert_eq!(one.arcs_scanned(), reached.map(|v| g.degree(v) as u64).sum::<u64>());
     }
 
     #[test]

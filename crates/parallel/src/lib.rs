@@ -7,6 +7,12 @@
 //! victim when a worker runs dry. Tasks never spawn tasks, which keeps
 //! termination trivial — once every deque is empty the run is over.
 //!
+//! The calling thread is worker 0: a call on `jobs` workers spawns
+//! `jobs − 1` scoped threads, and the caller drains its own deque (then
+//! steals) instead of blocking in the join. Callers that submit many small
+//! batches, such as the query-serving layer, pay one thread start fewer
+//! per call.
+//!
 //! Results come back in task order regardless of which worker ran what, so
 //! callers (the byte-identical text guarantee of the experiment runner and
 //! the bit-identical merge guarantee of the parallel kernels) never
@@ -27,7 +33,7 @@ use std::sync::Mutex;
 /// Counters describing one pool run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads spawned.
+    /// Workers that ran, the calling thread included.
     pub workers: usize,
     /// Tasks executed (equals the task count on success).
     pub tasks_run: usize,
@@ -144,8 +150,10 @@ where
 }
 
 /// The shared scheduler: deques, stealing, and in-order result collection.
-/// `init` runs once per worker on that worker's thread; its state never
-/// crosses threads, so `S` needs neither `Send` nor `Sync`.
+/// The calling thread is worker 0 and `workers − 1` scoped threads run the
+/// rest. `init` runs once per worker on that worker's thread (worker 0's
+/// on the caller); its state never crosses threads, so `S` needs neither
+/// `Send` nor `Sync`.
 fn run_core<T, S, I, F>(n_tasks: usize, jobs: usize, init: I, task: F) -> (Vec<T>, PoolStats)
 where
     T: Send,
@@ -167,45 +175,44 @@ where
     let steals = AtomicUsize::new(0);
     let tasks_run = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let steals = &steals;
-            let tasks_run = &tasks_run;
-            let task = &task;
-            let init = &init;
-            scope.spawn(move || {
-                let mut state = init(w);
-                loop {
-                    // Own work first: LIFO pop keeps the working set warm.
-                    let mut next = deques[w].lock().expect("deque lock").pop_back();
-                    if next.is_none() {
-                        // Steal from the victim with the most queued work,
-                        // FIFO end, to balance the tail of the run.
-                        let victim = (0..workers)
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| deques[v].lock().expect("deque lock").len());
-                        if let Some(v) = victim {
-                            next = deques[v].lock().expect("deque lock").pop_front();
-                            if next.is_some() {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    match next {
-                        Some(i) => {
-                            let out = task(i, w, &mut state);
-                            *slots[i].lock().expect("slot lock") = Some(out);
-                            tasks_run.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Tasks never spawn tasks, so empty deques everywhere
-                        // means the run is complete.
-                        None => break,
+    let worker = |w: usize| {
+        let mut state = init(w);
+        loop {
+            // Own work first: LIFO pop keeps the working set warm.
+            let mut next = deques[w].lock().expect("deque lock").pop_back();
+            if next.is_none() {
+                // Steal from the victim with the most queued work, FIFO end,
+                // to balance the tail of the run.
+                let victim = (0..workers)
+                    .filter(|&v| v != w)
+                    .max_by_key(|&v| deques[v].lock().expect("deque lock").len());
+                if let Some(v) = victim {
+                    next = deques[v].lock().expect("deque lock").pop_front();
+                    if next.is_some() {
+                        steals.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            });
+            }
+            match next {
+                Some(i) => {
+                    let out = task(i, w, &mut state);
+                    *slots[i].lock().expect("slot lock") = Some(out);
+                    tasks_run.fetch_add(1, Ordering::Relaxed);
+                }
+                // Tasks never spawn tasks, so empty deques everywhere means
+                // the run is complete.
+                None => break,
+            }
         }
+    };
+    // The scope joins the spawned workers, and re-raises a panic from any
+    // of them or from worker 0, only after all have stopped.
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let worker = &worker;
+            scope.spawn(move || worker(w));
+        }
+        worker(0);
     });
 
     let results = slots
@@ -331,5 +338,38 @@ mod tests {
             |i, ()| i,
         );
         assert_eq!(inits.into_inner(), stats.workers);
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        // Three tasks: jobs = 2 runs two workers, jobs = 4 is capped at three.
+        let caller = std::thread::current().id();
+        for jobs in [2, 4] {
+            let threads = Mutex::new(Vec::new());
+            let (out, stats) = run_indexed_stateful(
+                3,
+                jobs,
+                |w| threads.lock().expect("lock").push((w, std::thread::current().id())),
+                |i, ()| i,
+            );
+            assert_eq!(out, vec![0, 1, 2]);
+            assert_eq!(stats.workers, jobs.min(3), "jobs={jobs}");
+            let mut threads = threads.into_inner().expect("lock");
+            threads.sort_unstable_by_key(|&(w, _)| w);
+            let workers: Vec<usize> = threads.iter().map(|&(w, _)| w).collect();
+            assert_eq!(workers, (0..stats.workers).collect::<Vec<_>>(), "one init per worker");
+            for &(w, id) in &threads {
+                assert_eq!(id == caller, w == 0, "jobs={jobs}: init({w}) on the wrong thread");
+            }
+            let distinct: std::collections::HashSet<_> =
+                threads.iter().map(|&(_, id)| id).collect();
+            assert_eq!(distinct.len(), stats.workers, "jobs={jobs}: one thread per worker");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_task_panic_reaches_the_caller() {
+        run_indexed(8, 2, |i, _| assert_ne!(i, 5, "task 5 fails"));
     }
 }

@@ -17,11 +17,14 @@
 //! decomposition; see `SERVING.md` for the measured build times and the
 //! index memory model
 //! ([`ServeIndex::heap_bytes`] reports the real footprint, dominated by the
-//! `k × n` `u32` landmark table). Answer cost per query kind: `O(k)` for
-//! bounds, `O(k)` + a scratch-arena BFS only on a bound miss for exact
-//! distances, `O(1)` lookups for structure/rank, `O(|F(u)|)` copy for
-//! forwarding sets, `O(dims²)` for safety routes, and a cursor sweep for
-//! journeys.
+//! node-major `n × k` `u32` landmark table). The per-node NSF-level and
+//! core-number columns and the forwarding-set entries are `u32` as well:
+//! every value is below `n`, which the landmark build has already checked
+//! fits. Answer cost per query kind: `O(k)` over two contiguous `k`-entry
+//! rows for bounds, `O(k)` + a scratch-arena BFS only on a bound miss for
+//! exact distances, `O(1)` lookups for structure/rank, `O(|F(u)|)` copy
+//! for forwarding sets, `O(dims²)` for safety routes, and a cursor sweep
+//! for journeys.
 
 use crate::query::{Query, Response, UNREACHABLE};
 use crate::temporal::earliest_arrival_via_cursor;
@@ -85,17 +88,18 @@ const UNRANKED: u32 = u32::MAX;
 pub struct ServeIndex<G> {
     g: G,
     landmarks: LandmarkIndex,
-    nsf: Vec<usize>,
-    cores: Vec<usize>,
+    nsf: Vec<u32>,
+    cores: Vec<u32>,
     degeneracy: usize,
     /// Node → rank position, [`UNRANKED`] outside the top-k.
     rank_of: Vec<u32>,
     /// The top-k nodes in rank order (for introspection / bench reporting).
     top: Vec<NodeId>,
     /// Forwarding sets in CSR layout: `fwd[fwd_off[u]..fwd_off[u + 1]]` is
-    /// node `u`'s live set, sorted ascending.
+    /// node `u`'s live set, sorted ascending. The offsets stay `usize`:
+    /// `2m` can pass `u32::MAX` for a graph whose ids fit `u32`.
     fwd_off: Vec<usize>,
-    fwd: Vec<NodeId>,
+    fwd: Vec<u32>,
     safety: Option<SafetyLevels>,
     temporal: Option<TemporalStore>,
 }
@@ -117,10 +121,11 @@ impl<G: GraphView> ServeIndex<G> {
     /// `(g, cfg)`; `g` is moved in and never mutated.
     pub fn build(g: G, cfg: &ServeConfig) -> Self {
         let n = g.node_count();
+        // Asserts `n < u32::MAX`, so every id and per-node label fits `u32`.
         let landmarks = LandmarkIndex::build(&g, cfg.landmarks, cfg.landmark_seed);
-        let nsf = csn_layering::nsf::nsf_levels(&g);
-        let cores = csn_graph::cores::core_numbers(&g);
-        let degeneracy = cores.iter().copied().max().unwrap_or(0);
+        let nsf: Vec<u32> = csn_layering::nsf::nsf_levels(&g).iter().map(narrow).collect();
+        let cores: Vec<u32> = csn_graph::cores::core_numbers(&g).iter().map(narrow).collect();
+        let degeneracy = cores.iter().copied().max().map_or(0, |d| d as usize);
 
         // Top-k by degree, ties to the lower id — the same ordering the
         // sampled-centrality tier reports.
@@ -135,9 +140,12 @@ impl<G: GraphView> ServeIndex<G> {
         let mut fwd_off = Vec::with_capacity(n + 1);
         // Each set is a subset of the node's row: 2m slots hold them all.
         let mut fwd = Vec::with_capacity(2 * g.edge_count());
+        let mut set = Vec::new();
         fwd_off.push(0);
         for u in g.nodes() {
-            push_forwarding_set(&g, &cut, u, &mut fwd);
+            set.clear();
+            push_forwarding_set(&g, &cut, u, &mut set);
+            fwd.extend(set.iter().map(narrow));
             fwd_off.push(fwd.len());
         }
 
@@ -149,7 +157,7 @@ impl<G: GraphView> ServeIndex<G> {
         let dims = if n < 2 { 0 } else { (n.ilog2()).min(cfg.safety_dims_cap) };
         let safety = (dims > 0).then(|| {
             let faulty: Vec<bool> =
-                (0..1usize << dims).map(|a| cores[a] * 2 < degeneracy).collect();
+                (0..1usize << dims).map(|a| cores[a] as usize * 2 < degeneracy).collect();
             SafetyLevels::compute(dims, &faulty)
         });
 
@@ -248,11 +256,13 @@ impl<G: GraphView> ServeIndex<G> {
                 }
             }
             Query::ForwardingSet { u } => {
-                Response::ForwardingSet(self.fwd[self.fwd_off[u]..self.fwd_off[u + 1]].to_vec())
+                let set = &self.fwd[self.fwd_off[u]..self.fwd_off[u + 1]];
+                Response::ForwardingSet(set.iter().map(|&v| v as NodeId).collect())
             }
-            Query::Structure { u } => {
-                Response::Structure { nsf_level: self.nsf[u], core: self.cores[u] }
-            }
+            Query::Structure { u } => Response::Structure {
+                nsf_level: self.nsf[u] as usize,
+                core: self.cores[u] as usize,
+            },
             Query::Rank { u } => {
                 let r = self.rank_of[u];
                 Response::Rank {
@@ -299,13 +309,19 @@ impl<G: GraphView> ServeIndex<G> {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.landmarks.heap_bytes()
-            + self.nsf.capacity() * size_of::<usize>()
-            + self.cores.capacity() * size_of::<usize>()
+            + self.nsf.capacity() * size_of::<u32>()
+            + self.cores.capacity() * size_of::<u32>()
             + self.rank_of.capacity() * size_of::<u32>()
             + self.top.capacity() * size_of::<NodeId>()
             + self.fwd_off.capacity() * size_of::<usize>()
-            + self.fwd.capacity() * size_of::<NodeId>()
+            + self.fwd.capacity() * size_of::<u32>()
     }
+}
+
+/// Narrows a node id or per-node label: every one is below a node count
+/// that [`LandmarkIndex::build`] has checked is below `u32::MAX`.
+fn narrow(x: &usize) -> u32 {
+    u32::try_from(*x).expect("values below n fit u32")
 }
 
 #[cfg(test)]
@@ -450,13 +466,13 @@ mod tests {
         // Every table holds exactly the slots it uses.
         let (n, k, m, word) = (60, 16, a.graph().edge_count(), std::mem::size_of::<usize>());
         let tables = [
-            k * n * 4,      // landmark distance table
+            n * k * 4,      // landmark distance table
             k * word,       // landmark list
-            2 * n * word,   // NSF level and core number columns
+            2 * n * 4,      // NSF level and core number columns
             n * 4,          // rank-of table
             8 * word,       // top-k list
             (n + 1) * word, // forwarding-set offsets
-            2 * m * word,   // forwarding-set entries (no trim)
+            2 * m * 4,      // forwarding-set entries (no trim)
         ];
         assert_eq!(a.heap_bytes(), tables.iter().sum::<usize>());
     }

@@ -2,21 +2,26 @@
 //!
 //! Requests are batched per shard (`shard_key() % shards`, order preserved
 //! within a shard) and the shards run as tasks on the `csn-parallel`
-//! work-stealing pool via `run_indexed_stateful` — thread-per-worker, one
-//! [`ServeScratch`] per worker, shard results returned in shard order and
-//! scattered back to request positions. Because every answer is a pure
-//! function of `(index, query)` and the pool returns results in task order,
-//! [`serve_batched`] is **bit-identical** to [`serve_serial`] at any
-//! `(shards, jobs)` — `serve_props::batched_serving_is_bitwise_serial_at_any_jobs`
+//! work-stealing pool via `run_indexed_stateful` — the calling thread is
+//! worker 0, one [`ServeScratch`] per worker, shard results returned in
+//! shard order and scattered back to request positions. Because every
+//! answer is a pure function of `(index, query)` and the pool returns
+//! results in task order, [`serve_batched`] is **bit-identical** to
+//! [`serve_serial`] at any `(shards, jobs)` —
+//! `serve_props::batched_serving_is_bitwise_serial_at_any_jobs`
 //! holds this equality, journeys included, at jobs ∈ {1, 2, 4, 7} and the
 //! detected core count.
 //!
 //! # Performance
 //!
-//! Sharding by the query's primary node keeps each worker's landmark-table
-//! and adjacency reads clustered on a node subset, and per-worker scratch
-//! means zero allocation on the hot path after warm-up. The merge is a
-//! single `O(q)` scatter. With one physical core (the CI box) the batched
+//! Shards spread the work across the workers, and the calling thread is
+//! one of them, so a call on `jobs` workers starts `jobs − 1` threads.
+//! Sharding does not cluster reads: a shard's nodes are every
+//! `shards`-th id across the whole id space, so each worker reads landmark
+//! rows and adjacency from all over the index. A `Distance` answer reads
+//! two contiguous `k`-entry landmark rows, and per-worker scratch means
+//! zero allocation on the hot path after warm-up. The merge is a single
+//! `O(q)` scatter. With one physical core (the CI box) the batched
 //! path still runs — it just degenerates to the serial loop plus queueing
 //! overhead, which is why serving wall times are informational there
 //! while the equality tests are the gate.

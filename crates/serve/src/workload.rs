@@ -30,6 +30,11 @@ pub struct Zipf {
 impl Zipf {
     /// Builds the CDF for `n` ranks with exponent `s >= 0` (`s = 0` is
     /// uniform). `n` is clamped to at least 1.
+    ///
+    /// # Panics
+    ///
+    /// If `n × size_of::<f64>()` does not fit `isize::MAX` (capacity
+    /// overflow).
     pub fn new(n: usize, s: f64) -> Self {
         let n = n.max(1);
         let mut cdf = Vec::with_capacity(n);
@@ -113,6 +118,12 @@ impl WorkloadConfig {
     ///
     /// A graph with no nodes has no query to ask: `n = 0` gives an empty
     /// workload (no queries, no users).
+    ///
+    /// # Panics
+    ///
+    /// If `n > 0` and `queries × size_of::<Query>()` or
+    /// `users × size_of::<f64>()` does not fit `isize::MAX` (capacity
+    /// overflow).
     pub fn generate(&self, n: usize) -> Workload {
         if n == 0 {
             return Workload { queries: Vec::new(), distinct_users: 0 };
