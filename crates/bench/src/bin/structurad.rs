@@ -5,7 +5,8 @@
 //! drives the deterministic request-loop: batches through the sharded read
 //! path, then a serial latency pass whose percentiles are printed per query
 //! kind, with the number of `DistanceExact` answers that fell back to a
-//! BFS. There is no real networking — every run is replayable bit for bit,
+//! BFS and the entries the journey answers scanned. There is no real
+//! networking — every run is replayable bit for bit,
 //! which is the point: a front-end that speaks a wire protocol would call
 //! exactly the same `serve_batched` per request wave.
 //!
@@ -20,9 +21,8 @@
 //!
 //! `--replay` prints the committed standard query trace and exits (the
 //! same bytes as `crates/serve/tests/snapshots/serve_trace.txt`). A
-//! temporal store (journey queries) is attached when `--nodes` is at most
-//! `TEMPORAL_NODE_CAP` (600) — cursor sweeps over a contact trace with
-//! millions of nodes are not what the temporal tier is for.
+//! contact trace (journey queries) is attached when `--nodes` is at most
+//! `TEMPORAL_NODE_CAP` (600).
 //!
 //! An unknown flag, an unparsable value, invalid generator parameters or a
 //! `--queries` or `--users` count too large to allocate exit with status 2.
@@ -41,10 +41,11 @@ use csn_core::temporal::markovian::EdgeMarkovian;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Largest `--nodes` that still gets a temporal store (journey queries).
-/// The edge-Markovian generator is `O(n² · horizon)` — quadratic by nature,
-/// one coin per node pair per step — so contact traces stay in the
-/// hundreds-of-nodes regime the temporal tier is built for.
+/// Largest `--nodes` that still gets a contact trace (journey queries).
+/// The cap bounds the trace's generation, not its serving: the
+/// edge-Markovian generator is `O(n² · horizon)` — quadratic by nature, one
+/// coin per node pair per step — while the journey store it feeds is linear
+/// in the trace's label runs.
 const TEMPORAL_NODE_CAP: usize = 600;
 
 /// Queries timed one at a time by the serial latency pass.
@@ -124,14 +125,6 @@ fn main() {
     if batch == 0 {
         usage_error("--batch expects at least 1");
     }
-    // The workload allocates one `Query` per query and one CDF entry per
-    // user up front; refuse counts no allocation can hold before building.
-    let sizes = [("--queries", queries, size_of::<Query>()), ("--users", users, size_of::<f64>())];
-    for (flag, count, size) in sizes {
-        if count.checked_mul(size).is_none_or(|bytes| bytes > isize::MAX as usize) {
-            usage_error(format!("{flag} {count}: too large to allocate"));
-        }
-    }
 
     // --- Load & freeze: streamed BA straight into compact CSR, then the
     // whole index in one deterministic build.
@@ -145,7 +138,7 @@ fn main() {
         let idx = ServeIndex::build(g, &cfg);
         if with_temporal {
             // Sparse stationary density ~10/n keeps snapshots around 5·n
-            // edges, matching the social-contact traces the cursor serves.
+            // edges, like the social-contact traces journeys are asked over.
             let horizon = 32;
             let model = EdgeMarkovian::new(nodes, 0.4, 4.0 / nodes as f64);
             (idx.with_temporal(model.generate(horizon, seed)), horizon)
@@ -171,7 +164,11 @@ fn main() {
         safety_space: 1usize << idx.safety_dims(),
         journey_horizon,
     };
-    let wl = wl_cfg.generate(nodes);
+    // The workload allocates one `Query` per query and one CDF entry per
+    // user up front: a count no allocation can hold is a usage error.
+    let wl = wl_cfg.try_generate(nodes).unwrap_or_else(|e| {
+        usage_error(format!("--queries {queries} --users {users}: too large to allocate ({e})"))
+    });
     eprintln!(
         "structurad: {queries} queries from {} distinct users (pop {users}, zipf {zipf_users})",
         wl.distinct_users
@@ -205,7 +202,8 @@ fn main() {
     );
 
     // --- The latency pass: queries one at a time through one scratch (the
-    // serial path), bucketed by kind.
+    // serial path), bucketed by kind. The scratch also counts the entries
+    // its journey answers scan, an exact count that repeats run to run.
     let mut scratch = idx.scratch();
     let mut ns: [Vec<u64>; KINDS.len()] = Default::default();
     let mut fallbacks = 0usize;
@@ -228,10 +226,10 @@ fn main() {
             samples.len(),
             percentile_us(samples, 50.0),
             percentile_us(samples, 99.0),
-            if *name == "distance_exact" {
-                format!("  fallbacks {fallbacks}")
-            } else {
-                String::new()
+            match *name {
+                "distance_exact" => format!("  fallbacks {fallbacks}"),
+                "journey" => format!("  entries scanned {}", scratch.journey_entries_scanned()),
+                _ => String::new(),
             }
         );
     }

@@ -21,7 +21,7 @@ fn assert_usage_error(exe: &str, args: &[&str]) {
 
 #[test]
 fn structurad_rejects_bad_flags() {
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 9] = [
         &["--nodes", "0"],
         &["--nodes", "2"],
         &["--m", "0"],
@@ -29,6 +29,9 @@ fn structurad_rejects_bad_flags() {
         &["--bogus", "1"],
         &["--nodes", "100", "--queries", "18446744073709551615"],
         &["--nodes", "100", "--users", "18446744073709551615"],
+        // Sizes that fit the address space but no allocator.
+        &["--nodes", "100", "--queries", "384307168202282325"],
+        &["--nodes", "100", "--users", "1152921504606846975"],
     ];
     for args in cases {
         assert_usage_error(env!("CARGO_BIN_EXE_structurad"), args);

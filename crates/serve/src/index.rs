@@ -3,7 +3,7 @@
 //! Load a graph once, freeze it, precompute everything a query can ask for
 //! — landmark distance tables, NSF levels, core numbers, top-k centrality
 //! ranks, per-node sorted forwarding sets, an optional hypercube
-//! safety-level overlay, and an optional temporal store — then answer
+//! safety-level overlay, and an optional journey store — then answer
 //! [`Query`] values through [`ServeIndex::answer`] without ever mutating
 //! the index. All mutable working memory lives in a caller-owned
 //! [`ServeScratch`] (one per serving worker), so `&ServeIndex` is shared
@@ -20,20 +20,24 @@
 //! node-major `n × k` `u32` landmark table). The per-node NSF-level and
 //! core-number columns and the forwarding-set entries are `u32` as well:
 //! every value is below `n`, which the landmark build has already checked
-//! fits. Answer cost per query kind: `O(k)` over two contiguous `k`-entry
-//! rows for bounds, `O(k)` + a scratch-arena BFS only on a bound miss for
-//! exact distances, `O(1)` lookups for structure/rank, `O(|F(u)|)` copy
-//! for forwarding sets, `O(dims²)` for safety routes, and a cursor sweep
-//! for journeys.
+//! fits. An attached trace adds its journey store, built once in
+//! [`ServeIndex::with_temporal`]: 16 B per label run, 20 B per distinct
+//! contact pair and 8 B per trace node and per time unit (see
+//! `temporal.rs`). Answer cost per query kind: `O(k)` over two contiguous
+//! `k`-entry rows for bounds, `O(k)` + a scratch-arena BFS only on a bound
+//! miss for exact distances, `O(1)` lookups for structure/rank,
+//! `O(|F(u)|)` copy for forwarding sets, `O(dims²)` for safety routes, and
+//! for journeys one forward pass from `start`: the closure of the arrived
+//! set plus, per later unit, only the runs that begin there.
 
 use crate::query::{Query, Response, UNREACHABLE};
-use crate::temporal::earliest_arrival_via_cursor;
+use crate::temporal::{JourneyScratch, JourneyStore};
 use csn_graph::centrality::top_by_degree;
 use csn_graph::scratch::BfsScratch;
 use csn_graph::traversal::bfs_distances_into;
 use csn_graph::{GraphView, LandmarkIndex, NodeId};
 use csn_labeling::safety::SafetyLevels;
-use csn_temporal::{SnapshotCursor, TimeEvolvingGraph};
+use csn_temporal::TimeEvolvingGraph;
 use csn_trimming::incremental::push_forwarding_set;
 use std::collections::HashSet;
 
@@ -70,14 +74,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// The temporal side of an index: the contact trace plus a prebuilt cursor
-/// whose delta tables each worker clones instead of re-scanning the trace.
-#[derive(Debug, Clone)]
-struct TemporalStore {
-    eg: TimeEvolvingGraph,
-    cursor_template: SnapshotCursor,
-}
-
 /// Rank sentinel in the node → rank table ("not in the top-k").
 const UNRANKED: u32 = u32::MAX;
 
@@ -101,19 +97,27 @@ pub struct ServeIndex<G> {
     fwd_off: Vec<usize>,
     fwd: Vec<u32>,
     safety: Option<SafetyLevels>,
-    temporal: Option<TemporalStore>,
+    journeys: Option<JourneyStore>,
 }
 
 /// Per-worker mutable working memory for [`ServeIndex::answer`]: a BFS
-/// arena and distance buffer for exact-distance fallbacks, plus (when the
-/// index has a temporal store) a private snapshot cursor. Reuse across
-/// queries is observationally invisible — answers are pure functions of
-/// `(index, query)`.
+/// arena and distance buffer for exact-distance fallbacks, and the arrived
+/// marks of journey answers. Every buffer grows on first use, so a fresh
+/// scratch allocates nothing. Reuse across queries is observationally
+/// invisible — answers are pure functions of `(index, query)`.
 #[derive(Debug)]
 pub struct ServeScratch {
     bfs: BfsScratch,
     dist: Vec<usize>,
-    cursor: Option<SnapshotCursor>,
+    journey: JourneyScratch,
+}
+
+impl ServeScratch {
+    /// Adjacency and appear-list entries scanned by every journey answered
+    /// through this scratch: an exact work count that repeats run to run.
+    pub fn journey_entries_scanned(&self) -> u64 {
+        self.journey.scanned
+    }
 }
 
 impl<G: GraphView> ServeIndex<G> {
@@ -172,17 +176,22 @@ impl<G: GraphView> ServeIndex<G> {
             fwd_off,
             fwd,
             safety,
-            temporal: None,
+            journeys: None,
         }
     }
 
-    /// Attaches a temporal store so [`Query::Journey`] can be answered; the
+    /// Attaches a contact trace so [`Query::Journey`] can be answered; the
     /// trace's node ids must be meaningful to the caller (they need not
-    /// match the static graph's). Builds the cursor delta tables once —
-    /// workers clone them instead of re-scanning the trace.
+    /// match the static graph's). Builds the journey store once, an index
+    /// of the trace's label runs that every worker reads, then drops the
+    /// trace: the index keeps only its node count.
+    ///
+    /// # Panics
+    ///
+    /// If `eg` has `u32::MAX` or more nodes or label runs (the store keeps
+    /// ids as `u32`).
     pub fn with_temporal(mut self, eg: TimeEvolvingGraph) -> Self {
-        let cursor_template = eg.snapshot_cursor();
-        self.temporal = Some(TemporalStore { eg, cursor_template });
+        self.journeys = Some(JourneyStore::new(&eg));
         self
     }
 
@@ -201,11 +210,6 @@ impl<G: GraphView> ServeIndex<G> {
         &self.top
     }
 
-    /// The attached contact trace, if any.
-    pub fn temporal_graph(&self) -> Option<&TimeEvolvingGraph> {
-        self.temporal.as_ref().map(|t| &t.eg)
-    }
-
     /// Dimension of the safety overlay (0 = none).
     pub fn safety_dims(&self) -> u32 {
         self.safety.as_ref().map_or(0, SafetyLevels::dims)
@@ -222,7 +226,7 @@ impl<G: GraphView> ServeIndex<G> {
         ServeScratch {
             bfs: BfsScratch::new(),
             dist: Vec::new(),
-            cursor: self.temporal.as_ref().map(|t| t.cursor_template.clone()),
+            journey: JourneyScratch::default(),
         }
     }
 
@@ -273,20 +277,18 @@ impl<G: GraphView> ServeIndex<G> {
             Query::SafetyRoute { source, dest } => {
                 Response::SafetyRoute(self.safety.as_ref().and_then(|s| s.route(source, dest)))
             }
-            Query::Journey { source, target, start } => {
-                let arrival = match (&self.temporal, &mut scratch.cursor) {
-                    (Some(_), Some(cur)) => earliest_arrival_via_cursor(cur, source, target, start),
-                    _ => None,
-                };
-                Response::Arrival(arrival)
-            }
+            Query::Journey { source, target, start } => Response::Arrival(
+                self.journeys
+                    .as_ref()
+                    .and_then(|j| j.earliest_arrival(source, target, start, &mut scratch.journey)),
+            ),
         }
     }
 
     /// Whether every id `q` names lies inside the index: graph nodes for
     /// the five node-keyed kinds, overlay addresses for a safety route and
     /// trace nodes for a journey. A kind whose structure the index lacks
-    /// (no overlay, no temporal store) is in range and answers `None`.
+    /// (no overlay, no contact trace) is in range and answers `None`.
     fn in_range(&self, q: &Query) -> bool {
         let n = self.g.node_count();
         match *q {
@@ -296,16 +298,18 @@ impl<G: GraphView> ServeIndex<G> {
                 let space = 1usize << s.dims();
                 source < space && dest < space
             }),
-            Query::Journey { source, target, .. } => self.temporal.as_ref().is_none_or(|t| {
-                let n = t.eg.node_count();
+            Query::Journey { source, target, .. } => self.journeys.as_ref().is_none_or(|j| {
+                let n = j.node_count();
                 source < n && target < n
             }),
         }
     }
 
-    /// Heap bytes held by the precomputed tables (graph storage excluded —
-    /// the graph reports its own footprint). Dominated by the landmark
-    /// table; see SERVING.md.
+    /// Heap bytes held by the precomputed tables, the journey store
+    /// included (graph storage excluded — the graph reports its own
+    /// footprint). Dominated by the landmark table on a large graph and by
+    /// the journey store on a small graph with a long trace; see
+    /// SERVING.md.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.landmarks.heap_bytes()
@@ -315,13 +319,15 @@ impl<G: GraphView> ServeIndex<G> {
             + self.top.capacity() * size_of::<NodeId>()
             + self.fwd_off.capacity() * size_of::<usize>()
             + self.fwd.capacity() * size_of::<u32>()
+            + self.journeys.as_ref().map_or(0, JourneyStore::heap_bytes)
     }
 }
 
-/// Narrows a node id or per-node label: every one is below a node count
-/// that [`LandmarkIndex::build`] has checked is below `u32::MAX`.
-fn narrow(x: &usize) -> u32 {
-    u32::try_from(*x).expect("values below n fit u32")
+/// Narrows a node id, per-node label or run index: every one is below a
+/// count that [`LandmarkIndex::build`] or [`JourneyStore::new`] has checked
+/// is below `u32::MAX`.
+pub(crate) fn narrow(x: &usize) -> u32 {
+    u32::try_from(*x).expect("values below a checked count fit u32")
 }
 
 #[cfg(test)]
@@ -430,19 +436,30 @@ mod tests {
         let eg = csn_temporal::markovian::EdgeMarkovian::new(30, 0.25, 0.3).generate(10, 21);
         let idx = ServeIndex::build(g, &ServeConfig::default()).with_temporal(eg.clone());
         let mut scratch = idx.scratch();
+        let mut queries = Vec::new();
         for source in (0..30).step_by(7) {
             for start in [0, 3, 9] {
                 let oracle = csn_temporal::journey::earliest_arrival(&eg, source, start);
                 for target in 0..30 {
+                    let q = Query::Journey { source, target, start };
                     assert_eq!(
-                        idx.answer(&Query::Journey { source, target, start }, &mut scratch),
+                        idx.answer(&q, &mut scratch),
                         Response::Arrival(oracle[target]),
                         "s={source} t={target} start={start}"
                     );
+                    queries.push(q);
                 }
             }
         }
-        // Without a temporal store, journeys answer None.
+        // The scan count is exact: a second run through a fresh scratch
+        // repeats it.
+        let mut again = idx.scratch();
+        for q in &queries {
+            idx.answer(q, &mut again);
+        }
+        assert!(scratch.journey_entries_scanned() > 0);
+        assert_eq!(again.journey_entries_scanned(), scratch.journey_entries_scanned());
+        // Without a contact trace, journeys answer None.
         let bare = ServeIndex::build(ba(10, 2, 1), &ServeConfig::default());
         let mut s2 = bare.scratch();
         assert_eq!(
@@ -475,5 +492,36 @@ mod tests {
             2 * m * 4,      // forwarding-set entries (no trim)
         ];
         assert_eq!(a.heap_bytes(), tables.iter().sum::<usize>());
+    }
+
+    #[test]
+    fn heap_bytes_count_the_journey_store_inside_its_budget() {
+        // 4 trace nodes, 6 time units, 3 distinct pairs, 4 label runs.
+        let mut eg = TimeEvolvingGraph::new(4, 6);
+        for t in [0, 1, 4] {
+            eg.add_contact(0, 1, t); // runs [0, 1] and [4, 4]
+        }
+        eg.add_contact(1, 2, 2);
+        for t in 3..6 {
+            eg.add_contact(2, 3, t); // a run that ends at the horizon
+        }
+        let (nodes, units, pairs, runs, word) = (4, 6, 3, 4, std::mem::size_of::<usize>());
+        let store = [
+            runs * 8,           // (start, end) per run
+            (pairs + 1) * 4,    // first run of each pair
+            (nodes + 1) * word, // adjacency offsets
+            2 * pairs * 8,      // (partner, pair) entries
+            (units + 1) * word, // appear offsets
+            runs * 8,           // (u, v) per run start
+        ]
+        .iter()
+        .sum::<usize>();
+        // 16 B per run, 20 B per pair, 8 B per node and per time unit, and
+        // one closing offset per offset column.
+        let budget = 16 * runs + 20 * (pairs + 1) + 8 * (nodes + 1) + 8 * (units + 1);
+        assert!(store <= budget, "{store} B over the {budget} B budget");
+        let bare = ServeIndex::build(ba(20, 2, 3), &ServeConfig::default());
+        let bytes = bare.heap_bytes();
+        assert_eq!(bare.with_temporal(eg).heap_bytes(), bytes + store);
     }
 }

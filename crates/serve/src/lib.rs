@@ -12,7 +12,7 @@
 //!   distance tables with triangle-inequality bounds and exact-BFS
 //!   fallback, cached NSF levels and core numbers, top-k centrality ranks,
 //!   per-node sorted forwarding sets under a frozen trim overlay, an
-//!   optional hypercube safety-level overlay, an optional temporal store.
+//!   optional hypercube safety-level overlay, an optional journey store.
 //! * [`query`] — the [`Query`]/[`Response`] protocol and its canonical
 //!   text rendering.
 //! * [`shard`] — [`serve_serial`] and [`serve_batched`]: the sharded
@@ -20,8 +20,10 @@
 //!   `(shards, jobs)`.
 //! * [`workload`] — [`Zipf`]/[`WorkloadConfig`]: deterministic skewed
 //!   query streams from millions of synthetic users.
-//! * [`temporal`] — [`earliest_arrival_via_cursor`]: journey answering by
-//!   snapshot-cursor sweep, equal to the heap-based oracle.
+//! * `temporal` (crate-private) — the journey store behind
+//!   [`ServeIndex::with_temporal`]: an index of the trace's label runs,
+//!   built once, that answers each journey in one forward pass over time,
+//!   equal to the heap-based oracle.
 //! * [`trace`] — [`standard_trace`]: the committed replay gate.
 //!
 //! There is no real networking: the "server" is a deterministic
@@ -50,13 +52,12 @@
 pub mod index;
 pub mod query;
 pub mod shard;
-pub mod temporal;
+mod temporal;
 pub mod trace;
 pub mod workload;
 
 pub use index::{ServeConfig, ServeIndex, ServeScratch};
 pub use query::{Query, Response};
 pub use shard::{serve_batched, serve_serial};
-pub use temporal::earliest_arrival_via_cursor;
 pub use trace::standard_trace;
 pub use workload::{Workload, WorkloadConfig, Zipf};

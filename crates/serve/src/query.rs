@@ -25,7 +25,7 @@ pub use csn_graph::landmark::UNREACHABLE;
 /// Node ids are `< node_count` of the indexed graph (the workload
 /// generator only emits valid ids); hypercube addresses in
 /// [`Query::SafetyRoute`] live in the overlay's own `0..2^dims` space, and
-/// journey ids in the temporal store's. Any other id is answered
+/// journey ids in the attached contact trace's. Any other id is answered
 /// [`Response::Invalid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Query {
@@ -72,8 +72,8 @@ pub enum Query {
         dest: usize,
     },
     /// Earliest arrival time of a temporal journey `source → target`
-    /// departing at `start`, answered by a [`csn_temporal::SnapshotCursor`]
-    /// sweep over the index's temporal store.
+    /// departing at `start`, answered in one forward pass over the index's
+    /// journey store (see [`crate::ServeIndex::with_temporal`]).
     Journey {
         /// Journey source node.
         source: NodeId,
@@ -153,11 +153,11 @@ pub enum Response {
     /// the overlay is absent or no safe shortest path exists.
     SafetyRoute(Option<Vec<usize>>),
     /// Earliest arrival for [`Query::Journey`] (`None` when the index has
-    /// no temporal store or the target is unreachable in the horizon).
+    /// no contact trace or the target is unreachable in the horizon).
     Arrival(Option<TimeUnit>),
     /// The query names an id outside the index: a node `>= node_count` of
     /// the graph, a safety-route address outside the overlay's `2^dims`
-    /// space, or a journey node outside the temporal store.
+    /// space, or a journey node at or past the contact trace's node count.
     Invalid,
 }
 

@@ -2,8 +2,8 @@
 //! canonical text, committed at `tests/snapshots/serve_trace.txt`, replayed
 //! byte-identically by the `trace_replay` integration test and printed by
 //! `structurad --replay`. Any behavioural drift anywhere in the serving
-//! stack (landmark selection, index tables, workload generation, cursor
-//! journeys, response rendering) shows up as a diff against the committed
+//! stack (landmark selection, index tables, workload generation, journey
+//! answers, response rendering) shows up as a diff against the committed
 //! file.
 
 use crate::index::{ServeConfig, ServeIndex};

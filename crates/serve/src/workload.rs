@@ -17,7 +17,7 @@ use crate::query::Query;
 use csn_temporal::TimeUnit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashSet, TryReserveError};
 
 /// A discrete Zipf distribution over ranks `0..n`: rank `r` has weight
 /// `1 / (r + 1)^s`. Sampling is one uniform draw plus a binary search over
@@ -33,11 +33,18 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// If `n × size_of::<f64>()` does not fit `isize::MAX` (capacity
-    /// overflow).
+    /// If the CDF's `n` entries cannot be allocated; [`Zipf::try_new`]
+    /// returns that as an error instead.
     pub fn new(n: usize, s: f64) -> Self {
+        Self::try_new(n, s).expect("the Zipf CDF fits in memory")
+    }
+
+    /// [`Zipf::new`], or the error of reserving the CDF's `n` entries when
+    /// they do not fit the address space or the allocator refuses them.
+    pub fn try_new(n: usize, s: f64) -> Result<Self, TryReserveError> {
         let n = n.max(1);
-        let mut cdf = Vec::with_capacity(n);
+        let mut cdf = Vec::new();
+        cdf.try_reserve_exact(n)?;
         let mut acc = 0.0f64;
         for r in 0..n {
             acc += 1.0 / ((r + 1) as f64).powf(s);
@@ -47,7 +54,7 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Zipf { cdf }
+        Ok(Zipf { cdf })
     }
 
     /// Number of ranks.
@@ -121,16 +128,23 @@ impl WorkloadConfig {
     ///
     /// # Panics
     ///
-    /// If `n > 0` and `queries × size_of::<Query>()` or
-    /// `users × size_of::<f64>()` does not fit `isize::MAX` (capacity
-    /// overflow).
+    /// If `n > 0` and the `queries` queries or the user CDF's `users`
+    /// entries cannot be allocated; [`WorkloadConfig::try_generate`]
+    /// returns that as an error instead.
     pub fn generate(&self, n: usize) -> Workload {
+        self.try_generate(n).expect("the workload fits in memory")
+    }
+
+    /// [`WorkloadConfig::generate`], or the error of reserving the query
+    /// list or the user CDF when either does not fit the address space or
+    /// the allocator refuses it.
+    pub fn try_generate(&self, n: usize) -> Result<Workload, TryReserveError> {
         if n == 0 {
-            return Workload { queries: Vec::new(), distinct_users: 0 };
+            return Ok(Workload { queries: Vec::new(), distinct_users: 0 });
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let user_zipf = Zipf::new(self.users, self.zipf_users);
-        let node_zipf = Zipf::new(n, self.zipf_nodes);
+        let user_zipf = Zipf::try_new(self.users, self.zipf_users)?;
+        let node_zipf = Zipf::try_new(n, self.zipf_nodes)?;
 
         // Seeded Fisher–Yates permutation: popularity rank → node id, so
         // hot ranks are scattered over id space (and over shards).
@@ -139,7 +153,8 @@ impl WorkloadConfig {
             perm.swap(i, rng.gen_range(0..=i));
         }
 
-        let mut queries = Vec::with_capacity(self.queries);
+        let mut queries = Vec::new();
+        queries.try_reserve_exact(self.queries)?;
         let mut seen_users: HashSet<usize> = HashSet::new();
         for _ in 0..self.queries {
             let user = user_zipf.sample(&mut rng);
@@ -176,7 +191,7 @@ impl WorkloadConfig {
             };
             queries.push(q);
         }
-        Workload { queries, distinct_users: seen_users.len() }
+        Ok(Workload { queries, distinct_users: seen_users.len() })
     }
 }
 
@@ -263,5 +278,21 @@ mod tests {
         let wl = WorkloadConfig { safety_space: 64, journey_horizon: 16, ..Default::default() }
             .generate(0);
         assert_eq!(wl, Workload { queries: Vec::new(), distinct_users: 0 });
+    }
+
+    #[test]
+    fn oversized_workloads_are_errors_not_aborts() {
+        // Byte counts just under `isize::MAX` pass the capacity check and
+        // fail in the allocator; `usize::MAX` users fail the capacity
+        // check. Each must come back as an error, not abort the process.
+        let too_many = isize::MAX as usize / size_of::<Query>();
+        let cfg = WorkloadConfig { queries: too_many, users: 10, ..WorkloadConfig::default() };
+        assert!(cfg.try_generate(100).is_err());
+        assert!(Zipf::try_new(isize::MAX as usize / size_of::<f64>(), 1.0).is_err());
+        let cfg = WorkloadConfig { users: usize::MAX, ..WorkloadConfig::default() };
+        assert!(cfg.try_generate(100).is_err());
+        assert_eq!(cfg.try_generate(0), Ok(Workload { queries: Vec::new(), distinct_users: 0 }));
+        let small = WorkloadConfig { queries: 50, users: 100, ..WorkloadConfig::default() };
+        assert_eq!(small.try_generate(20), Ok(small.generate(20)));
     }
 }

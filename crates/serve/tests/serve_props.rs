@@ -2,16 +2,19 @@
 //! equals one BFS from its landmark, landmark bounds sandwich exact
 //! distances on arbitrary graphs, both from the bare landmark index and as
 //! served `Distance` answers, the exact-fallback path equals BFS
-//! ground truth, the sharded batched read path is bitwise identical to
-//! serial at several worker counts, journeys included, arbitrary queries
+//! ground truth, every journey answer equals the heap-based
+//! earliest-arrival oracle, the sharded batched read path is bitwise
+//! identical to serial at several worker counts, journeys included,
+//! arbitrary queries
 //! (out-of-range ids and `u == v` included) never panic and are answered
 //! `Invalid` exactly when an id is out of range, on both paths, and the
 //! Zipf workload generator is a pure function of its seed.
 
-use csn_graph::{traversal, Graph, LandmarkIndex};
+use csn_graph::{generators, traversal, Graph, LandmarkIndex};
 use csn_serve::{
     serve_batched, serve_serial, Query, Response, ServeConfig, ServeIndex, WorkloadConfig,
 };
+use csn_temporal::journey::earliest_arrival;
 use csn_temporal::markovian::EdgeMarkovian;
 use proptest::prelude::*;
 
@@ -103,6 +106,47 @@ proptest! {
     }
 
     #[test]
+    fn journeys_equal_the_earliest_arrival_oracle(
+        n in 2usize..=40,
+        horizon in 1u32..=20,
+        p_die in 0.02f64..0.9,
+        q_born in 0.005f64..0.9,
+        trace_seed in 0u64..1000,
+        graph_n in 2usize..60,
+        raw in proptest::collection::vec((0usize..40, 0usize..40, 0u32..24), 1..60),
+        shards in 1usize..9,
+    ) {
+        // Death and birth rates span sparse to dense traces, departures
+        // run past the horizon, and the static graph's node count is drawn
+        // apart from the trace's: journeys are keyed by trace nodes.
+        let eg = EdgeMarkovian::new(n, p_die, q_born).generate(horizon, trace_seed);
+        let cfg = ServeConfig { landmarks: 2, ..ServeConfig::default() };
+        let idx = ServeIndex::build(generators::path(graph_n), &cfg).with_temporal(eg.clone());
+        let queries: Vec<Query> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b, start))| {
+                // Every fifth query is a self-journey.
+                let target = if i % 5 == 0 { a % n } else { b % n };
+                Query::Journey { source: a % n, target, start }
+            })
+            .collect();
+        let serial = serve_serial(&idx, &queries);
+        for (q, r) in queries.iter().zip(&serial) {
+            let Query::Journey { source, target, start } = *q else { unreachable!() };
+            let want = Response::Arrival(earliest_arrival(&eg, source, start)[target]);
+            prop_assert_eq!(r, &want, "{:?}", q);
+        }
+        for jobs in [1usize, 2, 4] {
+            prop_assert_eq!(
+                &serve_batched(&idx, &queries, shards, jobs),
+                &serial,
+                "shards={} jobs={}", shards, jobs
+            );
+        }
+    }
+
+    #[test]
     fn batched_serving_is_bitwise_serial_at_any_jobs(
         g in arb_graph(50),
         wl_seed in 0u64..1000,
@@ -112,9 +156,9 @@ proptest! {
         let n = g.node_count();
         let mut idx =
             ServeIndex::build(g, &ServeConfig { landmarks: 4, ..ServeConfig::default() });
-        // A positive horizon attaches an edge-Markovian temporal store, so
-        // journeys are answered from each worker's own snapshot cursor; at
-        // zero they fold into exact distances.
+        // A positive horizon attaches an edge-Markovian trace, so journeys
+        // are answered from the shared journey store through each worker's
+        // own marks; at zero they fold into exact distances.
         if journey_horizon > 0 {
             let trace = EdgeMarkovian::new(n, 0.4, 4.0 / n as f64).generate(journey_horizon, wl_seed);
             idx = idx.with_temporal(trace);

@@ -46,6 +46,23 @@ impl TemporalEdge {
     pub fn has_label(&self, t: TimeUnit) -> bool {
         self.labels.binary_search(&t).is_ok()
     }
+
+    /// The edge's label runs: each maximal stretch of consecutive labels as
+    /// an inclusive `(start, end)` pair, in ascending order. The edge is up
+    /// during exactly the units its runs cover.
+    pub fn runs(&self) -> impl Iterator<Item = (TimeUnit, TimeUnit)> + '_ {
+        let mut labels = self.labels.iter().copied().peekable();
+        std::iter::from_fn(move || {
+            let start = labels.next()?;
+            let mut end = start;
+            // Labels are sorted and distinct, so `end + 1` cannot overflow
+            // while another label follows it.
+            while let Some(next) = labels.next_if(|&l| l == end + 1) {
+                end = next;
+            }
+            Some((start, end))
+        })
+    }
 }
 
 /// A time-evolving graph: `n` nodes and undirected edges carrying label sets
@@ -359,6 +376,25 @@ mod tests {
         assert_eq!(e.prev_label(100), Some(9));
         assert!(e.has_label(5));
         assert!(!e.has_label(4));
+    }
+
+    #[test]
+    fn runs_split_labels_at_gaps() {
+        let runs = |labels: Vec<TimeUnit>| -> Vec<(TimeUnit, TimeUnit)> {
+            TemporalEdge { u: 0, v: 1, labels }.runs().collect()
+        };
+        assert!(runs(vec![]).is_empty());
+        assert_eq!(runs(vec![4]), [(4, 4)]);
+        assert_eq!(runs(vec![1, 3, 5]), [(1, 1), (3, 3), (5, 5)]);
+        assert_eq!(runs(vec![0, 1, 2, 6, 7, 9]), [(0, 2), (6, 7), (9, 9)]);
+        // A run that ends at the horizon's last unit.
+        let mut eg = TimeEvolvingGraph::new(2, 6);
+        for t in [1, 3, 4, 5] {
+            eg.add_contact(0, 1, t);
+        }
+        assert_eq!(eg.edges()[0].runs().collect::<Vec<_>>(), [(1, 1), (3, 5)]);
+        let last = TimeUnit::MAX - 1;
+        assert_eq!(runs(vec![last - 1, last]), [(last - 1, last)]);
     }
 
     #[test]

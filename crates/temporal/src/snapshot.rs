@@ -57,20 +57,16 @@ pub struct SnapshotCursor {
 
 impl SnapshotCursor {
     /// Builds a cursor positioned at `t = 0`. One pass over every edge's
-    /// label set converts each *run* of consecutive labels `[s, e]` into an
-    /// appear event at `s` and a disappear event at `e + 1`.
+    /// [`runs`](crate::TemporalEdge::runs) converts each run of consecutive
+    /// labels `[s, e]` into an appear event at `s` and a disappear event at
+    /// `e + 1`.
     pub fn new(eg: &TimeEvolvingGraph) -> Self {
         let horizon = eg.horizon();
         let slots = horizon.max(1) as usize;
         let mut appear: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); slots];
         let mut disappear: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); slots];
         for e in eg.edges() {
-            let mut labels = e.labels.iter().copied().peekable();
-            while let Some(start) = labels.next() {
-                let mut end = start;
-                while labels.peek() == Some(&(end + 1)) {
-                    end = labels.next().expect("peeked");
-                }
+            for (start, end) in e.runs() {
                 appear[start as usize].push((e.u, e.v));
                 if end + 1 < horizon {
                     disappear[(end + 1) as usize].push((e.u, e.v));
@@ -148,11 +144,9 @@ impl SnapshotCursor {
     /// `EG`'s label sets — the delta tables were computed once in
     /// [`SnapshotCursor::new`] and are reused as-is — so starting a second
     /// sweep costs only `O(n + Δ_0)` (one empty graph allocation plus the
-    /// `t = 0` insertions), not `O(n + contacts)`. This is what makes the
-    /// cursor a viable *per-request* scratch: `csn-serve` keeps one cursor
-    /// per worker and answers each journey query with `reset()` + an
-    /// `advance` sweep, amortizing the delta-table build across every query
-    /// the worker ever serves.
+    /// `t = 0` insertions), not `O(n + contacts)`. Repeated whole-horizon
+    /// sweeps — [`TrackedCursor::reset`](crate::TrackedCursor::reset)
+    /// rewinds through here — pay for the delta tables once.
     ///
     /// ```
     /// use csn_temporal::TimeEvolvingGraph;
