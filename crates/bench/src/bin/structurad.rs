@@ -24,8 +24,9 @@
 //! contact trace (journey queries) is attached when `--nodes` is at most
 //! `TEMPORAL_NODE_CAP` (600).
 //!
-//! An unknown flag, an unparsable value, invalid generator parameters or a
-//! `--queries` or `--users` count too large to allocate exit with status 2.
+//! An unknown flag, an unparsable value, invalid generator parameters, a
+//! Zipf exponent that is not finite and `>= 0`, or a `--queries` or
+//! `--users` count too large to allocate exit with status 2.
 //! Sampled batched-vs-serial equality is checked on every run and a
 //! mismatch exits with status 1; QPS and latency are informational (see
 //! SERVING.md).
@@ -125,6 +126,11 @@ fn main() {
     if batch == 0 {
         usage_error("--batch expects at least 1");
     }
+    for (name, s) in [("--zipf-users", zipf_users), ("--zipf-nodes", zipf_nodes)] {
+        if !(s.is_finite() && s >= 0.0) {
+            usage_error(format!("{name} expects a finite exponent >= 0, got {s}"));
+        }
+    }
 
     // --- Load & freeze: streamed BA straight into compact CSR, then the
     // whole index in one deterministic build.
@@ -164,8 +170,9 @@ fn main() {
         safety_space: 1usize << idx.safety_dims(),
         journey_horizon,
     };
-    // The workload allocates one `Query` per query and one CDF entry per
-    // user up front: a count no allocation can hold is a usage error.
+    // The workload allocates one `Query` per query and one 8 B block sum
+    // per 32 users up front: a count no allocation can hold is a usage
+    // error.
     let wl = wl_cfg.try_generate(nodes).unwrap_or_else(|e| {
         usage_error(format!("--queries {queries} --users {users}: too large to allocate ({e})"))
     });

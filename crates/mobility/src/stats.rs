@@ -42,10 +42,18 @@ pub fn fit_exponential(sample: &[f64]) -> Option<ExponentialFit> {
     Some(ExponentialFit { rate, len: sample.len(), ks })
 }
 
+/// `sample` without its NaN entries, sorted ascending. The sort is stable,
+/// so entries that compare equal keep their order.
+fn sorted_without_nan(sample: &[f64]) -> Vec<f64> {
+    let mut sorted: Vec<f64> = sample.iter().copied().filter(|x| !x.is_nan()).collect();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN entries were dropped"));
+    sorted
+}
+
 /// KS distance between the empirical CDF of `sample` and Exp(`rate`).
+/// NaN entries are dropped: the distance is that of the rest of the sample.
 pub fn ks_exponential(sample: &[f64], rate: f64) -> f64 {
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
+    let sorted = sorted_without_nan(sample);
     let n = sorted.len() as f64;
     let mut max_d: f64 = 0.0;
     for (i, &x) in sorted.iter().enumerate() {
@@ -57,10 +65,11 @@ pub fn ks_exponential(sample: &[f64], rate: f64) -> f64 {
     max_d
 }
 
-/// Empirical complementary CDF evaluated at each of `points`.
+/// Empirical complementary CDF evaluated at each of `points`. NaN entries
+/// are dropped: the CCDF is that of the rest of the sample. An empty rest
+/// has no CCDF, and every point reads NaN.
 pub fn ccdf(sample: &[f64], points: &[f64]) -> Vec<f64> {
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
+    let sorted = sorted_without_nan(sample);
     let n = sorted.len() as f64;
     points
         .iter()
@@ -80,13 +89,13 @@ pub fn mean(sample: &[f64]) -> f64 {
     }
 }
 
-/// Sample median; 0 for an empty sample.
+/// Sample median; 0 for an empty sample. NaN entries are dropped: the
+/// median is that of the rest of the sample (0 if nothing is left).
 pub fn median(sample: &[f64]) -> f64 {
-    if sample.is_empty() {
+    let s = sorted_without_nan(sample);
+    if s.is_empty() {
         return 0.0;
     }
-    let mut s = sample.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
     let mid = s.len() / 2;
     if s.len().is_multiple_of(2) {
         (s[mid - 1] + s[mid]) / 2.0
@@ -154,6 +163,31 @@ mod tests {
             assert!(w[0] >= w[1]);
         }
         assert!(c[0] <= 1.0 && *c.last().unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn ks_exponential_drops_nan_entries() {
+        let s = exp_sample(1000, 0.5, 11);
+        let mut with_nan = s.clone();
+        with_nan.insert(500, f64::NAN);
+        with_nan.push(f64::NAN);
+        assert_eq!(ks_exponential(&with_nan, 0.5), ks_exponential(&s, 0.5));
+        assert_eq!(ks_exponential(&[f64::NAN], 0.5), 0.0);
+    }
+
+    #[test]
+    fn ccdf_drops_nan_entries() {
+        let pts = [0.5, 1.5, 2.5];
+        assert_eq!(ccdf(&[1.0, f64::NAN, 2.0], &pts), ccdf(&[1.0, 2.0], &pts));
+        assert_eq!(ccdf(&[1.0, f64::NAN, 2.0], &pts), vec![1.0, 0.5, 0.0]);
+        assert!(ccdf(&[f64::NAN], &pts).iter().all(|c| c.is_nan()));
+    }
+
+    #[test]
+    fn median_drops_nan_entries() {
+        assert_eq!(median(&[1.0, f64::NAN, 2.0]), 1.5);
+        assert_eq!(median(&[f64::NAN, 3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[f64::NAN]), 0.0);
     }
 
     #[test]

@@ -46,12 +46,15 @@ use std::collections::HashSet;
 /// per `(graph, config)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Landmark count `k` for the distance tables (capped at `n`).
+    /// Landmark count `k` for the distance tables (capped at `n`). `0` is
+    /// accepted and leaves the tables empty: every `Distance` on distinct
+    /// nodes answers `[0, UNREACHABLE]`, and every `DistanceExact` on
+    /// distinct nodes takes the BFS fallback.
     pub landmarks: usize,
     /// Seed for the random half of landmark selection.
     pub landmark_seed: u64,
     /// Size of the centrality rank table (top-k by degree, ties to the
-    /// lower id).
+    /// lower id), capped at `n`: a larger value ranks every node.
     pub top_k: usize,
     /// Frozen trim overlay: directed arcs `u → v` excluded from `u`'s
     /// forwarding set (the §III-A static-rule output).

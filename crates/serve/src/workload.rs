@@ -12,6 +12,10 @@
 //! pure function of `(config, node_count)`: the same seed replays the same
 //! query stream byte for byte, which is what lets `structurad` runs, the
 //! benchmark's serve workloads and the determinism tests share a workload.
+//!
+//! A [`Zipf`] holds 8 B per 32 ranks (250,000 B for a million users) and
+//! re-adds at most 32 weights per draw, so the generator's memory stays
+//! far below the index it queries.
 
 use crate::query::Query;
 use csn_temporal::TimeUnit;
@@ -19,53 +23,95 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashSet, TryReserveError};
 
+/// Ranks per [`Zipf`] block: the sampler keeps one partial sum per block.
+const BLOCK: usize = 32;
+
 /// A discrete Zipf distribution over ranks `0..n`: rank `r` has weight
-/// `1 / (r + 1)^s`. Sampling is one uniform draw plus a binary search over
-/// the precomputed CDF — `O(log n)` per sample, `O(n)` memory.
+/// `1 / (r + 1)^s`. It keeps only the unnormalised partial sum at the end
+/// of every block of 32 ranks, 8 B per 32 ranks. A draw binary-searches
+/// those block ends for its block, then re-adds at most 32 of that block's
+/// weights: `O(log n)` per sample, `O(n / 32)` memory. Every draw returns,
+/// bit for bit, the rank a binary search over the dense normalised CDF
+/// would: the partial sums come from the same additions in the same order,
+/// and each is compared with the draw after the same division.
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    n: usize,
+    s: f64,
+    /// The sum of all `n` weights.
+    total: f64,
+    /// The running sum after every 32nd rank and after the last rank.
+    ends: Vec<f64>,
+}
+
+/// The weight of rank `r` under exponent `s`.
+fn weight(r: usize, s: f64) -> f64 {
+    1.0 / ((r + 1) as f64).powf(s)
 }
 
 impl Zipf {
-    /// Builds the CDF for `n` ranks with exponent `s >= 0` (`s = 0` is
-    /// uniform). `n` is clamped to at least 1.
+    /// Builds the block sums for `n` ranks with exponent `s`. `n` is
+    /// clamped to at least 1. The exponent's domain is finite `s >= 0`
+    /// (`s = 0` is uniform); any other `s` never panics and samples the
+    /// rank the dense CDF's binary search would.
     ///
     /// # Panics
     ///
-    /// If the CDF's `n` entries cannot be allocated; [`Zipf::try_new`]
+    /// If the `⌈n / 32⌉` block sums cannot be allocated; [`Zipf::try_new`]
     /// returns that as an error instead.
     pub fn new(n: usize, s: f64) -> Self {
-        Self::try_new(n, s).expect("the Zipf CDF fits in memory")
+        Self::try_new(n, s).expect("the Zipf block sums fit in memory")
     }
 
-    /// [`Zipf::new`], or the error of reserving the CDF's `n` entries when
-    /// they do not fit the address space or the allocator refuses them.
+    /// [`Zipf::new`], or the error of reserving the `⌈n / 32⌉` block sums
+    /// when they do not fit the address space or the allocator refuses
+    /// them.
     pub fn try_new(n: usize, s: f64) -> Result<Self, TryReserveError> {
         let n = n.max(1);
-        let mut cdf = Vec::new();
-        cdf.try_reserve_exact(n)?;
+        let mut ends = Vec::new();
+        ends.try_reserve_exact(n.div_ceil(BLOCK))?;
         let mut acc = 0.0f64;
         for r in 0..n {
-            acc += 1.0 / ((r + 1) as f64).powf(s);
-            cdf.push(acc);
+            acc += weight(r, s);
+            if (r + 1) % BLOCK == 0 || r + 1 == n {
+                ends.push(acc);
+            }
         }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Ok(Zipf { cdf })
+        Ok(Zipf { n, s, total: acc, ends })
     }
 
     /// Number of ranks.
     pub fn support(&self) -> usize {
-        self.cdf.len()
+        self.n
+    }
+
+    /// Heap bytes held by the sampler: 8 B per started block of 32 ranks.
+    pub fn heap_bytes(&self) -> usize {
+        self.ends.capacity() * size_of::<f64>()
     }
 
     /// Draws one rank in `0..support()`.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c <= u).min(self.cdf.len() - 1)
+        // The dense search's test `cdf[r] <= u` on the same quotient. Its
+        // negation ends the scan, not `acc / total > u`: the two differ on
+        // a NaN quotient.
+        let below = |acc: f64| acc / self.total <= u;
+        let block = self.ends.partition_point(|&e| below(e));
+        if block == self.ends.len() {
+            return self.n - 1;
+        }
+        // The block's end fails the test, so its last rank answers when no
+        // earlier rank of the block does.
+        let first = block * BLOCK;
+        let last = first + (self.n - first).min(BLOCK) - 1;
+        let mut acc = if block == 0 { 0.0 } else { self.ends[block - 1] };
+        (first..last)
+            .find(|&r| {
+                acc += weight(r, self.s);
+                !below(acc)
+            })
+            .unwrap_or(last)
     }
 }
 
@@ -76,11 +122,15 @@ impl Zipf {
 pub struct WorkloadConfig {
     /// Number of queries to generate.
     pub queries: usize,
-    /// Size of the synthetic user population (ranked by activity).
+    /// Size of the synthetic user population (ranked by activity); `0` is
+    /// clamped to 1.
     pub users: usize,
-    /// Zipf exponent of the user-activity skew.
+    /// Zipf exponent of the user-activity skew. Its domain is finite and
+    /// `>= 0`; another value is not rejected and never panics (see
+    /// [`Zipf::new`]).
     pub zipf_users: f64,
-    /// Zipf exponent of the node-popularity skew for query targets.
+    /// Zipf exponent of the node-popularity skew for query targets, with
+    /// the same domain as `zipf_users`.
     pub zipf_nodes: f64,
     /// RNG seed.
     pub seed: u64,
@@ -128,16 +178,16 @@ impl WorkloadConfig {
     ///
     /// # Panics
     ///
-    /// If `n > 0` and the `queries` queries or the user CDF's `users`
-    /// entries cannot be allocated; [`WorkloadConfig::try_generate`]
-    /// returns that as an error instead.
+    /// If `n > 0` and the `queries` queries or the user Zipf's `⌈users /
+    /// 32⌉` block sums cannot be allocated;
+    /// [`WorkloadConfig::try_generate`] returns that as an error instead.
     pub fn generate(&self, n: usize) -> Workload {
         self.try_generate(n).expect("the workload fits in memory")
     }
 
     /// [`WorkloadConfig::generate`], or the error of reserving the query
-    /// list or the user CDF when either does not fit the address space or
-    /// the allocator refuses it.
+    /// list or the user Zipf's block sums when either does not fit the
+    /// address space or the allocator refuses it.
     pub fn try_generate(&self, n: usize) -> Result<Workload, TryReserveError> {
         if n == 0 {
             return Ok(Workload { queries: Vec::new(), distinct_users: 0 });
@@ -198,6 +248,67 @@ impl WorkloadConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference sampler: the normalised CDF of every rank, searched
+    /// once per draw. [`Zipf`] must return its rank bit for bit.
+    struct DenseZipf {
+        cdf: Vec<f64>,
+    }
+
+    impl DenseZipf {
+        fn new(n: usize, s: f64) -> Self {
+            let mut cdf = Vec::with_capacity(n);
+            let mut acc = 0.0f64;
+            for r in 0..n {
+                acc += 1.0 / ((r + 1) as f64).powf(s);
+                cdf.push(acc);
+            }
+            let total = acc;
+            for c in &mut cdf {
+                *c /= total;
+            }
+            DenseZipf { cdf }
+        }
+
+        fn sample(&self, rng: &mut StdRng) -> usize {
+            let u: f64 = rng.gen();
+            self.cdf.partition_point(|&c| c <= u).min(self.cdf.len() - 1)
+        }
+    }
+
+    #[test]
+    fn zipf_draws_equal_the_dense_cdf_search() {
+        // Block edges, a partial last block, and exponents out of the
+        // domain: NaN and ±∞ make the CDF's tests all false, or false from
+        // the first infinite partial sum on.
+        let ns = [1, 2, 31, 32, 33, 64, 65, 1_000, 1_000_000];
+        let ss = [0.0, 0.5, 0.9, 1.1, 2.5, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for (i, &n) in ns.iter().enumerate() {
+            for (j, &s) in ss.iter().enumerate() {
+                let (zipf, dense) = (Zipf::new(n, s), DenseZipf::new(n, s));
+                assert_eq!(zipf.support(), n);
+                let seed = (i * ss.len() + j) as u64;
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for draw in 0..100_000 {
+                    let (got, want) = (zipf.sample(&mut a), dense.sample(&mut b));
+                    assert_eq!(got, want, "n {n} s {s} draw {draw}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_holds_eight_bytes_per_started_block() {
+        for n in [1, 31, 32, 33, 64, 65, 1_000] {
+            assert_eq!(Zipf::new(n, 1.1).heap_bytes(), 8 * n.div_ceil(32), "n {n}");
+        }
+        assert_eq!(Zipf::new(0, 1.1).heap_bytes(), 8);
+        // A million users: 250,000 B, against the dense CDF's 8,000,000 B.
+        let n = 1_000_000;
+        assert_eq!(Zipf::new(n, 1.1).heap_bytes(), 250_000);
+        let dense = DenseZipf::new(n, 1.1);
+        assert_eq!(dense.cdf.capacity() * size_of::<f64>(), 8_000_000);
+    }
 
     #[test]
     fn zipf_cdf_is_monotone_and_samples_in_range() {
@@ -282,9 +393,9 @@ mod tests {
 
     #[test]
     fn oversized_workloads_are_errors_not_aborts() {
-        // Byte counts just under `isize::MAX` pass the capacity check and
-        // fail in the allocator; `usize::MAX` users fail the capacity
-        // check. Each must come back as an error, not abort the process.
+        // Byte counts up to `isize::MAX` pass the capacity check and fail
+        // in the allocator, `usize::MAX` users' block sums included. Each
+        // must come back as an error, not abort the process.
         let too_many = isize::MAX as usize / size_of::<Query>();
         let cfg = WorkloadConfig { queries: too_many, users: 10, ..WorkloadConfig::default() };
         assert!(cfg.try_generate(100).is_err());

@@ -2,7 +2,7 @@
 //! equals one BFS from its landmark, landmark bounds sandwich exact
 //! distances on arbitrary graphs, both from the bare landmark index and as
 //! served `Distance` answers, the exact-fallback path equals BFS
-//! ground truth, every journey answer equals the heap-based
+//! ground truth (with no landmark and every node ranked, too), every journey answer equals the heap-based
 //! earliest-arrival oracle, the sharded batched read path is bitwise
 //! identical to serial at several worker counts, journeys included,
 //! arbitrary queries
@@ -101,6 +101,40 @@ proptest! {
                     Response::Exact { dist, .. } => prop_assert_eq!(dist, exact),
                     other => prop_assert!(false, "unexpected response {:?}", other),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_landmarks_and_an_oversized_top_k_still_serve(g in arb_graph(40)) {
+        let n = g.node_count();
+        let cfg = ServeConfig { landmarks: 0, top_k: n + 10, ..ServeConfig::default() };
+        let idx = ServeIndex::build(g.clone(), &cfg);
+        prop_assert_eq!(idx.landmarks().landmarks().len(), 0);
+        prop_assert_eq!(idx.top_ranked().len(), n);
+        let mut scratch = idx.scratch();
+        for u in 0..n {
+            let truth = traversal::bfs_distances(&g, u);
+            for v in 0..n {
+                let exact = as_u32(truth[v]);
+                match idx.answer(&Query::DistanceExact { u, v }, &mut scratch) {
+                    Response::Exact { dist, fallback } => {
+                        prop_assert_eq!(dist, exact);
+                        prop_assert_eq!(fallback, u != v);
+                    }
+                    other => prop_assert!(false, "unexpected response {:?}", other),
+                }
+                match idx.answer(&Query::Distance { u, v }, &mut scratch) {
+                    Response::Bounds { lower, upper } => prop_assert!(
+                        lower <= exact && exact <= upper,
+                        "[{}, {}] misses d({u},{v}) = {exact}", lower, upper
+                    ),
+                    other => prop_assert!(false, "unexpected response {:?}", other),
+                }
+            }
+            match idx.answer(&Query::Rank { u }, &mut scratch) {
+                Response::Rank { rank, .. } => prop_assert!(rank.is_some(), "node {u} unranked"),
+                other => prop_assert!(false, "unexpected response {:?}", other),
             }
         }
     }
