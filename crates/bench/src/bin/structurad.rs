@@ -25,8 +25,9 @@
 //! `TEMPORAL_NODE_CAP` (600).
 //!
 //! An unknown flag, an unparsable value, invalid generator parameters, a
-//! Zipf exponent that is not finite and `>= 0`, or a `--queries` or
-//! `--users` count too large to allocate exit with status 2.
+//! `--batch`, `--shards` or `--jobs` of 0, a Zipf exponent that is not
+//! finite and `>= 0`, or a `--queries` or `--users` count too large to
+//! allocate exit with status 2.
 //! Sampled batched-vs-serial equality is checked on every run and a
 //! mismatch exits with status 1; QPS and latency are informational (see
 //! SERVING.md).
@@ -123,8 +124,10 @@ fn main() {
     let shards: usize = flags.get("--shards", 64);
     let cores = csn_bench::pool::available_parallelism();
     let jobs: usize = flags.get("--jobs", cores);
-    if batch == 0 {
-        usage_error("--batch expects at least 1");
+    for (name, value) in [("--batch", batch), ("--shards", shards), ("--jobs", jobs)] {
+        if value == 0 {
+            usage_error(format!("{name} expects at least 1"));
+        }
     }
     for (name, s) in [("--zipf-users", zipf_users), ("--zipf-nodes", zipf_nodes)] {
         if !(s.is_finite() && s >= 0.0) {

@@ -1,114 +1,18 @@
-//! The `BENCH_kernels.json` document written by the default `perf_smoke`
-//! tier, and the counted-touch sweep it shares with `tests/gates.rs`.
-//!
-//! The document holds kernel wall times (Brandes and all-pairs BFS on the
-//! adjacency list and its frozen form, fresh-alloc vs scratch Brandes,
-//! `betweenness_par`, the landmark-table build one BFS per landmark vs
-//! multi-source, snapshot sweeps, a faulted Bellman–Ford run), the
-//! `landmarks` block — the arcs the landmark-table build scanned next to
-//! the arcs one BFS per landmark scans — and the `maintain` block: per
-//! structure maintainer, the node touches of a `TrackedCursor` sweep next
-//! to those of per-step rebuilds. Wall times are informational; the arc
-//! and touch counts are exact, and `scripts/check.sh` compares them with
-//! the committed artifact.
+//! The counted-touch maintain sweep of the default `perf_smoke` tier
+//! (`BENCH_kernels.json`), shared with `tests/gates.rs`: per structure
+//! maintainer, the node touches of a `TrackedCursor` sweep next to those
+//! of per-step rebuilds. The touch counts are exact, and `scripts/check.sh`
+//! compares them with the committed artifact.
 
+use crate::rows::Row;
 use crate::timed;
 use csn_core::graph::cores::{core_numbers, IncrementalCores};
-use csn_core::graph::landmark::UNREACHABLE;
-use csn_core::graph::{Graph, GraphView, LandmarkIndex, NodeId};
+use csn_core::graph::{Graph, NodeId};
 use csn_core::layering::nsf::{nsf_levels, IncrementalNsf};
 use csn_core::temporal::maintain::StructureMaintainer;
 use csn_core::temporal::{TimeEvolvingGraph, TrackedCursor};
 use csn_core::trimming::incremental::{forwarding_sets_at, IncrementalForwarding};
-use serde::Serialize;
 use std::hint::black_box;
-
-/// Schema tag of `BENCH_kernels.json`; bump on layout changes and
-/// regenerate the committed artifact in the same commit.
-pub const KERNELS_SCHEMA: &str = "structura-bench-kernels-v6";
-
-/// One timed kernel run.
-#[derive(Serialize)]
-pub struct Timing {
-    /// Kernel name, with its worker count where it has one.
-    pub kernel: String,
-    /// Graph form or code path the kernel ran on.
-    pub representation: String,
-    /// Wall time, seconds.
-    pub wall_secs: f64,
-}
-
-/// One structure maintainer swept over a trace, against per-step rebuilds.
-#[derive(Serialize)]
-pub struct MaintainRow {
-    /// `cores`, `nsf` or `forwarding`.
-    pub structure: String,
-    /// Wall time of the per-step rebuild sweep, seconds.
-    pub rebuild_secs: f64,
-    /// Wall time of the maintained sweep, seconds.
-    pub incremental_secs: f64,
-    /// Node touches the rebuilds must make at least (see [`maintain_rows`]).
-    pub rebuild_node_touches: u64,
-    /// Node touches the maintainer counted.
-    pub incremental_node_touches: u64,
-}
-
-/// The landmark-table build on the kernel graph, counted two ways.
-#[derive(Serialize)]
-pub struct LandmarkRow {
-    /// Landmark count.
-    pub k: usize,
-    /// Seed of the random half of landmark selection.
-    pub seed: u64,
-    /// Arcs the build's multi-source traversal scanned
-    /// (`LandmarkIndex::arcs_scanned`).
-    pub arcs_scanned: u64,
-    /// Arcs one BFS per landmark scans: over the nodes, each degree times
-    /// the landmarks that reach the node, read from the built tables.
-    pub per_landmark_arcs: u64,
-}
-
-impl LandmarkRow {
-    /// The counts of `idx`, built on `g` with `seed`.
-    pub fn new<G: GraphView>(g: &G, idx: &LandmarkIndex, seed: u64) -> Self {
-        let per_landmark_arcs = g
-            .nodes()
-            .map(|v| {
-                let reached = idx.distances(v).iter().filter(|&&d| d != UNREACHABLE).count();
-                g.degree(v) as u64 * reached as u64
-            })
-            .sum();
-        LandmarkRow {
-            k: idx.landmark_count(),
-            seed,
-            arcs_scanned: idx.arcs_scanned(),
-            per_landmark_arcs,
-        }
-    }
-}
-
-/// The whole `BENCH_kernels.json` document.
-#[derive(Serialize)]
-pub struct BenchKernels {
-    /// [`KERNELS_SCHEMA`].
-    pub schema: String,
-    /// `git rev-parse HEAD` at run time.
-    pub git_rev: String,
-    /// The BA graph of the Brandes and BFS rows.
-    pub graph: String,
-    /// The edge-Markovian trace of the snapshot-sweep rows.
-    pub temporal_graph: String,
-    /// The edge-Markovian trace of the `maintain` rows.
-    pub maintain_graph: String,
-    /// Hardware threads detected.
-    pub detected_cores: usize,
-    /// Arc counts of the landmark-table build on the frozen `graph`.
-    pub landmarks: LandmarkRow,
-    /// Counted-touch rows, one per structure maintainer.
-    pub maintain: Vec<MaintainRow>,
-    /// Kernel wall times.
-    pub timings: Vec<Timing>,
-}
 
 /// A deterministic frozen trim overlay over `n` nodes (~1/11 of all
 /// directed arcs): the forwarding maintainer is agnostic to where the trim
@@ -122,24 +26,29 @@ pub fn synthetic_trim(n: usize) -> Vec<(NodeId, NodeId)> {
 
 /// Sweeps the k-core, NSF and forwarding-set maintainers over `eg` on a
 /// `TrackedCursor`, one maintainer per sweep, and the per-step rebuilds of
-/// the same structures on a `SnapshotCursor`.
+/// the same structures on a `SnapshotCursor`. Returns one `maintain` row
+/// per structure, keyed by its `structure` parameter, with the counters
+/// `rebuild_node_touches` and `incremental_node_touches` and the wall time
+/// of the maintained sweep; both sweeps' wall times go to stderr.
 ///
 /// Rebuild touches are a floor, counted from `t = 1` as the maintainers
 /// count theirs: `n` per step for cores and forwarding sets (any rebuild
 /// visits every node at least once) and `Σ_u level(u)` for NSF (a peel
 /// examines each node once per round until it is assigned, the unit
 /// `IncrementalNsf` counts too).
-pub fn maintain_rows(eg: &TimeEvolvingGraph, trimmed: &[(NodeId, NodeId)]) -> Vec<MaintainRow> {
+pub fn maintain_rows(eg: &TimeEvolvingGraph, trimmed: &[(NodeId, NodeId)]) -> Vec<Row> {
     let n = eg.node_count() as u64;
-    let row = |structure: &str, (rebuild_node_touches, rebuild_secs): (u64, f64), maintained| {
-        let (incremental_node_touches, incremental_secs) = maintained;
-        MaintainRow {
-            structure: structure.to_string(),
-            rebuild_secs,
-            incremental_secs,
-            rebuild_node_touches,
-            incremental_node_touches,
-        }
+    let row = |structure: &'static str, (rebuild, rebuild_secs): (u64, f64), maintained| {
+        let (incremental, incremental_secs) = maintained;
+        eprintln!(
+            "maintain [{structure}]: rebuild {rebuild_secs:.3}s / {rebuild} touches vs \
+             incremental {incremental_secs:.3}s / {incremental} touches"
+        );
+        Row::new("kernels", "maintain")
+            .param("structure", structure)
+            .counter("rebuild_node_touches", rebuild)
+            .counter("incremental_node_touches", incremental)
+            .wall_secs(incremental_secs)
     };
     vec![
         row(

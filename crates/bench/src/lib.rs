@@ -19,13 +19,15 @@
 //!   [`experiments::EXPERIMENTS`] registry and runner.
 //! * [`cli`] — the strict flag parser of the `experiments`, `perf_smoke`
 //!   and `structurad` binaries: a usage error exits with status 2.
-//! * [`kernels_bench`], [`distsim_bench`], [`scenario_bench`] — the
-//!   documents `perf_smoke` writes (`BENCH_kernels.json`,
-//!   `BENCH_distsim.json`, `BENCH_scenario.json`) and the inputs they share
-//!   with the tier-1 tests in `tests/gates.rs`: the counted-touch maintain
-//!   sweep, the bench protocols, the city trace, the DTN query set and TOUR
-//!   forwarding from trace-estimated rates. See DISTSIM.md and
-//!   SCENARIOS.md.
+//! * [`rows`] — the one row schema of every `BENCH_*.json` artifact
+//!   `perf_smoke` writes: rows keyed by tier, stage and parameters, with
+//!   exact integer counters that `scripts/check.sh` compares with the
+//!   committed files.
+//! * [`kernels_bench`], [`distsim_bench`], [`scenario_bench`] — the inputs
+//!   `perf_smoke` shares with the tier-1 tests in `tests/gates.rs`: the
+//!   counted-touch maintain sweep, the bench protocols, the city trace, the
+//!   DTN query set and TOUR forwarding from trace-estimated rates. See
+//!   DISTSIM.md and SCENARIOS.md.
 //!
 //! The binaries: `experiments` (every experiment; one with `--exp e8`; in
 //! parallel with machine-readable reports via `--jobs 8 --json
@@ -38,6 +40,7 @@ pub mod distsim_bench;
 pub mod experiments;
 pub mod kernels_bench;
 pub mod report;
+pub mod rows;
 pub mod scenario_bench;
 
 pub use csn_parallel as pool;

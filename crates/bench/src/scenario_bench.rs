@@ -1,16 +1,10 @@
-//! The `BENCH_scenario.json` document written by `perf_smoke --scenario`,
-//! and the inputs it shares with the scenario tests in `tests/gates.rs`:
-//! million-contact vehicular/pedestrian city traces streamed through
-//! grid-accelerated contact detection, the DTN strategy ladder and TOUR
-//! forwarding end-to-end on those traces, plus the two
-//! heterogeneous-topology runs (Gnutella-style pub-sub under churn,
-//! generalized-hypercube routing under faults).
-//!
-//! Contacts/s, bytes/contact and delivery-ratio rows are informational (see
-//! SCENARIOS.md for the memory model and how to read them); the
-//! correctness checks on these inputs are tier-1 tests. `scripts/check.sh`
-//! greps the committed artifact for [`SCENARIO_SCHEMA`] freshness the same
-//! way it does for the other bench artifacts.
+//! The inputs `perf_smoke --scenario` (`BENCH_scenario.json`) shares with
+//! the scenario tests in `tests/gates.rs`: million-contact
+//! vehicular/pedestrian city traces streamed through grid-accelerated
+//! contact detection, the DTN query set and TOUR forwarding from
+//! trace-estimated rates, the pub-sub protocol of the Gnutella-style run
+//! under churn, and the generalized hypercube routed over under faults.
+//! See SCENARIOS.md for the memory model and how to read the rows.
 
 use csn_core::distsim::{ChurnSchedule, Neighborhood, Outbox, Protocol};
 use csn_core::graph::{Graph, NodeId};
@@ -21,11 +15,6 @@ use csn_core::temporal::{Contact, TimeUnit};
 use csn_core::trimming::forwarding::{
     solve_forwarding_policy, ForwardingPolicy, LinearUtility, Relay,
 };
-use serde::Serialize;
-
-/// Schema tag of `BENCH_scenario.json`; bump on layout changes and
-/// regenerate the committed artifact in the same commit.
-pub const SCENARIO_SCHEMA: &str = "structura-bench-scenario-v2";
 
 /// Seconds of simulated time in every scenario city trace.
 pub const CITY_DURATION: f64 = 180.0;
@@ -108,146 +97,6 @@ pub fn tour_policy(city: &CityScenario) -> (Vec<Relay>, ForwardingPolicy) {
     (relays, policy)
 }
 
-/// The trace-construction row: how fast the city stream emits and what a
-/// contact costs to hold in each representation.
-#[derive(Serialize)]
-pub struct TraceRow {
-    /// Scenario description.
-    pub scenario: String,
-    /// Vehicles (RWP layer).
-    pub vehicles: usize,
-    /// Pedestrians (social layer).
-    pub pedestrians: usize,
-    /// Trace horizon, seconds.
-    pub duration_secs: f64,
-    /// Contacts emitted.
-    pub contacts: usize,
-    /// Wall time of one full streaming pass (count only).
-    pub stream_secs: f64,
-    /// `contacts / stream_secs`.
-    pub contacts_per_sec: f64,
-    /// Bytes per contact if materialized as `ContactEvent`s.
-    pub bytes_per_contact_materialized: usize,
-    /// Bytes per discretized contact tuple in the flat DTN slice.
-    pub bytes_per_contact_flat: usize,
-    /// Discretized contact tuples in the flat slice (dedup'd per unit).
-    pub flat_contacts: usize,
-    /// Wall time to stream-discretize into the flat slice.
-    pub discretize_secs: f64,
-}
-
-/// One DTN strategy's aggregate outcome over the query set.
-#[derive(Serialize)]
-pub struct DtnRow {
-    /// Strategy name (`direct`, `spray_and_wait(L)`, `epidemic`).
-    pub strategy: String,
-    /// Source/destination query pairs evaluated.
-    pub queries: usize,
-    /// Queries delivered within the horizon.
-    pub delivered: usize,
-    /// `delivered / queries`.
-    pub delivery_ratio: f64,
-    /// Mean delivery time over delivered queries (time units).
-    pub mean_delay_units: f64,
-    /// Mean copies in existence at completion.
-    pub mean_copies: f64,
-    /// Wall time for the whole query sweep.
-    pub wall_secs: f64,
-}
-
-/// The TOUR forwarding row: policy solved from trace-estimated rates.
-#[derive(Serialize)]
-pub struct TourRow {
-    /// Relays with a positive estimated rate both ways.
-    pub relays: usize,
-    /// Forwarding-set size at t = 0.
-    pub set_at_start: usize,
-    /// Forwarding-set size at the utility deadline.
-    pub set_at_deadline: usize,
-    /// Whether sets shrink monotonically from t = 0 — true in the
-    /// dense-contact regime, legitimately false for sparse traces where
-    /// the optimal set widens before collapsing (informational; the
-    /// invariant every regime keeps is contiguous relay windows).
-    pub shrinks_monotonically: bool,
-}
-
-/// The structure-tracking row: a `TrackedCursor` sweep over the city EG.
-#[derive(Serialize)]
-pub struct TrackRow {
-    /// Nodes in the tracked EG.
-    pub nodes: usize,
-    /// EG horizon (time units).
-    pub horizon: u32,
-    /// Wall time of the incremental k-core sweep.
-    pub incremental_secs: f64,
-    /// Node touches the maintainer performed.
-    pub incremental_node_touches: u64,
-    /// Conservative rebuild floor (`nodes · horizon`).
-    pub rebuild_touch_floor: u64,
-}
-
-/// The pub-sub-under-churn row.
-#[derive(Serialize)]
-pub struct PubSubRow {
-    /// Nodes in the Gnutella-like overlay.
-    pub nodes: usize,
-    /// Edges in the overlay.
-    pub edges: usize,
-    /// Topics (= publishers, nodes `0..topics`).
-    pub topics: usize,
-    /// Stepper workers used.
-    pub jobs: usize,
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Messages delivered.
-    pub messages: usize,
-    /// Fraction of nodes that received their subscribed topic (crashed
-    /// spans lower this — that is the experiment).
-    pub delivery_ratio: f64,
-    /// Wall time of the run.
-    pub wall_secs: f64,
-}
-
-/// The generalized-hypercube routing row.
-#[derive(Serialize)]
-pub struct HypercubeRow {
-    /// Mixed radix of the hypercube.
-    pub radix: Vec<usize>,
-    /// Nodes (`Π radix`).
-    pub nodes: usize,
-    /// Edges (`n · Σ (rᵢ − 1) / 2`).
-    pub edges: usize,
-    /// Rounds of the faulted Bellman–Ford run.
-    pub faulted_rounds: usize,
-    /// Nodes with a finite label after the faulted run.
-    pub faulted_labeled: usize,
-    /// Wall time of the faulted run.
-    pub wall_secs: f64,
-}
-
-/// The whole `BENCH_scenario.json` document.
-#[derive(Serialize)]
-pub struct BenchScenario {
-    /// [`SCENARIO_SCHEMA`].
-    pub schema: String,
-    /// `git rev-parse HEAD` at run time.
-    pub git_rev: String,
-    /// Hardware threads detected.
-    pub detected_cores: usize,
-    /// Trace construction throughput.
-    pub trace: TraceRow,
-    /// DTN ladder rows (direct / spray / epidemic) on the city trace.
-    pub dtn: Vec<DtnRow>,
-    /// TOUR forwarding from trace-estimated rates.
-    pub tour: TourRow,
-    /// Structure tracking over the city EG.
-    pub tracking: TrackRow,
-    /// Gnutella-style pub-sub under churn.
-    pub pubsub: PubSubRow,
-    /// Generalized-hypercube routing under faults.
-    pub hypercube: HypercubeRow,
-}
-
 /// Topic-flood pub-sub: nodes `0..topics` each publish one topic at round
 /// zero; every node subscribes to topic `u % topics` and forwards each
 /// topic bitmask bit at most once (dedup flood). State is
@@ -294,18 +143,18 @@ impl PubSub {
         (0..self.topics).fold(schedule, ChurnSchedule::protect)
     }
 
-    /// Fraction of nodes holding their subscribed topic (`u % topics`) in
-    /// `states` — the delivery ratio a churn schedule degrades.
+    /// Nodes holding their subscribed topic (`u % topics`) in `states`.
+    pub fn delivered(&self, states: &[(u32, u32)]) -> usize {
+        states.iter().enumerate().filter(|(u, s)| s.0 & (1u32 << (u % self.topics)) != 0).count()
+    }
+
+    /// Fraction of nodes holding their subscribed topic in `states` — the
+    /// delivery ratio a churn schedule degrades.
     pub fn delivery_ratio(&self, states: &[(u32, u32)]) -> f64 {
         if states.is_empty() {
             return 0.0;
         }
-        let delivered = states
-            .iter()
-            .enumerate()
-            .filter(|(u, s)| s.0 & (1u32 << (u % self.topics)) != 0)
-            .count();
-        delivered as f64 / states.len() as f64
+        self.delivered(states) as f64 / states.len() as f64
     }
 }
 

@@ -27,7 +27,7 @@ fn assert_usage_error(exe: &str, args: &[&str]) {
 
 #[test]
 fn structurad_rejects_bad_flags() {
-    let cases: [&[&str]; 11] = [
+    let cases: [&[&str]; 13] = [
         &["--nodes", "0"],
         &["--nodes", "2"],
         &["--m", "0"],
@@ -41,6 +41,9 @@ fn structurad_rejects_bad_flags() {
         // Zipf exponents outside the finite, non-negative domain.
         &["--nodes", "100", "--zipf-users", "nan"],
         &["--nodes", "100", "--zipf-nodes", "-1"],
+        // A worker or shard count of 0 would be clamped to 1 and misreported.
+        &["--nodes", "100", "--jobs", "0"],
+        &["--nodes", "100", "--shards", "0"],
     ];
     for args in cases {
         assert_usage_error(env!("CARGO_BIN_EXE_structurad"), args);

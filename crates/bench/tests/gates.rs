@@ -42,11 +42,13 @@ mod kernels {
     fn maintain_fewer_touches() {
         let eg = EdgeMarkovian::new(120, 0.25, 0.001).generate(400, 7);
         for row in maintain_rows(&eg, &synthetic_trim(120)) {
-            let (touched, floor) = (row.incremental_node_touches, row.rebuild_node_touches);
-            if row.structure == "forwarding" {
-                assert!(touched < floor, "{}: {touched} touches, floor {floor}", row.structure);
+            let touched = row.counter_value("incremental_node_touches").unwrap();
+            let floor = row.counter_value("rebuild_node_touches").unwrap();
+            let structure = row.param_text("structure").unwrap();
+            if structure == "forwarding" {
+                assert!(touched < floor, "{structure}: {touched} touches, floor {floor}");
             } else {
-                assert!(touched <= floor, "{}: {touched} touches, floor {floor}", row.structure);
+                assert!(touched <= floor, "{structure}: {touched} touches, floor {floor}");
             }
         }
     }

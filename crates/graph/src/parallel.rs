@@ -21,14 +21,16 @@
 //!
 //! # Allocation
 //!
-//! Every worker owns one [`crate::scratch`] arena for the whole call (the
-//! pool passes the worker index to each task), and `betweenness_par` writes
-//! each wave's dependency vectors into a fixed ring of reusable buffers —
-//! so a call allocates `O(jobs · n + wave · n)` once, instead of
-//! `O(sources · n)` spread over every task. The per-worker scratches sit
-//! behind uncontended `Mutex`es: worker `w` is the only thread that ever
-//! locks slot `w` (likewise buffer slot `i` within a wave), so the locks
-//! exist purely to satisfy the `Sync` bound of the pool's task closure.
+//! Every worker owns one [`crate::scratch`] arena for the whole call, and
+//! the Brandes kernels write each wave's dependency vectors into a fixed
+//! ring of reusable buffers — so a call allocates `O(jobs · n + wave · n)`
+//! once, instead of `O(sources · n)` spread over every task. Closeness and
+//! all-pairs BFS make one pool call and take their scratch from the pool's
+//! per-worker state. The Brandes kernels make one pool call per wave, so
+//! their scratches outlive a call: they sit behind uncontended `Mutex`es
+//! (worker `w` is the only thread that ever locks slot `w`, likewise buffer
+//! slot `i` within a wave), which exist to satisfy the `Sync` bound of the
+//! pool's task closure.
 //!
 //! # Examples
 //!
@@ -53,40 +55,41 @@ fn wave_size(jobs: usize) -> usize {
     jobs.max(1) * 4
 }
 
-/// One scratch arena per potential worker. `run_indexed` never reports a
-/// worker index ≥ `jobs.max(1)` (it clamps downward from there), so slot
-/// `w` is touched by exactly one thread per call.
-fn worker_scratches<S: Default>(jobs: usize) -> Vec<Mutex<S>> {
-    (0..jobs.max(1)).map(|_| Mutex::new(S::default())).collect()
-}
-
-/// Betweenness centrality with sources fanned out over `jobs` workers.
-/// Bit-identical to [`crate::centrality::betweenness_centrality`].
-pub fn betweenness_par<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<f64> {
-    let n = g.node_count();
-    let mut bc = vec![0.0f64; n];
+/// The sum of the Brandes dependency vectors of `sources`, fanned out over
+/// `jobs` workers in waves and folded in source order: the same f64
+/// additions as a serial loop over `sources`.
+fn brandes_sum<G: GraphView + Sync>(g: &G, sources: &[usize], jobs: usize) -> Vec<f64> {
+    let mut bc = vec![0.0f64; g.node_count()];
+    // One scratch per potential worker: `run_indexed` never reports a worker
+    // index ≥ `jobs.max(1)`, so slot `w` is touched by one thread per wave.
+    let scratches: Vec<Mutex<BrandesScratch>> =
+        (0..jobs.max(1)).map(|_| Mutex::new(BrandesScratch::new())).collect();
+    // Task `i` of a wave writes its dependency vector into buffer `i`; the
+    // ring is reused by every wave.
     let wave = wave_size(jobs);
-    let scratches: Vec<Mutex<BrandesScratch>> = worker_scratches(jobs);
-    // Task `i` of a wave writes its dependency vector into buffer `i`;
-    // the ring is reused by every wave.
-    let buffers: Vec<Mutex<Vec<f64>>> = (0..wave.min(n)).map(|_| Mutex::new(Vec::new())).collect();
-    let mut start = 0;
-    while start < n {
-        let end = (start + wave).min(n);
-        csn_parallel::run_indexed(end - start, jobs, |i, w| {
+    let buffers: Vec<Mutex<Vec<f64>>> =
+        (0..wave.min(sources.len())).map(|_| Mutex::new(Vec::new())).collect();
+    for chunk in sources.chunks(wave) {
+        csn_parallel::run_indexed(chunk.len(), jobs, |i, w| {
             let mut sc = scratches[w].lock().expect("scratch lock");
             let mut buf = buffers[i].lock().expect("buffer lock");
-            brandes_delta_into(g, start + i, &mut sc, &mut buf);
+            brandes_delta_into(g, chunk[i], &mut sc, &mut buf);
         });
-        // Fold in source order: the same additions as the serial loop.
-        for buf in buffers.iter().take(end - start) {
+        for buf in &buffers[..chunk.len()] {
             let delta = buf.lock().expect("buffer lock");
             for (b, d) in bc.iter_mut().zip(delta.iter()) {
                 *b += d;
             }
         }
-        start = end;
     }
+    bc
+}
+
+/// Betweenness centrality with sources fanned out over `jobs` workers.
+/// Bit-identical to [`crate::centrality::betweenness_centrality`].
+pub fn betweenness_par<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<f64> {
+    let sources: Vec<usize> = (0..g.node_count()).collect();
+    let mut bc = brandes_sum(g, &sources, jobs);
     for b in &mut bc {
         *b /= 2.0;
     }
@@ -113,28 +116,8 @@ pub fn betweenness_sampled_par<G: GraphView + Sync>(
     }
     assert!(samples > 0, "need at least one sampled source");
     let sources = crate::approx::sample_sources(n, samples, seed);
-    let k = sources.len();
-    let mut bc = vec![0.0f64; n];
-    let wave = wave_size(jobs);
-    let scratches: Vec<Mutex<BrandesScratch>> = worker_scratches(jobs);
-    let buffers: Vec<Mutex<Vec<f64>>> = (0..wave.min(k)).map(|_| Mutex::new(Vec::new())).collect();
-    let mut start = 0;
-    while start < k {
-        let end = (start + wave).min(k);
-        csn_parallel::run_indexed(end - start, jobs, |i, w| {
-            let mut sc = scratches[w].lock().expect("scratch lock");
-            let mut buf = buffers[i].lock().expect("buffer lock");
-            brandes_delta_into(g, sources[start + i], &mut sc, &mut buf);
-        });
-        for buf in buffers.iter().take(end - start) {
-            let delta = buf.lock().expect("buffer lock");
-            for (b, d) in bc.iter_mut().zip(delta.iter()) {
-                *b += d;
-            }
-        }
-        start = end;
-    }
-    let scale = n as f64 / k as f64;
+    let mut bc = brandes_sum(g, &sources, jobs);
+    let scale = n as f64 / sources.len() as f64;
     for b in &mut bc {
         *b = *b * scale / 2.0;
     }
@@ -144,10 +127,12 @@ pub fn betweenness_sampled_par<G: GraphView + Sync>(
 /// Closeness centrality with sources fanned out over `jobs` workers.
 /// Bit-identical to [`crate::centrality::closeness_centrality`].
 pub fn closeness_par<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<f64> {
-    let scratches: Vec<Mutex<BfsScratch>> = worker_scratches(jobs);
-    let (scores, _) = csn_parallel::run_indexed(g.node_count(), jobs, |u, w| {
-        closeness_one_into(g, u, &mut scratches[w].lock().expect("scratch lock"))
-    });
+    let (scores, _) = csn_parallel::run_indexed_stateful(
+        g.node_count(),
+        jobs,
+        |_| BfsScratch::new(),
+        |u, scratch| closeness_one_into(g, u, scratch),
+    );
     scores
 }
 
@@ -156,12 +141,16 @@ pub fn closeness_par<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<f64> {
 /// still allocates its result row (it is returned to the caller), but the
 /// BFS working state is per-worker scratch.
 pub fn all_pairs_bfs_par<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<Vec<usize>> {
-    let scratches: Vec<Mutex<BfsScratch>> = worker_scratches(jobs);
-    let (rows, _) = csn_parallel::run_indexed(g.node_count(), jobs, |s, w| {
-        let mut row = Vec::new();
-        bfs_distances_into(g, s, &mut scratches[w].lock().expect("scratch lock"), &mut row);
-        row
-    });
+    let (rows, _) = csn_parallel::run_indexed_stateful(
+        g.node_count(),
+        jobs,
+        |_| BfsScratch::new(),
+        |s, scratch| {
+            let mut row = Vec::new();
+            bfs_distances_into(g, s, scratch, &mut row);
+            row
+        },
+    );
     rows
 }
 

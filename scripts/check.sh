@@ -43,69 +43,47 @@ if ! diff -u target/experiments_jobs1_check.txt target/experiments_jobs2_check.t
   exit 1
 fi
 
-# Schema freshness: each committed artifact has to carry the schema version
-# its writer source currently writes. Columns: artifact, writer source,
-# perf_smoke flag that regenerates it.
-checked=" "
-while read -r artifact writer flag; do
-  echo "==> $artifact schema freshness"
-  checked+="$artifact "
-  name=${artifact#BENCH_}
-  schema="structura-bench-${name%.json}-v[0-9]+"
-  want=$(grep -oE "$schema" "$writer" | head -n1)
-  have=$(grep -oE "$schema" "$artifact" | head -n1 || true)
-  if [ "$want" != "$have" ]; then
-    echo "FAIL: $artifact is stale (has '${have:-missing}', $(basename "$writer" .rs) writes '$want')" >&2
-    echo "      regenerate with: cargo run -p csn-bench --release --bin perf_smoke${flag:+ -- $flag}" >&2
-    exit 1
-  fi
-done <<'ARTIFACTS'
-BENCH_kernels.json crates/bench/src/kernels_bench.rs
-BENCH_scale.json crates/bench/src/bin/perf_smoke.rs --scale
-BENCH_distsim.json crates/bench/src/distsim_bench.rs --distsim
-BENCH_scenario.json crates/bench/src/scenario_bench.rs --scenario
-ARTIFACTS
-
-echo "==> every committed BENCH_*.json has a schema freshness row"
+echo "==> BENCH_*.json schema tag (every committed artifact carries the tag crates/bench/src/rows.rs writes)"
+schema=$(grep -oE 'structura-bench-rows-v[0-9]+' crates/bench/src/rows.rs | head -n1)
 for artifact in BENCH_*.json; do
-  if [[ "$checked" != *" $artifact "* ]]; then
-    echo "FAIL: $artifact is not in the schema freshness list above; add its writer row or delete it" >&2
+  if ! grep -q "\"schema\": \"$schema\"" "$artifact"; then
+    echo "FAIL: $artifact does not carry the schema tag $schema; regenerate it with perf_smoke (EXPERIMENTS.md, Captured artifacts)" >&2
     exit 1
   fi
 done
 
-echo "==> perf smoke (kernel timings, landmark arc counts and counted-touch maintain rows; the arc and touch counts must equal the committed BENCH_kernels.json)"
-cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --out target/BENCH_kernels_check.json
-touches() { grep -E '"(arcs_scanned|per_landmark_arcs|structure|rebuild_node_touches|incremental_node_touches)"' "$1"; }
-if ! diff -u <(touches BENCH_kernels.json) <(touches target/BENCH_kernels_check.json); then
-  echo "FAIL: landmark arc or maintain touch counts differ from the committed BENCH_kernels.json" >&2
-  echo "      if the change is intended, regenerate with: cargo run -p csn-bench --release --bin perf_smoke" >&2
-  exit 1
-fi
-
-echo "==> scale smoke (small-n rows: streamed generators, frozen-form memory, sampled kernels)"
-cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --scale --scale-nodes 20000 --out target/BENCH_scale_check.json
-
-echo "==> distsim smoke (the 10^4-node rows: flood, Bellman-Ford, MIS and CDS marking; their exact counts and one-worker heap bytes must equal the committed BENCH_distsim.json's first four rows)"
-cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --distsim --distsim-nodes 10000 --out target/BENCH_distsim_check.json
-# Four rows of seven exact fields each; the rows run on one worker, so
-# sim_heap_bytes repeats exactly and a memory change shows as a diff.
-distsim_counts() { grep -E '"(protocol|nodes|edges|rounds|messages|converged|sim_heap_bytes)":' "$1" | head -n 28; }
-if ! diff -u <(distsim_counts BENCH_distsim.json) <(distsim_counts target/BENCH_distsim_check.json); then
-  echo "FAIL: distsim exact counts differ from the committed BENCH_distsim.json's 10^4-node rows" >&2
-  echo "      if the change is intended, regenerate with: cargo run -p csn-bench --release --bin perf_smoke -- --distsim" >&2
-  exit 1
-fi
-
-echo "==> scenario smoke (small-n rows: city trace, DTN ladder, TOUR, tracking, pub-sub and hypercube under faults)"
-cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- \
-  --scenario --scenario-nodes 220 --scenario-pubsub-nodes 3000 \
-  --out target/BENCH_scenario_check.json
+# Every perf_smoke tier reruns at its check size. Each fresh row, wall time
+# aside, must be a row of the committed artifact: the same tier, stage and
+# params, and identical counters. Committed rows that no check size
+# produces (the larger default sizes) are not compared. perf_smoke gets
+# /dev/null as stdin so nothing in the loop body can read the tier list.
+rows() { sed -n 's/^ *\({"tier":.*\),"wall_secs":.*$/\1/p' "$1" | LC_ALL=C sort; }
+while read -r tier args; do
+  echo "==> perf_smoke ${args:-(default tier)}: every counter equals the committed BENCH_$tier.json"
+  cargo run -p csn-bench --release --offline --quiet --bin perf_smoke -- $args \
+    --out "target/BENCH_${tier}_check.json" </dev/null
+  fresh=$(rows "target/BENCH_${tier}_check.json")
+  missing=$(LC_ALL=C comm -23 <(echo "$fresh") <(rows "BENCH_$tier.json"))
+  if [ -n "$missing" ]; then
+    echo "FAIL: fresh rows with no equal row in BENCH_$tier.json (a counter differs, or the row is missing):" >&2
+    echo "$missing" >&2
+    echo "      if the change is intended, regenerate with: cargo run -p csn-bench --release --bin perf_smoke${args:+ -- ${args%% *}}" >&2
+    exit 1
+  fi
+  counters=$(grep -oE '"counters":\{[^}]*\}' <<<"$fresh" | grep -oE ':[0-9]+' | wc -l || true)
+  echo "    compared $(grep -c . <<<"$fresh" || true) rows, $counters counters"
+  if [ "$counters" -eq 0 ]; then
+    echo "FAIL: the $tier tier compared no counter" >&2
+    exit 1
+  fi
+done <<'CHECK_SIZES'
+kernels
+scale --scale --scale-nodes 20000
+distsim --distsim --distsim-nodes 10000
+scenario --scenario --scenario-nodes 220 --scenario-pubsub-nodes 3000
+CHECK_SIZES
 
 echo "==> benchmark package (its own fmt, clippy, tests and a smoke run of all five workloads, built against the library API)"
 bash benchmark/check.sh
 
-echo "OK: fmt, clippy, doc, test, release gates, experiments capture, perf smoke + arc and touch counts, scale smoke, distsim smoke + exact counts, scenario smoke, benchmark all clean"
+echo "OK: fmt, clippy, doc, test, release gates, experiments capture, BENCH schema tags, every perf_smoke counter at check size, benchmark all clean"
