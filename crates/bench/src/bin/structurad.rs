@@ -2,13 +2,13 @@
 //!
 //! Loads a graph once (streamed straight into compact CSR), freezes a
 //! `csn_serve::ServeIndex` over it, generates a seeded Zipf workload, and
-//! drives the deterministic request-loop: batches through the sharded read
+//! drives the deterministic request-loop: batches through the batched read
 //! path, then a serial latency pass whose percentiles are printed per query
 //! kind, with the number of `DistanceExact` answers that fell back to a
-//! BFS and the entries the journey answers scanned. There is no real
-//! networking — every run is replayable bit for bit,
-//! which is the point: a front-end that speaks a wire protocol would call
-//! exactly the same `serve_batched` per request wave.
+//! BFS, the nodes those BFS runs reached, and the entries the journey
+//! answers scanned. There is no real networking — every run is replayable
+//! bit for bit, which is the point: a front-end that speaks a wire
+//! protocol would call exactly the same `serve_batched` per request wave.
 //!
 //! Usage:
 //!
@@ -18,6 +18,10 @@
 //!   [--queries 50000] [--users 1000000] [--zipf-users 1.1] [--zipf-nodes 0.9] \
 //!   [--workload-seed 2821] [--batch 1024] [--shards 64] [--jobs N] [--replay]
 //! ```
+//!
+//! `--batch` is the number of queries per `serve_batched` call and
+//! `--shards` the number of contiguous pieces each batch is cut into (at
+//! most one per query), which sets the call's task count.
 //!
 //! `--replay` prints the committed standard query trace and exits (the
 //! same bytes as `crates/serve/tests/snapshots/serve_trace.txt`). A
@@ -198,7 +202,7 @@ fn main() {
     }
 
     // --- The request-loop: the workload in `batch`-sized waves through the
-    // sharded read path, as a network front-end would call it per wave.
+    // batched read path, as a network front-end would call it per wave.
     let ((), loop_secs) = timed(|| {
         for chunk in wl.queries.chunks(batch) {
             black_box(serve_batched(&idx, chunk, shards, jobs));
@@ -212,8 +216,9 @@ fn main() {
     );
 
     // --- The latency pass: queries one at a time through one scratch (the
-    // serial path), bucketed by kind. The scratch also counts the entries
-    // its journey answers scan, an exact count that repeats run to run.
+    // serial path), bucketed by kind. The scratch also counts the nodes its
+    // fallback BFS runs reach and the entries its journey answers scan,
+    // exact counts that repeat run to run.
     let mut scratch = idx.scratch();
     let mut ns: [Vec<u64>; KINDS.len()] = Default::default();
     let mut fallbacks = 0usize;
@@ -237,7 +242,10 @@ fn main() {
             percentile_us(samples, 50.0),
             percentile_us(samples, 99.0),
             match *name {
-                "distance_exact" => format!("  fallbacks {fallbacks}"),
+                "distance_exact" => format!(
+                    "  fallbacks {fallbacks}  nodes scanned {}",
+                    scratch.fallback_nodes_scanned()
+                ),
                 "journey" => format!("  entries scanned {}", scratch.journey_entries_scanned()),
                 _ => String::new(),
             }

@@ -51,15 +51,32 @@ fn structurad_rejects_bad_flags() {
 }
 
 /// A small full run: the exact counts pin the Zipf query stream, the
-/// landmark fallbacks and the journey store's scan at the command line.
+/// landmark fallbacks, the nodes their BFS runs reach and the journey
+/// store's scan at the command line. A `--shards` past the batch length
+/// cuts one piece per query, and the counts do not depend on it.
 #[test]
 fn structurad_serves_a_small_workload() {
-    let args = ["--nodes", "500", "--queries", "3000", "--users", "100000", "--jobs", "2"];
+    let args = [
+        "--nodes",
+        "500",
+        "--queries",
+        "3000",
+        "--users",
+        "100000",
+        "--jobs",
+        "2",
+        "--shards",
+        "18446744073709551615",
+    ];
     let out = run(env!("CARGO_BIN_EXE_structurad"), &args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("structurad OK"), "{stderr}");
-    for count in ["from 1178 distinct users", "fallbacks 400", "entries scanned 1491547"] {
+    for count in [
+        "from 1178 distinct users",
+        "fallbacks 400  nodes scanned 200000",
+        "entries scanned 1491547",
+    ] {
         assert!(stderr.contains(count), "missing {count:?}: {stderr}");
     }
 }

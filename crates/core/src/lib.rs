@@ -21,7 +21,7 @@
 //!
 //! The [`uncover`] module offers one-call structure reports combining the
 //! three strategies, and [`serve`] freezes the uncovered structures behind
-//! a sharded, index-backed query-serving layer (the `structurad` binary in
+//! a batched, index-backed query-serving layer (the `structurad` binary in
 //! `csn-bench` is its CLI front-end).
 //!
 //! # Quickstart

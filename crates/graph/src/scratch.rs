@@ -10,7 +10,8 @@
 //! loop:
 //!
 //! * [`BfsScratch`] — BFS frontier queue plus an epoch-stamped distance
-//!   array shared by [`crate::traversal::bfs_distances_into`] and
+//!   array shared by [`crate::traversal::bfs_distances_into`],
+//!   [`crate::traversal::bfs_distance`] and
 //!   [`crate::centrality::closeness_one_into`].
 //! * [`BrandesScratch`] — everything one Brandes source needs
 //!   ([`crate::centrality::brandes_delta_into`]): epoch-stamped
@@ -70,12 +71,20 @@ pub struct BfsScratch {
     pub(crate) stamp: Vec<u64>,
     pub(crate) dist: Vec<usize>,
     pub(crate) queue: VecDeque<NodeId>,
+    /// Nodes the latest BFS reached, the source included.
+    pub(crate) reached: usize,
 }
 
 impl BfsScratch {
     /// Creates an empty scratch; arrays grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The number of nodes the latest BFS through this scratch reached,
+    /// its source included (0 before the first): an exact work count.
+    pub fn reached(&self) -> usize {
+        self.reached
     }
 
     /// Starts a new round over a graph with `n` nodes: bumps the epoch

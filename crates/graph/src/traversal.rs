@@ -9,13 +9,16 @@ use crate::scratch::BfsScratch;
 use crate::view::{DigraphView, GraphView};
 
 /// Runs the BFS from `source`, leaving the distances epoch-stamped inside
-/// the scratch (no dense export). Shared by [`bfs_distances_into`] and
-/// [`crate::centrality::closeness_one_into`].
+/// the scratch (no dense export) and the count of nodes reached in
+/// [`BfsScratch::reached`]. Shared by [`bfs_distances_into`],
+/// [`bfs_distance`] and [`crate::centrality::closeness_one_into`].
 pub(crate) fn bfs_scratch<G: GraphView>(g: &G, source: NodeId, sc: &mut BfsScratch) {
     sc.begin(g.node_count());
     sc.visit(source, 0);
     sc.queue.push_back(source);
+    let mut reached = 0;
     while let Some(u) = sc.queue.pop_front() {
+        reached += 1;
         let du = sc.dist[u];
         for v in g.neighbors(u) {
             if !sc.visited(v) {
@@ -24,6 +27,7 @@ pub(crate) fn bfs_scratch<G: GraphView>(g: &G, source: NodeId, sc: &mut BfsScrat
             }
         }
     }
+    sc.reached = reached;
 }
 
 /// BFS distances (in hops) from `source`; unreachable nodes get `usize::MAX`.
@@ -67,6 +71,21 @@ pub fn bfs_distances_into<G: GraphView>(
             usize::MAX
         }
     }));
+}
+
+/// The hop distance from `source` to `target`, `None` when no path joins
+/// them: entry `target` of [`bfs_distances`], read from the scratch
+/// without exporting the other `n − 1` entries. It runs the same full BFS
+/// (no early exit at `target`), so afterwards [`BfsScratch::reached`]
+/// counts every node reachable from `source`.
+pub fn bfs_distance<G: GraphView>(
+    g: &G,
+    source: NodeId,
+    target: NodeId,
+    scratch: &mut BfsScratch,
+) -> Option<usize> {
+    bfs_scratch(g, source, scratch);
+    scratch.visited(target).then(|| scratch.dist[target])
 }
 
 /// BFS distance vectors from every source: `out[s][v]` is the hop distance
@@ -381,6 +400,25 @@ mod tests {
             bfs_distances_into(&small, 1, &mut sc, &mut out);
             assert_eq!(out, vec![1, 0, usize::MAX]);
         }
+    }
+
+    #[test]
+    fn bfs_distance_reads_one_entry_of_bfs_distances() {
+        // Two components: 0–1–2–3 and 4–5, so some targets are unreachable.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]).unwrap();
+        let mut sc = BfsScratch::new();
+        for source in 0..6 {
+            let all = bfs_distances(&g, source);
+            let reachable = all.iter().filter(|&&d| d != usize::MAX).count();
+            for target in 0..6 {
+                let want = (all[target] != usize::MAX).then_some(all[target]);
+                assert_eq!(bfs_distance(&g, source, target, &mut sc), want, "{source}→{target}");
+                assert_eq!(sc.reached(), reachable, "nodes reached from {source}");
+            }
+        }
+        assert_eq!(bfs_distance(&g, 2, 2, &mut sc), Some(0));
+        assert_eq!(bfs_distance(&g, 0, 5, &mut sc), None);
+        assert_eq!(sc.reached(), 4);
     }
 
     #[test]

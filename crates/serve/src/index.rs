@@ -7,7 +7,7 @@
 //! [`Query`] values through [`ServeIndex::answer`] without ever mutating
 //! the index. All mutable working memory lives in a caller-owned
 //! [`ServeScratch`] (one per serving worker), so `&ServeIndex` is shared
-//! freely across the sharded read path in [`crate::shard`].
+//! freely across the batched read path in [`crate::shard`].
 //!
 //! # Performance
 //!
@@ -34,7 +34,7 @@ use crate::query::{Query, Response, UNREACHABLE};
 use crate::temporal::{JourneyScratch, JourneyStore};
 use csn_graph::centrality::top_by_degree;
 use csn_graph::scratch::BfsScratch;
-use csn_graph::traversal::bfs_distances_into;
+use csn_graph::traversal::bfs_distance;
 use csn_graph::{GraphView, LandmarkIndex, NodeId};
 use csn_labeling::safety::SafetyLevels;
 use csn_temporal::TimeEvolvingGraph;
@@ -104,14 +104,15 @@ pub struct ServeIndex<G> {
 }
 
 /// Per-worker mutable working memory for [`ServeIndex::answer`]: a BFS
-/// arena and distance buffer for exact-distance fallbacks, and the arrived
-/// marks of journey answers. Every buffer grows on first use, so a fresh
-/// scratch allocates nothing. Reuse across queries is observationally
-/// invisible — answers are pure functions of `(index, query)`.
+/// arena for exact-distance fallbacks, and the arrived marks of journey
+/// answers. Every buffer grows on first use, so a fresh scratch allocates
+/// nothing. Reuse across queries is observationally invisible — answers
+/// are pure functions of `(index, query)`.
 #[derive(Debug)]
 pub struct ServeScratch {
     bfs: BfsScratch,
-    dist: Vec<usize>,
+    /// Nodes reached by every fallback BFS run through this scratch.
+    fallback_scanned: u64,
     journey: JourneyScratch,
 }
 
@@ -120,6 +121,12 @@ impl ServeScratch {
     /// through this scratch: an exact work count that repeats run to run.
     pub fn journey_entries_scanned(&self) -> u64 {
         self.journey.scanned
+    }
+
+    /// Nodes reached by every exact-distance fallback BFS run through this
+    /// scratch: an exact work count that repeats run to run.
+    pub fn fallback_nodes_scanned(&self) -> u64 {
+        self.fallback_scanned
     }
 }
 
@@ -228,13 +235,13 @@ impl<G: GraphView> ServeIndex<G> {
     pub fn scratch(&self) -> ServeScratch {
         ServeScratch {
             bfs: BfsScratch::new(),
-            dist: Vec::new(),
+            fallback_scanned: 0,
             journey: JourneyScratch::default(),
         }
     }
 
     /// Answers one query. Pure in `(self, q)` — scratch reuse never shows
-    /// in the response, which is what lets the sharded read path be
+    /// in the response, which is what lets the batched read path be
     /// bit-identical to serial at any worker count. A query naming an id
     /// outside the index (see [`Response::Invalid`]) is answered
     /// `Invalid`; no query panics.
@@ -252,14 +259,9 @@ impl<G: GraphView> ServeIndex<G> {
                 if b.is_exact() {
                     Response::Exact { dist: b.lower, fallback: false }
                 } else {
-                    bfs_distances_into(&self.g, u, &mut scratch.bfs, &mut scratch.dist);
-                    let d = scratch.dist[v];
-                    let dist = if d == usize::MAX {
-                        UNREACHABLE
-                    } else {
-                        u32::try_from(d).expect("hop distance fits u32")
-                    };
-                    Response::Exact { dist, fallback: true }
+                    let d = bfs_distance(&self.g, u, v, &mut scratch.bfs);
+                    scratch.fallback_scanned += scratch.bfs.reached() as u64;
+                    Response::Exact { dist: d.map_or(UNREACHABLE, |d| narrow(&d)), fallback: true }
                 }
             }
             Query::ForwardingSet { u } => {
@@ -326,9 +328,9 @@ impl<G: GraphView> ServeIndex<G> {
     }
 }
 
-/// Narrows a node id, per-node label or run index: every one is below a
-/// count that [`LandmarkIndex::build`] or [`JourneyStore::new`] has checked
-/// is below `u32::MAX`.
+/// Narrows a node id, per-node label, hop distance or run index: every one
+/// is below a count that [`LandmarkIndex::build`] or [`JourneyStore::new`]
+/// has checked is below `u32::MAX`.
 pub(crate) fn narrow(x: &usize) -> u32 {
     u32::try_from(*x).expect("values below a checked count fit u32")
 }
@@ -365,7 +367,8 @@ mod tests {
             }
         }
         assert!(hits > 0, "some bounds should be tight");
-        let _ = misses; // miss rate is graph-dependent; correctness is the gate
+        // A BA graph is connected: every fallback BFS reaches all 120 nodes.
+        assert_eq!(scratch.fallback_nodes_scanned(), misses * 120);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # csn-serve — sharded, index-backed query serving over uncovered structures
+//! # csn-serve — batched, index-backed query serving over uncovered structures
 //!
 //! The paper's thesis is that useful structures — trimmed forwarding sets
 //! (§III-A), nested scale-free levels (§III-B), cores, safety levels
@@ -15,9 +15,10 @@
 //!   optional hypercube safety-level overlay, an optional journey store.
 //! * [`query`] — the [`Query`]/[`Response`] protocol and its canonical
 //!   text rendering.
-//! * [`shard`] — [`serve_serial`] and [`serve_batched`]: the sharded
-//!   read path on the `csn-parallel` pool, bit-identical to serial at any
-//!   `(shards, jobs)`.
+//! * [`shard`] — [`serve_serial`] and [`serve_batched`]: the batched
+//!   read path, which cuts a batch into at most `shards` contiguous pieces
+//!   and runs them on the `csn-parallel` pool, bit-identical to serial at
+//!   any `(shards, jobs)`.
 //! * [`workload`] — [`Zipf`]/[`WorkloadConfig`]: deterministic skewed
 //!   query streams from millions of synthetic users.
 //! * `temporal` (crate-private) — the journey store behind
@@ -45,7 +46,7 @@
 //!     Query::Rank { u: 0 },
 //! ];
 //! let serial = serve_serial(&idx, &queries);
-//! // The sharded read path returns bit-identical answers at any shape.
+//! // The batched read path returns bit-identical answers at any shape.
 //! assert_eq!(serve_batched(&idx, &queries, 4, 2), serial);
 //! ```
 

@@ -5,7 +5,9 @@
 //! path). Responses are plain data with derived equality — the whole serving
 //! stack is gated on `serve_batched(...) == serve_serial(...)` being
 //! *bitwise* true at every job count, so nothing in a response may depend on
-//! scheduling, worker identity, or scratch history.
+//! scheduling, worker identity, or scratch history. A query carries no
+//! routing key: [`crate::serve_batched`] cuts a batch into contiguous
+//! pieces by position, whatever ids the queries name.
 //!
 //! Both types render to a canonical single-line text form
 //! ([`Query::render`] / [`Response::render`]) used by the committed
@@ -85,20 +87,6 @@ pub enum Query {
 }
 
 impl Query {
-    /// The shard key: the query's primary node (its first id field).
-    /// Requests are batched per `shard_key % shards` on the read path.
-    pub fn shard_key(&self) -> usize {
-        match *self {
-            Query::Distance { u, .. }
-            | Query::DistanceExact { u, .. }
-            | Query::ForwardingSet { u }
-            | Query::Structure { u }
-            | Query::Rank { u } => u,
-            Query::SafetyRoute { source, .. } => source,
-            Query::Journey { source, .. } => source,
-        }
-    }
-
     /// Canonical single-line text form (see the [module docs](self)).
     pub fn render(&self) -> String {
         match *self {
@@ -208,14 +196,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_key_is_the_primary_node() {
-        assert_eq!(Query::Distance { u: 7, v: 2 }.shard_key(), 7);
-        assert_eq!(Query::ForwardingSet { u: 3 }.shard_key(), 3);
-        assert_eq!(Query::SafetyRoute { source: 5, dest: 1 }.shard_key(), 5);
-        assert_eq!(Query::Journey { source: 9, target: 0, start: 4 }.shard_key(), 9);
-    }
 
     #[test]
     fn renders_are_stable_and_distinct() {

@@ -1,12 +1,13 @@
-//! The sharded read path: [`serve_serial`] and [`serve_batched`].
+//! The batched read path: [`serve_serial`] and [`serve_batched`].
 //!
-//! Requests are batched per shard (`shard_key() % shards`, order preserved
-//! within a shard) and the shards run as tasks on the `csn-parallel`
-//! work-stealing pool via `run_indexed_stateful` — the calling thread is
-//! worker 0, one [`ServeScratch`] per worker, shard results returned in
-//! shard order and scattered back to request positions. Because every
-//! answer is a pure function of `(index, query)` and the pool returns
-//! results in task order, [`serve_batched`] is **bit-identical** to
+//! A batch is cut into at most `shards` contiguous pieces of
+//! `⌈len / shards⌉` queries (the last one shorter), and the pieces run as
+//! tasks on the `csn-parallel` work-stealing pool via
+//! `run_indexed_stateful` — the calling thread is worker 0, one
+//! [`ServeScratch`] per worker. The pool returns each piece's answers in
+//! piece order, so appending them rebuilds request order with no index
+//! bookkeeping. Because every answer is a pure function of
+//! `(index, query)`, [`serve_batched`] is **bit-identical** to
 //! [`serve_serial`] at any `(shards, jobs)` —
 //! `serve_props::batched_serving_is_bitwise_serial_at_any_jobs`
 //! holds this equality, journeys included, at jobs ∈ {1, 2, 4, 7} and the
@@ -14,17 +15,17 @@
 //!
 //! # Performance
 //!
-//! Shards spread the work across the workers, and the calling thread is
+//! Pieces spread the work across the workers, and the calling thread is
 //! one of them, so a call on `jobs` workers starts `jobs − 1` threads.
-//! Sharding does not cluster reads: a shard's nodes are every
-//! `shards`-th id across the whole id space, so each worker reads landmark
-//! rows and adjacency from all over the index. A `Distance` answer reads
-//! two contiguous `k`-entry landmark rows, and per-worker scratch means
-//! zero allocation on the hot path after warm-up. The merge is a single
-//! `O(q)` scatter. With one physical core (the CI box) the batched
-//! path still runs — it just degenerates to the serial loop plus queueing
-//! overhead, which is why serving wall times are informational there
-//! while the equality tests are the gate.
+//! `shards` sets the task count: many small pieces let the stealing pool
+//! balance a batch whose answers differ in cost (a BFS fallback among
+//! table lookups). A `Distance` answer reads two contiguous `k`-entry
+//! landmark rows, per-worker scratch keeps working memory off the
+//! allocator after warm-up, and each piece allocates one answer vector.
+//! With one physical core (the CI box) the batched path still runs — it
+//! just degenerates to the serial loop plus queueing overhead, which is
+//! why serving wall times are informational there while the equality
+//! tests are the gate.
 
 use crate::index::{ServeIndex, ServeScratch};
 use crate::query::{Query, Response};
@@ -38,44 +39,32 @@ pub fn serve_serial<G: GraphView>(idx: &ServeIndex<G>, queries: &[Query]) -> Vec
     queries.iter().map(|q| idx.answer(q, &mut scratch)).collect()
 }
 
-/// Answers `queries` through the sharded read path: `shards` batches keyed
-/// by `shard_key() % shards`, executed on `jobs` pool workers (each with
-/// its own scratch), merged back to request order. Bit-identical to
-/// [`serve_serial`] for every `(shards, jobs)`; `shards` is clamped to at
-/// least 1.
+/// Answers `queries` through the batched read path: at most `shards`
+/// contiguous pieces, executed on `jobs` pool workers (each with its own
+/// scratch), appended in piece order. Bit-identical to [`serve_serial`]
+/// for every `(shards, jobs)`; `shards` is clamped to at least 1, and a
+/// count past the batch length yields one piece per query.
 pub fn serve_batched<G: GraphView + Sync>(
     idx: &ServeIndex<G>,
     queries: &[Query],
     shards: usize,
     jobs: usize,
 ) -> Vec<Response> {
-    let shards = shards.max(1);
-    // Group query indices per shard, preserving arrival order within each.
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (i, q) in queries.iter().enumerate() {
-        groups[q.shard_key() % shards].push(i);
-    }
-
-    let (per_shard, _stats) = run_indexed_stateful(
-        shards,
+    let size = queries.len().div_ceil(shards.max(1)).max(1);
+    let (answers, _stats) = run_indexed_stateful(
+        queries.len().div_ceil(size),
         jobs,
         |_worker| idx.scratch(),
-        |s, scratch: &mut ServeScratch| {
-            groups[s]
-                .iter()
-                .map(|&i| (i, idx.answer(&queries[i], scratch)))
-                .collect::<Vec<(usize, Response)>>()
+        |p, scratch: &mut ServeScratch| {
+            let end = queries.len().min((p + 1) * size);
+            queries[p * size..end].iter().map(|q| idx.answer(q, scratch)).collect::<Vec<_>>()
         },
     );
-
-    // Scatter the per-shard answers back to request positions.
-    let mut out: Vec<Option<Response>> = vec![None; queries.len()];
-    for batch in per_shard {
-        for (i, r) in batch {
-            out[i] = Some(r);
-        }
+    let mut out = Vec::with_capacity(queries.len());
+    for piece in answers {
+        out.extend(piece);
     }
-    out.into_iter().map(|r| r.expect("every query answered exactly once")).collect()
+    out
 }
 
 #[cfg(test)]
@@ -107,7 +96,10 @@ mod tests {
             .with_temporal(eg);
         let queries = mixed_queries(150);
         let serial = serve_serial(&idx, &queries);
-        for shards in [1, 3, 8, 64] {
+        // Over 400 queries: one piece (1), a short last piece (3, 64),
+        // pieces of two (399), one piece per query (400), and more pieces
+        // asked for than there are queries (401, 5,000, `usize::MAX`).
+        for shards in [1, 3, 8, 64, 399, 400, 401, 5_000, usize::MAX] {
             for jobs in [1, 2, 4, 7] {
                 assert_eq!(
                     serve_batched(&idx, &queries, shards, jobs),
@@ -123,6 +115,7 @@ mod tests {
         let g = generators::path(4);
         let idx = ServeIndex::build(g, &ServeConfig::default());
         assert!(serve_batched(&idx, &[], 0, 4).is_empty());
+        assert!(serve_batched(&idx, &[], 64, 2).is_empty());
         let one = vec![Query::Structure { u: 2 }];
         assert_eq!(serve_batched(&idx, &one, 0, 2), serve_serial(&idx, &one));
     }

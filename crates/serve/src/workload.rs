@@ -197,7 +197,7 @@ impl WorkloadConfig {
         let node_zipf = Zipf::try_new(n, self.zipf_nodes)?;
 
         // Seeded Fisher–Yates permutation: popularity rank → node id, so
-        // hot ranks are scattered over id space (and over shards).
+        // hot ranks are scattered over id space.
         let mut perm: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
             perm.swap(i, rng.gen_range(0..=i));
