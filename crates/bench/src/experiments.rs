@@ -963,13 +963,13 @@ pub fn e16_centrality(out: &mut Report) {
     use csn_core::graph::centrality::*;
 
     let g = generators::barabasi_albert(1000, 3, 3).unwrap();
-    // All four measures are read-only: freeze once and run on the frozen
-    // form (identical results — freezing preserves neighbor order).
+    // The three undirected measures run on the frozen form (identical
+    // results — freezing preserves neighbor order); PageRank on the digraph.
     let frozen = g.freeze().expect("fits u32");
     let deg = degree_centrality(&frozen);
     let bc = betweenness_centrality(&frozen);
     let ec = eigenvector_centrality(&frozen, 2000, 1e-10).expect("converges");
-    let (pr, iters) = pagerank(&g.to_digraph().freeze(), 0.85, 200, 1e-10);
+    let (pr, iters) = pagerank(&g.to_digraph(), 0.85, 200, 1e-10);
     // Rank correlation proxy: top-10 overlap between measures.
     let top = |v: &[f64]| {
         let mut idx: Vec<usize> = (0..v.len()).collect();

@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn compact_preserves_neighbor_order_and_round_trips() {
-        let mut g = Graph::new(4);
+        let mut g = Graph::new(5);
         g.add_edge(0, 3);
         g.add_edge(0, 1);
         g.add_edge(0, 2);
@@ -344,6 +344,7 @@ mod tests {
         assert_eq!(c.thaw(), g);
         assert_eq!(c.degree(0), 3);
         assert_eq!(GraphView::edge_count(&c), 3);
+        assert!(c.neighbor_slice(4).is_empty(), "isolated node has an empty row");
     }
 
     #[test]

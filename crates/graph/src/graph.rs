@@ -581,6 +581,8 @@ mod tests {
         d.add_arc(1, 2);
         assert_eq!(d.arc_count(), 2);
         assert_eq!(d.in_degree(2), 1);
+        assert_eq!((d.out_neighbors(1), d.in_neighbors(1)), (&[2][..], &[0][..]));
+        assert_eq!(d.out_degree(2), 0);
         assert!(d.reverse_arc(0, 1));
         assert!(d.has_arc(1, 0));
         assert!(!d.has_arc(0, 1));

@@ -9,15 +9,15 @@
 //! for complex networks (§II). This crate provides that substrate from
 //! scratch:
 //!
-//! * [`Graph`] — simple undirected graphs; [`Digraph`] — directed graphs.
-//! * [`view`] — the [`GraphView`] / [`DigraphView`] / [`WeightedGraphView`]
-//!   traits every read-only kernel is generic over.
-//! * [`compact`] — the frozen undirected graph, [`CompactCsrGraph`] (`u32`
-//!   ids and offsets in two flat arrays), built by [`Graph::freeze`] or
-//!   straight from a [`stream`]; cache-friendly for traversal-heavy
-//!   analysis, convertible back with [`CompactCsrGraph::thaw`].
-//! * [`csr`] — the frozen directed and weighted forms ([`CsrDigraph`],
-//!   [`WeightedCsrGraph`]) built with [`Digraph::freeze`] and friends.
+//! * [`Graph`] — simple undirected graphs; [`Digraph`] — directed graphs;
+//!   [`WeightedGraph`] and [`WeightedDigraph`].
+//! * [`view`] — the [`GraphView`] and [`WeightedGraphView`] traits the
+//!   undirected and weighted read-only kernels are generic over; the
+//!   directed kernels take a [`Digraph`].
+//! * [`compact`] — the one frozen graph, [`CompactCsrGraph`] (`u32` ids and
+//!   offsets in two flat arrays), built by [`Graph::freeze`] or straight
+//!   from a [`stream`]; cache-friendly for traversal-heavy analysis,
+//!   convertible back with [`CompactCsrGraph::thaw`].
 //! * [`stream`] — streaming generators ([`stream::BaStream`],
 //!   [`stream::GeometricStream`], [`stream::KleinbergStream`],
 //!   [`stream::GnutellaStream`]) that replay a seeded edge sequence straight
@@ -68,8 +68,8 @@
 //!
 //! # Examples
 //!
-//! Mutable graphs freeze into an immutable CSR form that every kernel
-//! accepts interchangeably:
+//! A mutable graph freezes into an immutable CSR form that every undirected
+//! kernel accepts interchangeably:
 //!
 //! ```
 //! use csn_graph::{Graph, GraphView};
@@ -94,7 +94,6 @@ pub mod approx;
 pub mod centrality;
 pub mod compact;
 pub mod cores;
-pub mod csr;
 pub mod error;
 pub mod generators;
 pub mod graph;
@@ -111,10 +110,9 @@ pub mod traversal;
 pub mod view;
 
 pub use compact::CompactCsrGraph;
-pub use csr::{CsrDigraph, WeightedCsrGraph};
 pub use error::GraphError;
 pub use graph::{Digraph, Graph, NodeId, WeightedDigraph, WeightedGraph};
 pub use landmark::LandmarkIndex;
 pub use scratch::{BfsScratch, BrandesScratch, DijkstraScratch};
 pub use stream::EdgeStream;
-pub use view::{DigraphView, GraphView, WeightedGraphView};
+pub use view::{GraphView, WeightedGraphView};

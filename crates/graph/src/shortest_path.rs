@@ -8,10 +8,8 @@
 //!
 //! Dijkstra is generic over [`WeightedGraphView`] — the weighted
 //! out-adjacency abstraction — so one implementation serves
-//! [`crate::WeightedGraph`], [`WeightedDigraph`], and the frozen
-//! [`crate::WeightedCsrGraph`]. Bellman–Ford stays on the concrete digraph
-//! (it iterates raw arcs and handles negative weights, which the frozen
-//! representations don't need).
+//! [`crate::WeightedGraph`] and [`WeightedDigraph`]. Bellman–Ford stays on
+//! the concrete digraph (it iterates raw arcs and handles negative weights).
 
 use crate::error::GraphError;
 use crate::graph::{NodeId, WeightedDigraph};
@@ -135,16 +133,6 @@ pub fn dijkstra_into<G: WeightedGraphView>(
     }
 }
 
-/// Dijkstra on a weighted digraph. Retained alias for the generic
-/// [`dijkstra`], which now accepts digraphs directly.
-///
-/// # Panics
-///
-/// Panics if any arc weight is negative.
-pub fn dijkstra_digraph(g: &WeightedDigraph, source: NodeId) -> ShortestPaths {
-    dijkstra(g, source)
-}
-
 /// Bellman–Ford on a weighted digraph; handles negative arcs.
 ///
 /// # Errors
@@ -227,15 +215,8 @@ mod tests {
         let mut g = WeightedDigraph::new(3);
         g.add_arc(0, 1, 1.0);
         g.add_arc(1, 2, 1.0);
-        let sp = dijkstra_digraph(&g, 2);
+        let sp = dijkstra(&g, 2);
         assert!(sp.dist[0].is_infinite(), "arcs point away from 2");
-    }
-
-    #[test]
-    fn dijkstra_identical_on_frozen_graph() {
-        let g = diamond();
-        assert_eq!(dijkstra(&g, 0), dijkstra(&g.freeze(), 0));
-        assert_eq!(all_pairs_dijkstra(&g), all_pairs_dijkstra(&g.freeze()));
     }
 
     #[test]

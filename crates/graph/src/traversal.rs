@@ -1,12 +1,14 @@
 //! Graph traversal: BFS/DFS, connectivity, and strongly connected components.
 //!
-//! Every function here is generic over [`GraphView`] / [`DigraphView`], so
-//! it runs unchanged on the mutable adjacency-list types and on their frozen
-//! counterparts ([`crate::CompactCsrGraph`], [`crate::CsrDigraph`]).
+//! Every undirected function here is generic over [`GraphView`], so it runs
+//! unchanged on the mutable [`crate::Graph`] and on its frozen
+//! [`crate::CompactCsrGraph`]. The directed ones ([`bfs_distances_digraph`],
+//! [`strongly_connected_components`], [`largest_scc_mask`]) take a
+//! [`Digraph`].
 
-use crate::graph::NodeId;
+use crate::graph::{Digraph, NodeId};
 use crate::scratch::BfsScratch;
-use crate::view::{DigraphView, GraphView};
+use crate::view::GraphView;
 
 /// Runs the BFS from `source`, leaving the distances epoch-stamped inside
 /// the scratch (no dense export) and the count of nodes reached in
@@ -104,13 +106,13 @@ pub fn all_pairs_bfs<G: GraphView>(g: &G) -> Vec<Vec<usize>> {
 }
 
 /// BFS distances from `source` following arc directions in a digraph.
-pub fn bfs_distances_digraph<D: DigraphView>(d: &D, source: NodeId) -> Vec<usize> {
+pub fn bfs_distances_digraph(d: &Digraph, source: NodeId) -> Vec<usize> {
     let mut dist = vec![usize::MAX; d.node_count()];
     let mut queue = std::collections::VecDeque::new();
     dist[source] = 0;
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
-        for v in d.out_neighbors(u) {
+        for &v in d.out_neighbors(u) {
             if dist[v] == usize::MAX {
                 dist[v] = dist[u] + 1;
                 queue.push_back(v);
@@ -218,7 +220,7 @@ pub fn largest_component_mask<G: GraphView>(g: &G) -> Vec<bool> {
 ///
 /// Returns `(labels, k)`; components are numbered in reverse topological
 /// order of the condensation (Tarjan's natural output order).
-pub fn strongly_connected_components<D: DigraphView>(d: &D) -> (Vec<usize>, usize) {
+pub fn strongly_connected_components(d: &Digraph) -> (Vec<usize>, usize) {
     let n = d.node_count();
     const UNSET: usize = usize::MAX;
     let mut index = vec![UNSET; n];
@@ -230,12 +232,12 @@ pub fn strongly_connected_components<D: DigraphView>(d: &D) -> (Vec<usize>, usiz
     let mut ncomp = 0usize;
 
     // Explicit DFS stack of (node, remaining-neighbor iterator).
-    let mut call: Vec<(NodeId, D::OutNeighbors<'_>)> = Vec::new();
+    let mut call: Vec<(NodeId, std::slice::Iter<'_, NodeId>)> = Vec::new();
     for root in 0..n {
         if index[root] != UNSET {
             continue;
         }
-        call.push((root, d.out_neighbors(root)));
+        call.push((root, d.out_neighbors(root).iter()));
         index[root] = next_index;
         lowlink[root] = next_index;
         next_index += 1;
@@ -243,14 +245,14 @@ pub fn strongly_connected_components<D: DigraphView>(d: &D) -> (Vec<usize>, usiz
         on_stack[root] = true;
         while let Some((u, it)) = call.last_mut() {
             let u = *u;
-            if let Some(v) = it.next() {
+            if let Some(&v) = it.next() {
                 if index[v] == UNSET {
                     index[v] = next_index;
                     lowlink[v] = next_index;
                     next_index += 1;
                     stack.push(v);
                     on_stack[v] = true;
-                    call.push((v, d.out_neighbors(v)));
+                    call.push((v, d.out_neighbors(v).iter()));
                 } else if on_stack[v] {
                     lowlink[u] = lowlink[u].min(index[v]);
                 }
@@ -279,7 +281,7 @@ pub fn strongly_connected_components<D: DigraphView>(d: &D) -> (Vec<usize>, usiz
 
 /// Keep-mask of the largest strongly connected component (as in the paper's
 /// Fig. 3, which plots the largest SCC of a Gnutella snapshot).
-pub fn largest_scc_mask<D: DigraphView>(d: &D) -> Vec<bool> {
+pub fn largest_scc_mask(d: &Digraph) -> Vec<bool> {
     let (labels, k) = strongly_connected_components(d);
     if k == 0 {
         return Vec::new();
@@ -368,6 +370,8 @@ mod tests {
         assert_ne!(labels[3], labels[4]);
         let mask = largest_scc_mask(&d);
         assert_eq!(mask, vec![true, true, true, false, false]);
+        assert_eq!(bfs_distances_digraph(&d, 0), vec![0, 1, 2, 3, 4]);
+        assert_eq!(bfs_distances_digraph(&d, 3), vec![usize::MAX, usize::MAX, usize::MAX, 0, 1]);
     }
 
     #[test]
@@ -430,12 +434,5 @@ mod tests {
         assert_eq!(connected_components(&g), connected_components(&frozen));
         assert_eq!(bfs_path(&g, 0, 3), bfs_path(&frozen, 0, 3));
         assert_eq!(all_pairs_bfs(&g), all_pairs_bfs(&frozen));
-    }
-
-    #[test]
-    fn scc_agrees_on_frozen_digraph() {
-        let d = Digraph::from_arcs(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]).unwrap();
-        assert_eq!(strongly_connected_components(&d), strongly_connected_components(&d.freeze()));
-        assert_eq!(bfs_distances_digraph(&d, 0), bfs_distances_digraph(&d.freeze(), 0));
     }
 }

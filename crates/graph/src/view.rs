@@ -1,13 +1,13 @@
 //! Read-only graph views: the traits the algorithm kernels are generic over.
 //!
-//! Every read-only kernel in this crate ([`crate::traversal`],
-//! [`crate::shortest_path`], [`crate::centrality`], [`crate::cores`]) takes
-//! `impl GraphView` (or the directed/weighted counterpart) instead of a
-//! concrete graph type, so the mutable adjacency-list representations
-//! ([`Graph`], [`Digraph`], [`WeightedGraph`], [`WeightedDigraph`]) and the
-//! frozen CSR representations ([`crate::CompactCsrGraph`],
-//! [`crate::CsrDigraph`], [`crate::WeightedCsrGraph`]) share one
-//! implementation of each algorithm.
+//! Every undirected read-only kernel in this crate ([`crate::traversal`],
+//! [`crate::centrality`], [`crate::cores`]) takes `impl GraphView` instead of
+//! a concrete graph type, so the mutable [`Graph`] and its frozen CSR form,
+//! [`crate::CompactCsrGraph`], share one implementation of each algorithm.
+//! [`WeightedGraphView`] does the same for the weighted graphs: one Dijkstra
+//! ([`crate::shortest_path`]) serves [`WeightedGraph`] and
+//! [`WeightedDigraph`]. The directed kernels take a [`crate::Digraph`],
+//! which has no other form.
 //!
 //! The contract is deliberately minimal — counts, degrees, and neighbor
 //! *iteration* (no positional indexing, no slice access) — so any
@@ -39,11 +39,11 @@
 //! assert_eq!(triangle_count(&g.freeze().unwrap()), 1);
 //! ```
 
-use crate::graph::{Digraph, Graph, NodeId, WeightedDigraph, WeightedGraph};
+use crate::graph::{Graph, NodeId, WeightedDigraph, WeightedGraph};
 
 /// Copied-slice neighbor iterator: the concrete iterator type behind the
-/// adjacency-list views and [`crate::CsrDigraph`], which store `NodeId`s
-/// contiguously ([`crate::CompactCsrGraph`] widens `u32`s instead).
+/// adjacency-list view, which stores `NodeId`s contiguously
+/// ([`crate::CompactCsrGraph`] widens `u32`s instead).
 pub type SliceNeighbors<'a> = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
 
 /// Copied-slice weighted neighbor iterator.
@@ -91,48 +91,12 @@ pub trait GraphView {
     }
 }
 
-/// A read-only view of a directed graph with dense node ids.
-pub trait DigraphView {
-    /// Iterator over the out-neighbors of one node.
-    type OutNeighbors<'a>: DoubleEndedIterator<Item = NodeId>
-    where
-        Self: 'a;
-
-    /// Iterator over the in-neighbors of one node.
-    type InNeighbors<'a>: DoubleEndedIterator<Item = NodeId>
-    where
-        Self: 'a;
-
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-
-    /// Number of arcs.
-    fn arc_count(&self) -> usize;
-
-    /// Out-degree of `u`.
-    fn out_degree(&self, u: NodeId) -> usize;
-
-    /// In-degree of `u`.
-    fn in_degree(&self, u: NodeId) -> usize;
-
-    /// Iterates over the out-neighbors of `u` in storage order.
-    fn out_neighbors(&self, u: NodeId) -> Self::OutNeighbors<'_>;
-
-    /// Iterates over the in-neighbors of `u` in storage order.
-    fn in_neighbors(&self, u: NodeId) -> Self::InNeighbors<'_>;
-
-    /// Iterator over node ids `0..node_count()`.
-    fn nodes(&self) -> std::ops::Range<NodeId> {
-        0..self.node_count()
-    }
-}
-
 /// A read-only weighted out-adjacency view: each node exposes its weighted
 /// out-neighbors `(v, w)`.
 ///
 /// Undirected weighted graphs implement this by listing every incident edge
-/// at both endpoints, so one generic Dijkstra serves [`WeightedGraph`],
-/// [`WeightedDigraph`], and [`crate::WeightedCsrGraph`] alike.
+/// at both endpoints, so one generic Dijkstra serves [`WeightedGraph`] and
+/// [`WeightedDigraph`] alike.
 pub trait WeightedGraphView {
     /// Iterator over the weighted out-neighbors of one node.
     type WeightedNeighbors<'a>: Iterator<Item = (NodeId, f64)>
@@ -172,35 +136,6 @@ impl GraphView for Graph {
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         Graph::has_edge(self, u, v)
-    }
-}
-
-impl DigraphView for Digraph {
-    type OutNeighbors<'a> = SliceNeighbors<'a>;
-    type InNeighbors<'a> = SliceNeighbors<'a>;
-
-    fn node_count(&self) -> usize {
-        Digraph::node_count(self)
-    }
-
-    fn arc_count(&self) -> usize {
-        Digraph::arc_count(self)
-    }
-
-    fn out_degree(&self, u: NodeId) -> usize {
-        Digraph::out_degree(self, u)
-    }
-
-    fn in_degree(&self, u: NodeId) -> usize {
-        Digraph::in_degree(self, u)
-    }
-
-    fn out_neighbors(&self, u: NodeId) -> SliceNeighbors<'_> {
-        Digraph::out_neighbors(self, u).iter().copied()
-    }
-
-    fn in_neighbors(&self, u: NodeId) -> SliceNeighbors<'_> {
-        Digraph::in_neighbors(self, u).iter().copied()
     }
 }
 
@@ -245,15 +180,6 @@ mod tests {
         assert_eq!(GraphView::degrees(&g), vec![1, 2, 2, 1]);
         assert!(GraphView::has_edge(&g, 2, 1));
         assert!(!GraphView::has_edge(&g, 0, 3));
-    }
-
-    #[test]
-    fn digraph_view_separates_directions() {
-        let d = Digraph::from_arcs(3, &[(0, 1), (2, 1)]).unwrap();
-        assert_eq!(DigraphView::out_neighbors(&d, 0).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(DigraphView::in_neighbors(&d, 1).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(DigraphView::out_degree(&d, 1), 0);
-        assert_eq!(DigraphView::arc_count(&d), 2);
     }
 
     #[test]

@@ -185,13 +185,14 @@ impl TimeEvolvingGraph {
     }
 
     fn edge_index(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.adj[u].iter().copied().find(|&ei| {
+        self.adj.get(u)?.iter().copied().find(|&ei| {
             let e = &self.edges[ei];
             (e.u == u && e.v == v) || (e.u == v && e.v == u)
         })
     }
 
-    /// Label set of edge `(u, v)`, if the temporal edge exists.
+    /// Label set of edge `(u, v)`, if the temporal edge exists; `None` if
+    /// either id is outside the EG.
     pub fn labels(&self, u: NodeId, v: NodeId) -> Option<&[TimeUnit]> {
         self.edge_index(u, v).map(|ei| self.edges[ei].labels.as_slice())
     }

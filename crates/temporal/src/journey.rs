@@ -10,8 +10,19 @@
 //! 3. **Fastest path** — minimize the span between the first and the last
 //!    contact ([`fastest_journey`]).
 //!
+//! One heap search over arrival times answers the earliest-completion
+//! questions. It relaxes only the hops a predicate allows, which is how
+//! [`earliest_arrival_masked`] serves the trimming rule's replacement
+//! journeys (§III-A), and it records each node's improving hop when a
+//! journey must be rebuilt ([`foremost_journey`], and through it
+//! [`fastest_journey`]).
+//!
 //! Transmission at each contact is instantaneous, so several hops may share
 //! one time unit; labels along a journey must be non-decreasing.
+//!
+//! A node id outside the EG reaches nothing and is reached by nothing: the
+//! functions here answer it with `None`, `false` or an empty list instead of
+//! panicking.
 
 use crate::graph::{TimeEvolvingGraph, TimeUnit};
 use csn_graph::NodeId;
@@ -60,7 +71,8 @@ impl Journey {
     }
 
     /// Checks well-formedness against `eg`: consecutive hops, labels exist,
-    /// non-decreasing, and first label `>= start`.
+    /// non-decreasing, and first label `>= start`. A hop touching a node
+    /// outside the EG has no labels, so it makes the journey invalid.
     pub fn is_valid(&self, eg: &TimeEvolvingGraph, source: NodeId, start: TimeUnit) -> bool {
         let mut at = source;
         let mut prev = start;
@@ -79,31 +91,27 @@ impl Journey {
     }
 }
 
-/// Earliest arrival times from `source` for a message created at time
-/// `start`: `arr[v]` is the smallest completion time of a journey
-/// `source -> v` whose first label is `>= start` (`Some(start)` for the
-/// source itself; `None` if unreachable within the horizon).
-///
-/// Dijkstra-style: arrival times only grow along journeys.
-pub fn earliest_arrival(
-    eg: &TimeEvolvingGraph,
-    source: NodeId,
-    start: TimeUnit,
-) -> Vec<Option<TimeUnit>> {
-    earliest_arrival_masked(eg, source, start, None)
-}
+/// Each node's improving hop `(from, label)`, as [`search`] records it.
+type Parents = Vec<Option<(NodeId, TimeUnit)>>;
 
-/// [`earliest_arrival`] restricted to journeys whose *intermediate* nodes all
-/// satisfy `allowed` (source and destinations are exempt). Used by the
-/// trimming rule's replacement-path search (§III-A).
-pub fn earliest_arrival_masked(
+/// The one earliest-arrival search: Dijkstra over arrival times from
+/// `source` at `start`, relaxing only the hops `(u, v)` that `usable`
+/// allows. With `record_parents` it also returns each reached node's
+/// improving hop; otherwise the parents are empty. A `source` outside the
+/// EG reaches nothing.
+fn search(
     eg: &TimeEvolvingGraph,
     source: NodeId,
     start: TimeUnit,
-    allowed: Option<&dyn Fn(NodeId) -> bool>,
-) -> Vec<Option<TimeUnit>> {
+    usable: impl Fn(NodeId, NodeId) -> bool,
+    record_parents: bool,
+) -> (Vec<Option<TimeUnit>>, Parents) {
     let n = eg.node_count();
     let mut arr: Vec<Option<TimeUnit>> = vec![None; n];
+    let mut parent: Parents = vec![None; if record_parents { n } else { 0 }];
+    if source >= n {
+        return (arr, parent);
+    }
     arr[source] = Some(start);
     let mut heap: BinaryHeap<Reverse<(TimeUnit, NodeId)>> = BinaryHeap::new();
     heap.push(Reverse((start, source)));
@@ -111,57 +119,65 @@ pub fn earliest_arrival_masked(
         if arr[u] != Some(t) {
             continue; // stale entry
         }
-        // A node that fails the mask may receive but not relay.
-        if u != source {
-            if let Some(ok) = allowed {
-                if !ok(u) {
-                    continue;
-                }
-            }
-        }
         for (v, labels) in eg.neighbors(u) {
+            if !usable(u, v) {
+                continue;
+            }
             let i = labels.partition_point(|&l| l < t);
             if let Some(&next) = labels.get(i) {
                 if arr[v].is_none_or(|cur| next < cur) {
                     arr[v] = Some(next);
+                    if record_parents {
+                        parent[v] = Some((u, next));
+                    }
                     heap.push(Reverse((next, v)));
                 }
             }
         }
     }
-    arr
+    (arr, parent)
+}
+
+/// Earliest arrival times from `source` for a message created at time
+/// `start`: `arr[v]` is the smallest completion time of a journey
+/// `source -> v` whose first label is `>= start` (`Some(start)` for the
+/// source itself; `None` if unreachable within the horizon, and every entry
+/// `None` if `source` is outside the EG).
+///
+/// Dijkstra-style: arrival times only grow along journeys.
+pub fn earliest_arrival(
+    eg: &TimeEvolvingGraph,
+    source: NodeId,
+    start: TimeUnit,
+) -> Vec<Option<TimeUnit>> {
+    earliest_arrival_masked(eg, source, start, |_, _| true)
+}
+
+/// [`earliest_arrival`] restricted to journeys whose every hop `u -> v`
+/// satisfies `usable(u, v)`. A node whose outgoing hops all fail may still
+/// receive; it just cannot relay. Every entry is `None` if `source` is
+/// outside the EG. Used by the trimming rule's replacement-path search
+/// (§III-A), which bans relays and transit arcs through this predicate.
+pub fn earliest_arrival_masked(
+    eg: &TimeEvolvingGraph,
+    source: NodeId,
+    start: TimeUnit,
+    usable: impl Fn(NodeId, NodeId) -> bool,
+) -> Vec<Option<TimeUnit>> {
+    search(eg, source, start, usable, false).0
 }
 
 /// The foremost (earliest completion time) journey `source -> target` for a
-/// message created at `start`, if one exists.
+/// message created at `start`, if one exists; `None` if either id is outside
+/// the EG.
 pub fn foremost_journey(
     eg: &TimeEvolvingGraph,
     source: NodeId,
     target: NodeId,
     start: TimeUnit,
 ) -> Option<Journey> {
-    let n = eg.node_count();
-    let mut arr: Vec<Option<TimeUnit>> = vec![None; n];
-    let mut parent: Vec<Option<(NodeId, TimeUnit)>> = vec![None; n];
-    arr[source] = Some(start);
-    let mut heap: BinaryHeap<Reverse<(TimeUnit, NodeId)>> = BinaryHeap::new();
-    heap.push(Reverse((start, source)));
-    while let Some(Reverse((t, u))) = heap.pop() {
-        if arr[u] != Some(t) {
-            continue;
-        }
-        for (v, labels) in eg.neighbors(u) {
-            let i = labels.partition_point(|&l| l < t);
-            if let Some(&next) = labels.get(i) {
-                if arr[v].is_none_or(|cur| next < cur) {
-                    arr[v] = Some(next);
-                    parent[v] = Some((u, next));
-                    heap.push(Reverse((next, v)));
-                }
-            }
-        }
-    }
-    arr[target]?;
+    let (arr, parent) = search(eg, source, start, |_, _| true, true);
+    arr.get(target).copied().flatten()?;
     let mut hops = Vec::new();
     let mut cur = target;
     while cur != source {
@@ -174,12 +190,14 @@ pub fn foremost_journey(
 }
 
 /// Whether `u` is connected to `v` at time unit `t` (§II-B: a journey whose
-/// first edge label is `>= t` exists).
+/// first edge label is `>= t` exists; every node is connected to itself).
+/// `false` if either id is outside the EG, even when `u == v`.
 pub fn is_connected_at(eg: &TimeEvolvingGraph, u: NodeId, v: NodeId, t: TimeUnit) -> bool {
-    u == v || earliest_arrival(eg, u, t)[v].is_some()
+    earliest_arrival(eg, u, t).get(v).is_some_and(Option::is_some)
 }
 
-/// The minimum-hop journey `source -> target` starting at `start`, if any.
+/// The minimum-hop journey `source -> target` starting at `start`, if any;
+/// `None` if either id is outside the EG.
 ///
 /// Dynamic program over hop counts: `best[h][v]` is the earliest arrival at
 /// `v` using exactly `h` hops; feasibility is monotone in arrival time, so
@@ -190,10 +208,13 @@ pub fn min_hop_journey(
     target: NodeId,
     start: TimeUnit,
 ) -> Option<Journey> {
+    let n = eg.node_count();
+    if source.max(target) >= n {
+        return None;
+    }
     if source == target {
         return Some(Journey { hops: Vec::new() });
     }
-    let n = eg.node_count();
     // best[h][v]: earliest arrival at v using at most h hops. Arrival with
     // more hops can only improve, so the first h with best[h][target] set is
     // the minimum hop count.
@@ -250,7 +271,8 @@ pub fn min_hop_journey(
 }
 
 /// The fastest journey (minimum span between first and last contact)
-/// `source -> target` with first label `>= start`, if any.
+/// `source -> target` with first label `>= start`, if any; `None` if either
+/// id is outside the EG.
 ///
 /// Iterates candidate departure labels on edges incident to the source and
 /// runs an earliest-arrival pass from each; the candidate minimizing
@@ -261,6 +283,9 @@ pub fn fastest_journey(
     target: NodeId,
     start: TimeUnit,
 ) -> Option<Journey> {
+    if source.max(target) >= eg.node_count() {
+        return None;
+    }
     if source == target {
         return Some(Journey { hops: Vec::new() });
     }
@@ -286,11 +311,12 @@ pub fn fastest_journey(
 
 /// Flooding time from `source` starting at `start`: the number of time units
 /// until every node has received the message, or `None` if some node is
-/// never reached within the horizon. This is the paper's *dynamic diameter*
-/// measured from one source.
+/// never reached within the horizon or `source` is outside the EG. This is
+/// the paper's *dynamic diameter* measured from one source.
 pub fn flooding_time(eg: &TimeEvolvingGraph, source: NodeId, start: TimeUnit) -> Option<TimeUnit> {
     let arr = earliest_arrival(eg, source, start);
-    let mut worst = start;
+    // The source's own arrival is `start`; there is none outside the EG.
+    let mut worst = arr.get(source).copied().flatten()?;
     for a in arr {
         worst = worst.max(a?);
     }
@@ -309,8 +335,9 @@ pub fn dynamic_diameter(eg: &TimeEvolvingGraph, start: TimeUnit) -> Option<TimeU
 /// Exhaustive journey enumeration for cross-validation on small graphs.
 ///
 /// Returns every journey `source -> target` with first label `>= start`,
-/// visiting each node at most once. Exponential; intended for tests and
-/// property checks (also used by `csn-trimming`'s validation suite).
+/// visiting each node at most once; none if either id is outside the EG.
+/// Exponential; intended for tests and property checks (also used by
+/// `csn-trimming`'s validation suite).
 pub fn enumerate_journeys(
     eg: &TimeEvolvingGraph,
     source: NodeId,
@@ -318,6 +345,9 @@ pub fn enumerate_journeys(
     start: TimeUnit,
 ) -> Vec<Journey> {
     let mut out = Vec::new();
+    if source.max(target) >= eg.node_count() {
+        return out;
+    }
     let mut visited = vec![false; eg.node_count()];
     visited[source] = true;
     let mut hops: Vec<(NodeId, NodeId, TimeUnit)> = Vec::new();
@@ -485,9 +515,30 @@ mod tests {
     fn masked_search_avoids_node() {
         let eg = fig2_example();
         // Forbid B as an intermediate: A -> C must then go through D (arr 6).
-        let not_b = |x: NodeId| x != B;
-        let arr = earliest_arrival_masked(&eg, A, 2, Some(&not_b));
+        let arr = earliest_arrival_masked(&eg, A, 2, |x, _| x != B);
         assert_eq!(arr[C], Some(6));
+        assert_eq!(arr[B], Some(4), "B still receives");
+    }
+
+    #[test]
+    fn ids_outside_the_eg_reach_nothing() {
+        let eg = fig2_example();
+        let out = eg.node_count() + 5;
+        assert_eq!(earliest_arrival(&eg, out, 0), vec![None; 4]);
+        assert_eq!(earliest_arrival_masked(&eg, out, 0, |_, _| true), vec![None; 4]);
+        for (s, t) in [(out, C), (A, out), (out, out)] {
+            assert_eq!(foremost_journey(&eg, s, t, 0), None, "{s}->{t}");
+            assert_eq!(min_hop_journey(&eg, s, t, 0), None, "{s}->{t}");
+            assert_eq!(fastest_journey(&eg, s, t, 0), None, "{s}->{t}");
+            assert!(enumerate_journeys(&eg, s, t, 0).is_empty(), "{s}->{t}");
+            assert!(!is_connected_at(&eg, s, t, 0), "{s}->{t}");
+        }
+        assert_eq!(flooding_time(&eg, out, 0), None);
+        assert_eq!(eg.labels(out, A), None);
+        assert_eq!(eg.labels(A, out), None);
+        assert_eq!(crate::routing::direct_delivery(&eg, out, A, 0).delivered_at, None);
+        assert!(!Journey { hops: vec![(A, out, 1)] }.is_valid(&eg, A, 0));
+        assert!(!Journey { hops: vec![(out, A, 1)] }.is_valid(&eg, out, 0));
     }
 
     #[test]

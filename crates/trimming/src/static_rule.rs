@@ -21,6 +21,11 @@
 //!   still delivers directly to D when D is the final destination. With the
 //!   delivery exemption, earliest completion times are preserved for
 //!   *every* source/destination pair ([`earliest_arrival_trimmed`]).
+//!
+//! Both the uncapped replacement search and [`earliest_arrival_trimmed`] are
+//! one call of csn-temporal's earliest-arrival search,
+//! [`earliest_arrival_masked`], whose hop predicate rules out the relays
+//! that may not carry a replacement and the arcs already trimmed.
 
 use csn_graph::NodeId;
 use csn_temporal::journey::earliest_arrival_masked;
@@ -96,17 +101,10 @@ fn has_replacement(
             cap,
         ),
         None => {
-            if banned_arcs.is_empty() {
-                let ok = |x: NodeId| !forbidden_nodes.contains(&x) && priority[x] > floor_priority;
-                let arr = earliest_arrival_masked(eg, w, depart, Some(&ok));
-                arr[v].is_some_and(|t| t <= arrive_by)
-            } else {
-                // Arc-aware Dijkstra.
-                arc_aware_earliest(eg, w, depart, banned_arcs, &|x| {
-                    !forbidden_nodes.contains(&x) && priority[x] > floor_priority
-                })[v]
-                    .is_some_and(|t| t <= arrive_by)
-            }
+            let relays = |x: NodeId| !forbidden_nodes.contains(&x) && priority[x] > floor_priority;
+            let usable =
+                |x: NodeId, y: NodeId| (x == w || relays(x)) && !banned_arcs.contains(&(x, y));
+            earliest_arrival_masked(eg, w, depart, usable)[v].is_some_and(|t| t <= arrive_by)
         }
     }
 }
@@ -170,48 +168,10 @@ fn bounded_search(
     false
 }
 
-/// Earliest arrival honoring banned transit arcs and an intermediate-node
-/// mask (endpoints exempt from the mask, not from arc bans).
-fn arc_aware_earliest(
-    eg: &TimeEvolvingGraph,
-    source: NodeId,
-    start: TimeUnit,
-    banned_arcs: &HashSet<(NodeId, NodeId)>,
-    allowed: &dyn Fn(NodeId) -> bool,
-) -> Vec<Option<TimeUnit>> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = eg.node_count();
-    let mut arr: Vec<Option<TimeUnit>> = vec![None; n];
-    arr[source] = Some(start);
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((start, source)));
-    while let Some(Reverse((t, u))) = heap.pop() {
-        if arr[u] != Some(t) {
-            continue;
-        }
-        if u != source && !allowed(u) {
-            continue; // may receive, may not relay
-        }
-        for (v, labels) in eg.neighbors(u) {
-            if banned_arcs.contains(&(u, v)) {
-                continue;
-            }
-            let i = labels.partition_point(|&l| l < t);
-            if let Some(&next) = labels.get(i) {
-                if arr[v].is_none_or(|cur| next < cur) {
-                    arr[v] = Some(next);
-                    heap.push(Reverse((next, v)));
-                }
-            }
-        }
-    }
-    arr
-}
-
 /// Earliest arrival from `source` to `dest` at `start` in a transit-trimmed
 /// graph: a removed arc `(x, y)` may still be used when `y == dest` (direct
-/// delivery exemption). Returns the arrival time, if any.
+/// delivery exemption). Returns the arrival time, if any; `None` if either
+/// id is outside the EG.
 pub fn earliest_arrival_trimmed(
     eg: &TimeEvolvingGraph,
     removed_arcs: &HashSet<(NodeId, NodeId)>,
@@ -219,31 +179,8 @@ pub fn earliest_arrival_trimmed(
     dest: NodeId,
     start: TimeUnit,
 ) -> Option<TimeUnit> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = eg.node_count();
-    let mut arr: Vec<Option<TimeUnit>> = vec![None; n];
-    arr[source] = Some(start);
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((start, source)));
-    while let Some(Reverse((t, u))) = heap.pop() {
-        if arr[u] != Some(t) {
-            continue;
-        }
-        for (v, labels) in eg.neighbors(u) {
-            if removed_arcs.contains(&(u, v)) && v != dest {
-                continue;
-            }
-            let i = labels.partition_point(|&l| l < t);
-            if let Some(&next) = labels.get(i) {
-                if arr[v].is_none_or(|cur| next < cur) {
-                    arr[v] = Some(next);
-                    heap.push(Reverse((next, v)));
-                }
-            }
-        }
-    }
-    arr[dest]
+    let usable = |u: NodeId, v: NodeId| v == dest || !removed_arcs.contains(&(u, v));
+    earliest_arrival_masked(eg, source, start, usable).get(dest).copied().flatten()
 }
 
 /// Whether the transit arc `x -> y` is replaceable (the paper's link rule,
@@ -456,9 +393,8 @@ mod tests {
         // A -3-> D -6-> C must be replaced by A -4-> B -5-> C: check that the
         // replacement search finds a journey departing >= 3, arriving <= 6.
         let eg = fig2_example();
-        let mut banned = HashSet::new();
-        banned.insert((A, D));
-        let arr = arc_aware_earliest(&eg, A, 3, &banned, &|x| x == B || x == C);
+        let usable = |x: NodeId, y: NodeId| [A, B, C].contains(&x) && (x, y) != (A, D);
+        let arr = earliest_arrival_masked(&eg, A, 3, usable);
         assert_eq!(arr[C], Some(5), "the A -4-> B -5-> C replacement");
     }
 
@@ -484,6 +420,9 @@ mod tests {
                 }
             }
         }
+        let out = eg.node_count() + 5;
+        assert_eq!(earliest_arrival_trimmed(&eg, &removed, A, out, 0), None);
+        assert_eq!(earliest_arrival_trimmed(&eg, &removed, out, A, 0), None);
     }
 
     #[test]

@@ -81,18 +81,33 @@ proptest! {
     }
 
     #[test]
-    fn foremost_journey_is_optimal_and_valid(eg in arb_eg(8, 12)) {
-        use csn_core::temporal::journey::{earliest_arrival, enumerate_journeys, foremost_journey};
+    fn foremost_journey_is_optimal_and_valid(
+        eg in arb_eg(8, 12),
+        banned in proptest::collection::vec((0..8usize, 0..8usize), 0..16),
+        relay_bits in 0..256u32,
+    ) {
+        use csn_core::temporal::journey::{
+            earliest_arrival, earliest_arrival_masked, enumerate_journeys, foremost_journey,
+        };
         let n = eg.node_count();
         for s in 0..n.min(3) {
             let arr = earliest_arrival(&eg, s, 0);
+            // The trimming rule's hop predicate: the source and the relays
+            // in the mask may forward, over any arc not banned.
+            let relays = |x: usize| (relay_bits >> x) & 1 == 1;
+            let usable = |x: usize, y: usize| (x == s || relays(x)) && !banned.contains(&(x, y));
+            let masked = earliest_arrival_masked(&eg, s, 0, usable);
             for t in 0..n {
                 if s == t { continue; }
-                let brute = enumerate_journeys(&eg, s, t, 0)
+                let journeys = enumerate_journeys(&eg, s, t, 0);
+                let brute = journeys.iter().map(|j| j.last_label()).min();
+                prop_assert_eq!(arr[t], brute);
+                let brute_masked = journeys
                     .iter()
+                    .filter(|j| j.hops.iter().all(|&(x, y, _)| usable(x, y)))
                     .map(|j| j.last_label())
                     .min();
-                prop_assert_eq!(arr[t], brute);
+                prop_assert_eq!(masked[t], brute_masked);
                 if arr[t].is_some() {
                     let j = foremost_journey(&eg, s, t, 0).expect("reachable");
                     prop_assert!(j.is_valid(&eg, s, 0));
