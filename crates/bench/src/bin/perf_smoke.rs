@@ -425,7 +425,7 @@ fn run_scenario(flags: &Flags) -> Vec<Row> {
     let nodes = flags.get("--scenario-nodes", 3_000usize).max(16);
     let pubsub_nodes = flags.get("--scenario-pubsub-nodes", 100_000usize).max(64);
     let mut rows: Vec<Row> = with_check_size(220, nodes).into_iter().flat_map(city_rows).collect();
-    rows.push(track_row());
+    rows.extend(track_rows());
     rows.extend(with_check_size(3_000, pubsub_nodes).into_iter().map(pubsub_row));
     rows.push(hypercube_row());
     rows
@@ -522,10 +522,12 @@ fn city_rows(nodes: usize) -> Vec<Row> {
     rows
 }
 
-/// Structure tracking on a mid-size city EG: the incremental k-core
-/// maintainer sweeps the whole trace; its counted touches land in the row
-/// next to the `nodes · horizon` rebuild floor.
-fn track_row() -> Row {
+/// Structure tracking on a mid-size city EG. The `eg_build` row times
+/// discretizing the city stream (the walk included) into the EG. Then the
+/// incremental k-core maintainer sweeps the whole trace; its counted
+/// touches land in the `track` row next to the `nodes · horizon` rebuild
+/// floor.
+fn track_rows() -> [Row; 2] {
     use csn_bench::scenario_bench::{CITY_DT, CITY_DURATION};
     use csn_core::graph::cores::IncrementalCores;
     use csn_core::mobility::scenario::CityScenario;
@@ -533,14 +535,21 @@ fn track_row() -> Row {
     use csn_core::temporal::TrackedCursor;
 
     let city = CityScenario::new(250, 150, CITY_DURATION, 13);
-    let eg = ContactStream::to_time_evolving_graph(&city, CITY_DT);
+    let (eg, build_secs) = timed(|| ContactStream::to_time_evolving_graph(&city, CITY_DT));
+    let eg_build = Row::new("scenario", "eg_build")
+        .param("scenario", describe(&city))
+        .param("dt_secs", CITY_DT)
+        .counter("labels", eg.contact_count())
+        .counter("pairs", eg.edge_count())
+        .counter("horizon", eg.horizon())
+        .wall_secs(build_secs);
     let (touches, secs) = timed(|| {
         let mut cur = TrackedCursor::new(&eg);
         cur.register(Box::new(IncrementalCores::default()));
         while cur.advance() {}
         cur.touched_nodes()
     });
-    Row::new("scenario", "track")
+    let track = Row::new("scenario", "track")
         .param("scenario", describe(&city))
         .param("dt_secs", CITY_DT)
         .param("maintainer", "cores")
@@ -548,7 +557,8 @@ fn track_row() -> Row {
         .counter("horizon", eg.horizon())
         .counter("incremental_node_touches", touches)
         .counter("rebuild_touch_floor", eg.node_count() as u64 * u64::from(eg.horizon()))
-        .wall_secs(secs)
+        .wall_secs(secs);
+    [eg_build, track]
 }
 
 /// Pub-sub under churn on an `n`-node Gnutella-like overlay, on every

@@ -51,7 +51,7 @@ pub use csn_trimming as trimming;
 /// Convenient glob imports for applications.
 pub mod prelude {
     pub use csn_graph::{Digraph, Graph, NodeId, WeightedDigraph, WeightedGraph};
-    pub use csn_mobility::{ContactEvent, ContactTrace};
+    pub use csn_mobility::{ContactEvent, ContactStream, ContactTrace};
     pub use csn_temporal::{Contact, TimeEvolvingGraph, TimeUnit};
 }
 

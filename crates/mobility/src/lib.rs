@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use csn_mobility::rwp::RandomWaypoint;
+//! use csn_mobility::ContactStream;
 //!
 //! let model = RandomWaypoint::default_config(20);
 //! let trace = model.simulate(200.0, 7);

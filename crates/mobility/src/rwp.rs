@@ -14,27 +14,25 @@
 //! against each other (see [`ContactDetection`]): the O(n²) all-pairs scan
 //! and a uniform-cell grid index in the [`csn_graph::stream::GeometricStream`]
 //! idiom — cells at least one radio range wide, so every in-range pair lies
-//! in a 3×3 cell neighborhood. Per step the grid costs O(n + open + near)
-//! instead of O(n²): the open-contact set is swept for closures in
-//! canonical pair order and only spatially-near pairs are tested for
-//! openings. City-scale traces (n in the thousands, millions of contacts)
-//! are built through [`crate::stream::RwpStream`] without materializing
-//! the event vector; throughput is recorded in `BENCH_scenario.json` (see
-//! SCENARIOS.md).
+//! in a 3×3 cell neighborhood. Either back end yields each step's in-range
+//! pairs in ascending pair order, and one sorted merge with the open
+//! contacts (also kept in pair order) opens and closes contacts, so a step
+//! costs O(n + open + near) with the grid instead of O(n²). City-scale
+//! traces (n in the thousands, millions of contacts) are built through
+//! [`crate::stream::RwpStream`] without materializing the event vector;
+//! throughput is recorded in `BENCH_scenario.json` (see SCENARIOS.md).
 
 use crate::trace::{ContactEvent, ContactTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// How `simulate`/`simulate_unbounded` find in-range pairs each step.
 ///
 /// Both back ends produce *byte-identical* traces: they test the identical
-/// floating-point predicate on the identical post-advance positions, emit
-/// closures in canonical pair order, and [`ContactTrace::new`]'s
-/// `(start, u, v)` sort canonicalizes whatever discovery order remains.
-/// The mobility proptest suite and the `--scenario` perf gate assert the
-/// equality on small n every run.
+/// floating-point predicate on the identical post-advance positions and
+/// hand the same ascending in-range pair list to one merge, so even the
+/// emission order is the same. The mobility proptest suite and the
+/// `--scenario` perf gate assert the equality on small n every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContactDetection {
     /// Grid for `n >= 64`, naive below (the grid's constant factor only
@@ -240,6 +238,9 @@ fn within_range(a: (f64, f64), b: (f64, f64), range: f64) -> bool {
     (dx * dx + dy * dy).sqrt() <= range
 }
 
+/// A node pair `(u, v)` with `u < v`, ordered lexicographically.
+type Pair = (u32, u32);
+
 /// Runs a random-waypoint walk, streaming contact events to `emit`.
 ///
 /// Timestamps are stamped *post-advance*: step `k` moves every node from
@@ -250,9 +251,10 @@ fn within_range(a: (f64, f64), b: (f64, f64), range: f64) -> bool {
 /// contacts still open at the end are clamped to `duration`, so every event
 /// lies inside `[0, duration]` even when `duration / dt` is fractional.
 ///
-/// Open contacts live in a `BTreeMap` keyed by the canonical `(u, v)` pair
-/// (`u < v`), so closure sweeps and the end-of-trace drain emit in pair
-/// order — deterministic across processes, unlike a `HashMap` drain.
+/// Open contacts live in a `Vec` of `(pair, start)` in ascending pair
+/// order. Each step merges it once with that step's in-range pairs (see
+/// [`merge_step`]), so closures and the end-of-trace drain emit in pair
+/// order — deterministic across processes and back ends.
 pub(crate) fn run_walk(
     model: &RandomWaypoint,
     walk: Walk,
@@ -263,25 +265,12 @@ pub(crate) fn run_walk(
 ) {
     let n = model.n;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut state: Vec<NodeState> = (0..n)
-        .map(|_| {
-            let pos = (rng.gen::<f64>(), rng.gen::<f64>());
-            NodeState {
-                pos,
-                dest: walk.pick_dest(pos, &mut rng),
-                speed: rng.gen_range(model.v_min..=model.v_max),
-                pause_left: 0.0,
-            }
-        })
-        .collect();
+    let mut state = initial_state(model, walk, &mut rng);
     let steps = (duration / model.dt).ceil() as usize;
-    let mut open: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    let mut grid = if detection.use_grid(n) {
-        Some(ContactGrid::new(n, model.range, matches!(walk, Walk::Bounded)))
-    } else {
-        None
-    };
-    let mut closing: Vec<(usize, usize)> = Vec::new();
+    let mut grid = detection
+        .use_grid(n)
+        .then(|| ContactGrid::new(n, model.range, matches!(walk, Walk::Bounded)));
+    let (mut open, mut next, mut near) = (Vec::new(), Vec::new(), Vec::new());
     for step in 0..steps {
         for s in &mut state {
             s.advance(model, walk, &mut rng);
@@ -290,58 +279,78 @@ pub(crate) fn run_walk(
         // stamp them as such, clamped to the horizon on the final
         // (possibly fractional) step.
         let now = (((step + 1) as f64) * model.dt).min(duration);
+        near.clear();
         match &mut grid {
             Some(grid) => {
-                // Close pass: sweep open contacts (ascending pair order)
-                // for pairs that left range — the 3×3 neighborhood scan
-                // below cannot see pairs that moved far apart.
-                closing.clear();
-                for (&key, _) in open.iter() {
-                    if !within_range(state[key.0].pos, state[key.1].pos, model.range) {
-                        closing.push(key);
-                    }
-                }
-                for &key in &closing {
-                    let start = open.remove(&key).expect("swept from open");
-                    if now > start {
-                        emit(ContactEvent { u: key.0, v: key.1, start, end: now });
-                    }
-                }
-                // Open pass: only spatially-near pairs can newly be in
-                // range.
                 grid.rebuild(&state);
-                grid.for_each_near_pair(&state, model.range, &mut |u, v| {
-                    open.entry((u, v)).or_insert(now);
-                });
+                grid.near_pairs(&state, model.range, &mut near);
             }
-            None => {
-                for u in 0..n {
-                    for v in (u + 1)..n {
-                        let within = within_range(state[u].pos, state[v].pos, model.range);
-                        let key = (u, v);
-                        match (within, open.contains_key(&key)) {
-                            (true, false) => {
-                                open.insert(key, now);
-                            }
-                            (false, true) => {
-                                let start = open.remove(&key).expect("checked");
-                                if now > start {
-                                    emit(ContactEvent { u, v, start, end: now });
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
+            None => all_pairs_in_range(&state, model.range, &mut near),
         }
+        merge_step(&open, &near, now, &mut next, emit);
+        std::mem::swap(&mut open, &mut next);
     }
     // Close contacts still open at the end of the simulation, clamped to
     // the trace horizon (steps·dt overshoots `duration` whenever
-    // duration/dt is fractional). BTreeMap drains in canonical pair order.
-    for ((u, v), start) in open {
+    // duration/dt is fractional), in pair order.
+    for &((u, v), start) in &open {
         if duration > start {
-            emit(ContactEvent { u, v, start, end: duration });
+            emit(ContactEvent { u: u as usize, v: v as usize, start, end: duration });
+        }
+    }
+}
+
+/// Every node's state at time 0: a uniform position, its first waypoint
+/// and speed, no pause.
+fn initial_state(model: &RandomWaypoint, walk: Walk, rng: &mut StdRng) -> Vec<NodeState> {
+    (0..model.n)
+        .map(|_| {
+            let pos = (rng.gen::<f64>(), rng.gen::<f64>());
+            NodeState {
+                pos,
+                dest: walk.pick_dest(pos, rng),
+                speed: rng.gen_range(model.v_min..=model.v_max),
+                pause_left: 0.0,
+            }
+        })
+        .collect()
+}
+
+/// One step's contact bookkeeping: merges the open contacts `open` with
+/// the step's in-range pairs `near`, both in ascending pair order, into
+/// `next`. A pair in both keeps its start, a pair only in `near` opens at
+/// `now`, and a pair only in `open` closes at `now` — emitted, in
+/// ascending pair order, unless it would be empty.
+fn merge_step(
+    open: &[(Pair, f64)],
+    near: &[Pair],
+    now: f64,
+    next: &mut Vec<(Pair, f64)>,
+    emit: &mut dyn FnMut(ContactEvent),
+) {
+    next.clear();
+    let mut near = near.iter().copied().peekable();
+    for &(pair, start) in open {
+        while let Some(opened) = near.next_if(|&p| p < pair) {
+            next.push((opened, now));
+        }
+        if near.next_if_eq(&pair).is_some() {
+            next.push((pair, start));
+        } else if now > start {
+            emit(ContactEvent { u: pair.0 as usize, v: pair.1 as usize, start, end: now });
+        }
+    }
+    next.extend(near.map(|p| (p, now)));
+}
+
+/// Appends every in-range pair to `out` in ascending pair order: the
+/// O(n²) all-pairs reference scan.
+fn all_pairs_in_range(state: &[NodeState], range: f64, out: &mut Vec<Pair>) {
+    for u in 0..state.len() {
+        for v in (u + 1)..state.len() {
+            if within_range(state[u].pos, state[v].pos, range) {
+                out.push((u as u32, v as u32));
+            }
         }
     }
 }
@@ -436,50 +445,43 @@ impl ContactGrid {
         }
     }
 
-    /// Visits every unordered pair `(u, v)`, `u < v`, whose distance is
-    /// within `range`, each exactly once. Visit order is
-    /// grid-layout-dependent; callers needing canonical order sort (the
-    /// open-contact `BTreeMap` and [`ContactTrace::new`] both do).
-    fn for_each_near_pair(
-        &self,
-        state: &[NodeState],
-        range: f64,
-        visit: &mut dyn FnMut(usize, usize),
-    ) {
-        if self.side > 0 {
-            let side = self.side;
-            for u in 0..state.len() {
+    /// Appends every pair `(u, v)`, `u < v`, whose distance is within
+    /// `range` to `out`, each exactly once and in ascending pair order. The
+    /// scan yields pairs grouped by ascending lower endpoint `u`, so sorting
+    /// each group by `v` sorts them all.
+    fn near_pairs(&self, state: &[NodeState], range: f64, out: &mut Vec<Pair>) {
+        for u in 0..state.len() {
+            let group = out.len();
+            let mut visit = |v: u32| {
+                // Each pair once, from the lower id.
+                if v as usize > u && within_range(state[u].pos, state[v as usize].pos, range) {
+                    out.push((u as u32, v));
+                }
+            };
+            if self.side > 0 {
+                let side = self.side;
                 let pos = state[u].pos;
                 let cx = ((pos.0 * side as f64) as usize).min(side - 1);
                 let cy = ((pos.1 * side as f64) as usize).min(side - 1);
                 for ny in cy.saturating_sub(1)..=(cy + 1).min(side - 1) {
                     for nx in cx.saturating_sub(1)..=(cx + 1).min(side - 1) {
                         let c = ny * side + nx;
-                        for i in self.cell_start[c]..self.cell_start[c + 1] {
-                            let v = self.order[i as usize] as usize;
-                            // Each pair once, from the lower id.
-                            if v > u && within_range(state[u].pos, state[v].pos, range) {
-                                visit(u, v);
-                            }
-                        }
+                        let cell = &self.order
+                            [self.cell_start[c] as usize..self.cell_start[c + 1] as usize];
+                        cell.iter().for_each(|&v| visit(v));
                     }
                 }
-            }
-        } else {
-            for u in 0..state.len() {
+            } else {
                 let (cx, cy) = self.sparse_cell(state[u].pos);
                 for ny in (cy - 1)..=(cy + 1) {
                     for nx in (cx - 1)..=(cx + 1) {
-                        let Some(bucket) = self.buckets.get(&(nx, ny)) else { continue };
-                        for &v in bucket {
-                            let v = v as usize;
-                            if v > u && within_range(state[u].pos, state[v].pos, range) {
-                                visit(u, v);
-                            }
+                        if let Some(bucket) = self.buckets.get(&(nx, ny)) {
+                            bucket.iter().for_each(|&v| visit(v));
                         }
                     }
                 }
             }
+            out[group..].sort_unstable();
         }
     }
 }
@@ -487,6 +489,111 @@ impl ContactGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The walk's contact bookkeeping before the sorted merge: open
+    /// contacts in a `BTreeMap` updated once per in-range pair per step,
+    /// with a separate close sweep (range-tested) on the grid back end.
+    /// The reference the merge is gated against, event by event.
+    fn reference_walk(
+        model: &RandomWaypoint,
+        walk: Walk,
+        duration: f64,
+        seed: u64,
+        detection: ContactDetection,
+    ) -> Vec<ContactEvent> {
+        let mut events = Vec::new();
+        let n = model.n;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state = initial_state(model, walk, &mut rng);
+        let steps = (duration / model.dt).ceil() as usize;
+        let mut open: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+        let mut grid = detection
+            .use_grid(n)
+            .then(|| ContactGrid::new(n, model.range, matches!(walk, Walk::Bounded)));
+        let mut near = Vec::new();
+        for step in 0..steps {
+            for s in &mut state {
+                s.advance(model, walk, &mut rng);
+            }
+            let now = (((step + 1) as f64) * model.dt).min(duration);
+            match &mut grid {
+                Some(grid) => {
+                    let closing: Vec<(usize, usize)> = open
+                        .keys()
+                        .copied()
+                        .filter(|&(u, v)| !within_range(state[u].pos, state[v].pos, model.range))
+                        .collect();
+                    for key in closing {
+                        let start = open.remove(&key).expect("swept from open");
+                        if now > start {
+                            events.push(ContactEvent { u: key.0, v: key.1, start, end: now });
+                        }
+                    }
+                    grid.rebuild(&state);
+                    near.clear();
+                    grid.near_pairs(&state, model.range, &mut near);
+                    for &(u, v) in &near {
+                        open.entry((u as usize, v as usize)).or_insert(now);
+                    }
+                }
+                None => {
+                    for u in 0..n {
+                        for v in (u + 1)..n {
+                            let within = within_range(state[u].pos, state[v].pos, model.range);
+                            match (within, open.contains_key(&(u, v))) {
+                                (true, false) => {
+                                    open.insert((u, v), now);
+                                }
+                                (false, true) => {
+                                    let start = open.remove(&(u, v)).expect("checked");
+                                    if now > start {
+                                        events.push(ContactEvent { u, v, start, end: now });
+                                    }
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for ((u, v), start) in open {
+            if duration > start {
+                events.push(ContactEvent { u, v, start, end: duration });
+            }
+        }
+        events
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn merge_emits_the_reference_sequence(
+            n in 2usize..100,
+            range in 0.03f64..0.3,
+            // Mostly fractional horizons exercise the end clamp.
+            duration in 10.0f64..60.0,
+            seed in 0u64..1_000,
+            variant in 0usize..6,
+        ) {
+            let mut m = RandomWaypoint::default_config(n);
+            m.range = range;
+            let walk = if variant < 3 {
+                Walk::Bounded
+            } else {
+                Walk::Unbounded { trip_min: 0.05, trip_max: 0.3 }
+            };
+            let detection =
+                [ContactDetection::Auto, ContactDetection::Naive, ContactDetection::Grid][variant % 3];
+            let mut merged = Vec::new();
+            run_walk(&m, walk, duration, seed, detection, &mut |e| merged.push(e));
+            let reference = reference_walk(&m, walk, duration, seed, detection);
+            prop_assert_eq!(merged, reference, "n {}, {:?}, {:?}", n, walk, detection);
+        }
+    }
 
     #[test]
     fn simulation_is_seeded_and_produces_contacts() {

@@ -57,9 +57,12 @@ pub trait ContactStream {
     }
 
     /// Discretizes straight into a time-evolving graph with step `dt`,
-    /// without materializing the event vector — the same label semantics
-    /// as [`ContactTrace::to_time_evolving_graph`]: edge `(u, v)` gets
-    /// label `i` iff a contact overlaps `[i·dt, (i+1)·dt)`.
+    /// without materializing the event vector: edge `(u, v)` gets label
+    /// `i` iff a contact overlaps `[i·dt, (i+1)·dt)` and `i` is below the
+    /// horizon. The horizon is `ceil(duration / dt)` units, and at least
+    /// 1, so a zero-duration stream still has unit 0: an event there
+    /// labels it. Each edge is oriented as its first emitted contact names
+    /// it. A [`ContactTrace`] discretizes through this method too.
     ///
     /// # Panics
     ///

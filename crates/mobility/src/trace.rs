@@ -1,7 +1,11 @@
-//! Continuous-time contact traces and discretization.
+//! Continuous-time contact traces.
+//!
+//! A [`ContactTrace`] is itself a [`ContactStream`] that replays its stored
+//! events, so it discretizes through
+//! [`ContactStream::to_time_evolving_graph`] like every generator.
 
+use crate::stream::ContactStream;
 use csn_graph::NodeId;
-use csn_temporal::{TimeEvolvingGraph, TimeUnit};
 use serde::{Deserialize, Serialize};
 
 /// One contact: nodes `u` and `v` are in range during `[start, end)`.
@@ -85,26 +89,6 @@ impl ContactTrace {
             .collect()
     }
 
-    /// Discretizes into a time-evolving graph with time step `dt`: edge
-    /// `(u, v)` gets label `i` iff the contact overlaps `[i·dt, (i+1)·dt)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0`.
-    pub fn to_time_evolving_graph(&self, dt: f64) -> TimeEvolvingGraph {
-        assert!(dt > 0.0, "dt must be positive");
-        let horizon = (self.duration / dt).ceil() as TimeUnit;
-        let mut eg = TimeEvolvingGraph::new(self.n, horizon.max(1));
-        for e in &self.events {
-            let first = (e.start / dt).floor() as TimeUnit;
-            let last_excl = (e.end / dt).ceil() as TimeUnit;
-            for t in first..last_excl.min(horizon) {
-                eg.add_contact(e.u, e.v, t);
-            }
-        }
-        eg
-    }
-
     /// Whether the trace satisfies every generator contract: each event
     /// lies inside `[0, duration]`, events of one pair never overlap, and
     /// the stored order is the canonical `(start, u, v)` sort. The mobility
@@ -180,6 +164,21 @@ impl ContactTrace {
     }
 }
 
+/// Replays the stored events in stored (canonical) order.
+impl ContactStream for ContactTrace {
+    fn node_count(&self) -> usize {
+        self.n
+    }
+
+    fn duration(&self) -> f64 {
+        self.duration
+    }
+
+    fn for_each_contact(&self, emit: &mut dyn FnMut(ContactEvent)) {
+        self.events.iter().copied().for_each(emit);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +210,14 @@ mod tests {
         // Coarser discretization.
         let eg2 = t.to_time_evolving_graph(2.0);
         assert_eq!(eg2.labels(0, 1), Some(&[0, 1][..]));
+    }
+
+    #[test]
+    fn zero_duration_trace_discretizes_into_one_unit() {
+        let t = ContactTrace::new(2, 0.0, vec![ev(0, 1, 0.0, 0.5)]);
+        let eg = t.to_time_evolving_graph(1.0);
+        assert_eq!(eg.horizon(), 1);
+        assert_eq!(eg.labels(0, 1), Some(&[0][..]));
     }
 
     #[test]

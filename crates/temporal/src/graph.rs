@@ -69,6 +69,18 @@ impl TemporalEdge {
 /// (§II-B). The *horizon* bounds the time units of interest: all labels lie
 /// in `0..horizon`.
 ///
+/// # Layout
+///
+/// Edges live in one `Vec` of [`TemporalEdge`] in creation order (a
+/// removal moves the last edge into the gap), each oriented as its first
+/// contact named it. Node `u`'s row lists its incident edges as
+/// `(partner, edge)` `u32` pairs, 8 B per entry: the other endpoint and
+/// the edge's index. Finding the edge of a pair scans one contiguous row,
+/// and [`TimeEvolvingGraph::neighbors`] reads partners straight from it.
+///
+/// A node id outside the EG reaches nothing and is reached by nothing: it
+/// has no neighbors and no labels.
+///
 /// # Examples
 ///
 /// ```
@@ -85,18 +97,29 @@ pub struct TimeEvolvingGraph {
     n: usize,
     horizon: TimeUnit,
     edges: Vec<TemporalEdge>,
-    /// `adj[u]` lists indices into `edges` of edges incident to `u`.
-    adj: Vec<Vec<usize>>,
+    /// `adj[u]` lists `(partner, edge)` for each edge incident to `u`: the
+    /// other endpoint and the index into `edges`.
+    adj: Vec<Vec<(u32, u32)>>,
 }
 
 impl TimeEvolvingGraph {
     /// Creates an empty `EG` on `n` nodes with the given time horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit a `u32` (rows store node ids as `u32`).
     pub fn new(n: usize, horizon: TimeUnit) -> Self {
+        assert!(u32::try_from(n).is_ok(), "{n} nodes do not fit u32 ids");
         TimeEvolvingGraph { n, horizon, edges: Vec::new(), adj: vec![Vec::new(); n] }
     }
 
     /// Builds an `EG` from a list of contacts. The horizon is
     /// `1 + max label` unless a larger `min_horizon` is given.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`TimeEvolvingGraph::new`] and
+    /// [`TimeEvolvingGraph::add_contact`] do.
     pub fn from_contacts(n: usize, contacts: &[Contact], min_horizon: TimeUnit) -> Self {
         let horizon = contacts.iter().map(|c| c.t + 1).max().unwrap_or(0).max(min_horizon);
         let mut eg = TimeEvolvingGraph::new(n, horizon);
@@ -131,7 +154,8 @@ impl TimeEvolvingGraph {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range, `u == v`, or `t >= horizon`.
+    /// Panics if an endpoint is out of range, `u == v`, `t >= horizon`, or
+    /// a new edge's index would not fit a `u32` (more than 2³² edges).
     pub fn add_contact(&mut self, u: NodeId, v: NodeId, t: TimeUnit) -> bool {
         assert!(u < self.n && v < self.n, "node out of range");
         assert_ne!(u, v, "self-contacts are not allowed");
@@ -148,10 +172,11 @@ impl TimeEvolvingGraph {
                 }
             }
             None => {
-                let ei = self.edges.len();
+                let ei = u32::try_from(self.edges.len()).expect("edge indices fit u32");
                 self.edges.push(TemporalEdge { u, v, labels: vec![t] });
-                self.adj[u].push(ei);
-                self.adj[v].push(ei);
+                // `new` checked that node ids fit u32.
+                self.adj[u].push((v as u32, ei));
+                self.adj[v].push((u as u32, ei));
                 true
             }
         }
@@ -184,11 +209,10 @@ impl TimeEvolvingGraph {
         added
     }
 
+    /// Index of the edge `(u, v)`: one scan of `u`'s row.
     fn edge_index(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.adj.get(u)?.iter().copied().find(|&ei| {
-            let e = &self.edges[ei];
-            (e.u == u && e.v == v) || (e.u == v && e.v == u)
-        })
+        let &(_, ei) = self.adj.get(u)?.iter().find(|&&(w, _)| w as usize == v)?;
+        Some(ei as usize)
     }
 
     /// Label set of edge `(u, v)`, if the temporal edge exists; `None` if
@@ -197,13 +221,11 @@ impl TimeEvolvingGraph {
         self.edge_index(u, v).map(|ei| self.edges[ei].labels.as_slice())
     }
 
-    /// Temporal edges incident to `u` as `(neighbor, labels)` pairs.
+    /// Temporal edges incident to `u` as `(neighbor, labels)` pairs, in
+    /// row order; none if `u` is outside the EG.
     pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, &[TimeUnit])> + '_ {
-        self.adj[u].iter().map(move |&ei| {
-            let e = &self.edges[ei];
-            let other = if e.u == u { e.v } else { e.u };
-            (other, e.labels.as_slice())
-        })
+        let row = self.adj.get(u).map_or(&[][..], Vec::as_slice);
+        row.iter().map(|&(w, ei)| (w as usize, self.edges[ei as usize].labels.as_slice()))
     }
 
     /// All temporal edges.
@@ -275,19 +297,21 @@ impl TimeEvolvingGraph {
     }
 
     /// Removes all edges incident to `u` (trimming a node; the node id stays
-    /// valid but becomes isolated). Returns the number of edges removed.
+    /// valid but becomes isolated). Returns the number of edges removed: 0
+    /// if `u` is outside the EG.
     pub fn isolate_node(&mut self, u: NodeId) -> usize {
         // Take ownership of the incident list — adj[u] ends up empty, which
         // is exactly the post-state — instead of cloning it.
-        let mut incident = std::mem::take(&mut self.adj[u]);
+        let Some(row) = self.adj.get_mut(u) else { return 0 };
+        let mut incident = std::mem::take(row);
         // Remove from highest index first so swap_remove re-indexing is safe.
-        incident.sort_unstable_by(|a, b| b.cmp(a));
+        incident.sort_unstable_by_key(|&(_, ei)| std::cmp::Reverse(ei));
         let count = incident.len();
-        for ei in incident {
-            let e = self.edges.swap_remove(ei);
+        for (other, ei) in incident {
+            let ei = ei as usize;
+            self.edges.swap_remove(ei);
             // adj[u] is already empty; unlink only the other endpoint.
-            let other = if e.u == u { e.v } else { e.u };
-            self.unlink(other, ei);
+            self.unlink(other as usize, ei);
             if ei < self.edges.len() {
                 // Descending order guarantees the edge moved down from the
                 // old tail is not incident to u (all higher-indexed incident
@@ -324,19 +348,174 @@ impl TimeEvolvingGraph {
     }
 
     fn unlink(&mut self, node: NodeId, ei: usize) {
-        let pos = self.adj[node].iter().position(|&x| x == ei).expect("dangling edge index");
+        let pos = self.row_position(node, ei);
         self.adj[node].swap_remove(pos);
     }
 
     fn relink(&mut self, node: NodeId, from: usize, to: usize) {
-        let pos = self.adj[node].iter().position(|&x| x == from).expect("dangling edge index");
-        self.adj[node][pos] = to;
+        let pos = self.row_position(node, from);
+        // Edge indices stay below the edge count, which fits u32.
+        self.adj[node][pos].1 = to as u32;
+    }
+
+    /// Position in `node`'s row of the entry for edge `ei`.
+    fn row_position(&self, node: NodeId, ei: usize) -> usize {
+        self.adj[node].iter().position(|&(_, e)| e as usize == ei).expect("dangling edge index")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The edge-index rows the `(partner, edge)` rows replaced: `adj[u]`
+    /// holds bare indices into `edges`, and every lookup dereferences the
+    /// edge. The reference the rows are gated against, operation by
+    /// operation.
+    struct ReferenceEg {
+        horizon: TimeUnit,
+        edges: Vec<TemporalEdge>,
+        adj: Vec<Vec<usize>>,
+    }
+
+    impl ReferenceEg {
+        fn new(n: usize, horizon: TimeUnit) -> Self {
+            ReferenceEg { horizon, edges: Vec::new(), adj: vec![Vec::new(); n] }
+        }
+
+        fn edge_index(&self, u: NodeId, v: NodeId) -> Option<usize> {
+            self.adj.get(u)?.iter().copied().find(|&ei| {
+                let e = &self.edges[ei];
+                (e.u == u && e.v == v) || (e.u == v && e.v == u)
+            })
+        }
+
+        fn labels(&self, u: NodeId, v: NodeId) -> Option<&[TimeUnit]> {
+            self.edge_index(u, v).map(|ei| self.edges[ei].labels.as_slice())
+        }
+
+        fn neighbors(&self, u: NodeId) -> Vec<(NodeId, &[TimeUnit])> {
+            self.adj[u]
+                .iter()
+                .map(|&ei| {
+                    let e = &self.edges[ei];
+                    (if e.u == u { e.v } else { e.u }, e.labels.as_slice())
+                })
+                .collect()
+        }
+
+        fn add_contact(&mut self, u: NodeId, v: NodeId, t: TimeUnit) -> bool {
+            match self.edge_index(u, v) {
+                Some(ei) => {
+                    let labels = &mut self.edges[ei].labels;
+                    let Err(pos) = labels.binary_search(&t) else { return false };
+                    labels.insert(pos, t);
+                }
+                None => {
+                    self.edges.push(TemporalEdge { u, v, labels: vec![t] });
+                    self.adj[u].push(self.edges.len() - 1);
+                    self.adj[v].push(self.edges.len() - 1);
+                }
+            }
+            true
+        }
+
+        fn add_periodic(&mut self, u: NodeId, v: NodeId, first: TimeUnit, period: TimeUnit) {
+            for t in (first..self.horizon).step_by(period as usize) {
+                self.add_contact(u, v, t);
+            }
+        }
+
+        fn remove_label(&mut self, u: NodeId, v: NodeId, t: TimeUnit) -> bool {
+            let Some(ei) = self.edge_index(u, v) else { return false };
+            let labels = &mut self.edges[ei].labels;
+            let Ok(pos) = labels.binary_search(&t) else { return false };
+            labels.remove(pos);
+            if labels.is_empty() {
+                self.remove_edge_by_index(ei);
+            }
+            true
+        }
+
+        fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+            let Some(ei) = self.edge_index(u, v) else { return false };
+            self.remove_edge_by_index(ei);
+            true
+        }
+
+        fn isolate_node(&mut self, u: NodeId) -> usize {
+            let mut incident = std::mem::take(&mut self.adj[u]);
+            incident.sort_unstable_by(|a, b| b.cmp(a));
+            let count = incident.len();
+            for ei in incident {
+                let e = self.edges.swap_remove(ei);
+                self.unlink(if e.u == u { e.v } else { e.u }, ei);
+                self.relink_moved(ei);
+            }
+            count
+        }
+
+        fn remove_edge_by_index(&mut self, ei: usize) {
+            let e = self.edges.swap_remove(ei);
+            self.unlink(e.u, ei);
+            self.unlink(e.v, ei);
+            self.relink_moved(ei);
+        }
+
+        fn unlink(&mut self, node: NodeId, ei: usize) {
+            let pos = self.adj[node].iter().position(|&x| x == ei).expect("dangling");
+            self.adj[node].swap_remove(pos);
+        }
+
+        /// Points the rows of the edge `swap_remove` moved into `ei` at it.
+        fn relink_moved(&mut self, ei: usize) {
+            if ei < self.edges.len() {
+                let from = self.edges.len();
+                for node in [self.edges[ei].u, self.edges[ei].v] {
+                    let pos = self.adj[node].iter().position(|&x| x == from).expect("dangling");
+                    self.adj[node][pos] = ei;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn partner_rows_match_edge_index_rows(
+            n in 2usize..9,
+            ops in proptest::collection::vec((0usize..12, 0usize..64, 0usize..64, 0u32..40), 1..160),
+        ) {
+            const HORIZON: TimeUnit = 24;
+            let mut eg = TimeEvolvingGraph::new(n, HORIZON);
+            let mut reference = ReferenceEg::new(n, HORIZON);
+            for (step, &(kind, a, b, x)) in ops.iter().enumerate() {
+                // Two distinct in-range endpoints, in either orientation.
+                let (u, v) = (a % n, (a % n + 1 + b % (n - 1)) % n);
+                let t = x % HORIZON;
+                match kind {
+                    0..=5 => prop_assert_eq!(eg.add_contact(u, v, t), reference.add_contact(u, v, t)),
+                    6 => {
+                        eg.add_periodic(u, v, t, 1 + x % 7);
+                        reference.add_periodic(u, v, t, 1 + x % 7);
+                    }
+                    7 | 8 => prop_assert_eq!(eg.remove_label(u, v, t), reference.remove_label(u, v, t)),
+                    9 | 10 => prop_assert_eq!(eg.remove_edge(u, v), reference.remove_edge(u, v)),
+                    _ => prop_assert_eq!(eg.isolate_node(u), reference.isolate_node(u)),
+                }
+                prop_assert_eq!(eg.edges(), &reference.edges[..], "step {}", step);
+                for w in 0..n {
+                    let row: Vec<_> = eg.neighbors(w).collect();
+                    prop_assert_eq!(row, reference.neighbors(w), "step {} row {}", step, w);
+                    for z in 0..n {
+                        prop_assert_eq!(eg.labels(w, z), reference.labels(w, z));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn add_and_query_contacts() {

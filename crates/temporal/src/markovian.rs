@@ -37,13 +37,14 @@ impl EdgeMarkovian {
     }
 
     /// Generates `horizon` snapshots, starting the chain from its stationary
-    /// distribution, and returns them as a time-evolving graph.
+    /// distribution, and returns them as a time-evolving graph (with horizon
+    /// at least 1). With `n = 0` there is no pair, so the EG is empty.
     pub fn generate(&self, horizon: TimeUnit, seed: u64) -> TimeEvolvingGraph {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut eg = TimeEvolvingGraph::new(self.n, horizon.max(1));
         let density = self.stationary_density();
         // State per unordered pair; pairs indexed implicitly by iteration.
-        let pair_count = self.n * (self.n - 1) / 2;
+        let pair_count = self.n * self.n.saturating_sub(1) / 2;
         let mut alive = vec![false; pair_count];
         for a in &mut alive {
             *a = rng.gen::<f64>() < density;
@@ -72,13 +73,17 @@ impl EdgeMarkovian {
 
 /// Mean flooding time of an edge-Markovian graph from random sources,
 /// averaged over `trials` independently generated traces. Returns `None` if
-/// any trial fails to flood within the horizon.
+/// any trial fails to flood within the horizon, and when there is nothing
+/// to average: no trial (`trials = 0`) or no source (`n = 0`).
 pub fn mean_flooding_time(
     model: &EdgeMarkovian,
     horizon: TimeUnit,
     trials: usize,
     seed: u64,
 ) -> Option<f64> {
+    if trials == 0 || model.n == 0 {
+        return None;
+    }
     let mut total = 0u64;
     let mut rng = StdRng::seed_from_u64(seed);
     for trial in 0..trials {
@@ -134,6 +139,21 @@ mod tests {
         let m = EdgeMarkovian::new(30, 0.5, 0.5);
         let ft = mean_flooding_time(&m, 40, 5, 11).expect("floods");
         assert!(ft < 10.0, "dense dynamic graph floods quickly, got {ft}");
+    }
+
+    #[test]
+    fn empty_model_generates_the_empty_eg() {
+        let empty = EdgeMarkovian::new(0, 0.3, 0.2);
+        assert_eq!(empty.generate(10, 1), TimeEvolvingGraph::new(0, 10));
+        assert_eq!(empty.generate(0, 1), TimeEvolvingGraph::new(0, 1));
+    }
+
+    #[test]
+    fn flooding_time_without_trials_or_sources_is_none() {
+        let m = EdgeMarkovian::new(8, 0.5, 0.5);
+        assert_eq!(mean_flooding_time(&m, 20, 0, 1), None, "no trial to average");
+        let empty = EdgeMarkovian::new(0, 0.5, 0.5);
+        assert_eq!(mean_flooding_time(&empty, 20, 3, 1), None, "no source to draw");
     }
 
     #[test]

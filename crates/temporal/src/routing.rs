@@ -24,6 +24,12 @@
 //! sorted once instead of re-sorted by every `eg.contacts()` call. The EG
 //! forms are thin wrappers, so the two stay identical by construction (and
 //! are gated equal at small n by the `--scenario` perf gates).
+//!
+//! A node id outside the EG (at least `n`) reaches nothing and is reached
+//! by nothing. A source outside it keeps its one copy and delivers
+//! nothing: `{delivered_at: None, copies: 1, hops: 0}`. A destination
+//! outside it is never delivered to, so the outcome is that of an
+//! unreachable destination, with the copy footprint at the horizon.
 
 use crate::graph::{Contact, TimeEvolvingGraph, TimeUnit};
 use csn_graph::NodeId;
@@ -40,6 +46,7 @@ pub struct DtnOutcome {
 }
 
 /// Direct delivery: wait for a contact `(source, dest)` at time `>= start`.
+/// Never delivers if either id is outside the EG.
 pub fn direct_delivery(
     eg: &TimeEvolvingGraph,
     source: NodeId,
@@ -70,7 +77,9 @@ pub fn direct_delivery_over(
 
 /// Epidemic routing: flood every contact; delivery time equals the
 /// earliest arrival, copy count equals the infected set size at delivery
-/// (or at the horizon when undelivered).
+/// (or at the horizon when undelivered). An id outside the EG follows the
+/// module's rule: a source there keeps its one copy, and a destination
+/// there is never delivered to.
 pub fn epidemic(
     eg: &TimeEvolvingGraph,
     source: NodeId,
@@ -82,6 +91,8 @@ pub fn epidemic(
 
 /// [`epidemic`] over a flat contact slice sorted by `(t, u, v)` among `n`
 /// nodes — the city-scale entry point (no per-query `contacts()` rebuild).
+/// A `source` at least `n` keeps its one copy, and a `dest` at least `n`
+/// is never delivered to.
 pub fn epidemic_over(
     n: usize,
     contacts: &[Contact],
@@ -89,6 +100,9 @@ pub fn epidemic_over(
     dest: NodeId,
     start: TimeUnit,
 ) -> DtnOutcome {
+    if source >= n {
+        return DtnOutcome { delivered_at: None, copies: 1, hops: 0 };
+    }
     let mut infected = vec![false; n];
     let mut hops = vec![0usize; n];
     infected[source] = true;
@@ -118,7 +132,7 @@ pub fn epidemic_over(
                     break;
                 }
             }
-            if infected[dest] {
+            if infected.get(dest) == Some(&true) {
                 return DtnOutcome {
                     delivered_at: Some(t),
                     copies: infected.iter().filter(|&&x| x).count(),
@@ -133,7 +147,9 @@ pub fn epidemic_over(
     DtnOutcome { delivered_at: None, copies: infected.iter().filter(|&&x| x).count(), hops: 0 }
 }
 
-/// Binary spray-and-wait with copy budget `L >= 1`.
+/// Binary spray-and-wait with copy budget `L >= 1`. An id outside the EG
+/// follows the module's rule: a source there keeps its one copy, and a
+/// destination there is never delivered to.
 ///
 /// # Panics
 ///
@@ -149,7 +165,8 @@ pub fn spray_and_wait(
 }
 
 /// [`spray_and_wait`] over a flat contact slice sorted by `(t, u, v)`
-/// among `n` nodes.
+/// among `n` nodes. A `source` at least `n` keeps its one copy, and a
+/// `dest` at least `n` is never delivered to.
 ///
 /// # Panics
 ///
@@ -163,6 +180,9 @@ pub fn spray_and_wait_over(
     l_copies: usize,
 ) -> DtnOutcome {
     assert!(l_copies >= 1, "need at least one copy");
+    if source >= n {
+        return DtnOutcome { delivered_at: None, copies: 1, hops: 0 };
+    }
     let mut budget = vec![0usize; n];
     let mut hops = vec![0usize; n];
     budget[source] = l_copies;

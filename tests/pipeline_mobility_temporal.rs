@@ -3,6 +3,7 @@
 
 use csn_core::mobility::rwp::RandomWaypoint;
 use csn_core::mobility::social::{Population, SocialContactModel};
+use csn_core::mobility::ContactStream;
 use csn_core::temporal::journey::{earliest_arrival, flooding_time};
 use csn_core::trimming::static_rule::{earliest_arrival_trimmed, trim_arcs};
 use csn_core::trimming::TrimOptions;
