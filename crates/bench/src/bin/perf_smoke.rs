@@ -250,7 +250,7 @@ fn run_kernels(_: &Flags) -> Vec<Row> {
     });
     let faulted = Row::new("kernels", "faulted_bellman_ford")
         .param("graph", format!("erdos_renyi({fn_}, 0.05, seed=11)"));
-    time(&mut rows, faulted, || run_resilient(&fg, 0, 64, 500, 3, faults.clone()));
+    time(&mut rows, faulted, || run_resilient(&fg, 0, 64, 500, 3, faults.clone(), 1));
 
     let (sp, sq) = (0.25, 0.001);
     let seg = EdgeMarkovian::new(tn, sp, sq).generate(horizon, tseed);
@@ -442,19 +442,15 @@ fn describe(city: &csn_core::mobility::scenario::CityScenario) -> String {
     )
 }
 
-/// The city trace at `nodes`: one counting pass, one discretization pass
-/// into the flat slice, the DTN ladder on the slice and TOUR forwarding
-/// from the trace's estimated rates.
+/// The city trace at `nodes`: one counting pass, the stream discretized
+/// into an EG and frozen (the EG dropped), the DTN ladder on the frozen
+/// form and TOUR forwarding from the trace's estimated rates.
 fn city_rows(nodes: usize) -> Vec<Row> {
-    use csn_bench::scenario_bench::{
-        city, discretize_flat, dtn_queries, tour_policy, CITY_DT, TOUR_UTILITY,
-    };
+    use csn_bench::scenario_bench::{city, dtn_queries, tour_policy, CITY_DT, TOUR_UTILITY};
     use csn_core::mobility::stream::ContactStream;
     use csn_core::mobility::ContactEvent;
-    use csn_core::temporal::routing::{
-        direct_delivery_over, epidemic_over, spray_and_wait_over, DtnOutcome,
-    };
-    use csn_core::temporal::Contact;
+    use csn_core::temporal::routing::{direct_delivery, epidemic, spray_and_wait, DtnOutcome};
+    use csn_core::temporal::FrozenEg;
 
     let city = city(nodes);
     let n = ContactStream::node_count(&city);
@@ -468,27 +464,32 @@ fn city_rows(nodes: usize) -> Vec<Row> {
             .counter("bytes_per_contact_materialized", std::mem::size_of::<ContactEvent>())
             .wall_secs(stream_secs),
     );
-    let (flat, discretize_secs) = timed(|| discretize_flat(&city, CITY_DT));
+    let ((frozen, labels), freeze_secs) = timed(|| {
+        let eg = ContactStream::to_time_evolving_graph(&city, CITY_DT);
+        (eg.freeze(), eg.contact_count())
+    });
     rows.push(
-        row("discretize")
+        row("freeze")
             .param("dt_secs", CITY_DT)
-            .counter("flat_contacts", flat.len())
-            .counter("bytes_per_contact_flat", std::mem::size_of::<Contact>())
-            .wall_secs(discretize_secs),
+            .counter("labels", labels)
+            .counter("runs", frozen.run_count())
+            .counter("pairs", frozen.pair_count())
+            .counter("heap_bytes", frozen.heap_bytes())
+            .wall_secs(freeze_secs),
     );
 
-    // --- The DTN ladder end-to-end on the flat slice.
+    // --- The DTN ladder end-to-end on the frozen form.
     let queries = dtn_queries(n);
-    type Strategy = fn(usize, &[Contact], usize, usize) -> DtnOutcome;
+    type Strategy = fn(&FrozenEg, usize, usize) -> DtnOutcome;
     let ladder: [(&str, Strategy); 3] = [
-        ("direct", |_, flat, s, d| direct_delivery_over(flat, s, d, 0)),
-        ("spray_and_wait(8)", |n, flat, s, d| spray_and_wait_over(n, flat, s, d, 0, 8)),
-        ("epidemic", |n, flat, s, d| epidemic_over(n, flat, s, d, 0)),
+        ("direct", |eg, s, d| direct_delivery(eg, s, d, 0)),
+        ("spray_and_wait(8)", |eg, s, d| spray_and_wait(eg, s, d, 0, 8)),
+        ("epidemic", |eg, s, d| epidemic(eg, s, d, 0)),
     ];
     let mut delivered = Vec::new();
     for (name, strategy) in ladder {
         let (outs, wall) =
-            timed(|| queries.iter().map(|&(s, d)| strategy(n, &flat, s, d)).collect::<Vec<_>>());
+            timed(|| queries.iter().map(|&(s, d)| strategy(&frozen, s, d)).collect::<Vec<_>>());
         let delays: Vec<u64> = outs.iter().filter_map(|o| o.delivered_at).map(u64::from).collect();
         delivered.push(delays.len());
         rows.push(
@@ -513,9 +514,9 @@ fn city_rows(nodes: usize) -> Vec<Row> {
             .wall_secs(tour_secs),
     );
     eprintln!(
-        "scenario at n={n}: {contacts} contacts, {} flat tuples, DTN delivered {delivered:?} of \
-         {}, TOUR {} relays",
-        flat.len(),
+        "scenario at n={n}: {contacts} contacts, {labels} labels in {} runs, DTN delivered \
+         {delivered:?} of {}, TOUR {} relays",
+        frozen.run_count(),
         queries.len(),
         relays.len()
     );
@@ -604,7 +605,7 @@ fn pubsub_row(n: usize) -> Row {
 fn hypercube_row() -> Row {
     use csn_bench::scenario_bench::generalized_hypercube;
     use csn_core::distsim::{ChurnSchedule, FaultModel};
-    use csn_core::labeling::bellman_ford::run_resilient_par;
+    use csn_core::labeling::bellman_ford::run_resilient;
 
     let radix = [6usize, 6, 6, 6];
     let cube = generalized_hypercube(&radix);
@@ -614,7 +615,7 @@ fn hypercube_row() -> Row {
         .with_delay(0.15)
         .with_churn(ChurnSchedule::random(n, 40, 0.005, 3, 37).protect(0));
     let cores = csn_bench::pool::available_parallelism();
-    let ((out, _), wall) = timed(|| run_resilient_par(&cube, 0, horizon, 400, 3, faults, cores));
+    let ((out, _), wall) = timed(|| run_resilient(&cube, 0, horizon, 400, 3, faults, cores));
     let labeled = out.labels.iter().filter(|l| l.dist < horizon).count();
     eprintln!("scenario hypercube: {labeled}/{n} labeled in {} faulted rounds", out.rounds);
     Row::new("scenario", "hypercube")

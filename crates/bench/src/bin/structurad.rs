@@ -50,7 +50,7 @@ use std::time::Instant;
 /// Largest `--nodes` that still gets a contact trace (journey queries).
 /// The cap bounds the trace's generation, not its serving: the
 /// edge-Markovian generator is `O(n² · horizon)` — quadratic by nature, one
-/// coin per node pair per step — while the journey store it feeds is linear
+/// coin per node pair per step — while the frozen trace it feeds is linear
 /// in the trace's label runs.
 const TEMPORAL_NODE_CAP: usize = 600;
 

@@ -1250,6 +1250,7 @@ pub fn e24_dtn_strategy_ladder(out: &mut Report) {
             }
         }
     }
+    let eg = eg.freeze();
     out.line(format!("random periodic EG (n={n}, horizon {horizon}), 200 random pairs:"));
     out.line(format!(
         "  {:>16} {:>10} {:>12} {:>10}",
@@ -1345,7 +1346,7 @@ pub fn e26_labeling_resilience(out: &mut Report) {
     use csn_core::graph::traversal::bfs_distances;
     use csn_core::labeling::bellman_ford;
     use csn_core::labeling::protocols::{
-        run_marking_protocol_par, run_marking_protocol_reliable_par, run_mis_protocol_par,
+        run_marking_protocol_reliable, run_marking_protocol_with, run_mis_protocol_with,
     };
 
     // All sweeps step through the parallel wave-merge path; jobs is purely
@@ -1378,7 +1379,7 @@ pub fn e26_labeling_resilience(out: &mut Report) {
     for &p in &[0.0f64, 0.1, 0.3, 0.5] {
         let (mut pct, mut rounds, mut sent, mut dropped) = (0.0, 0, 0, 0);
         for seed in 0..3u64 {
-            let (bf, stats) = bellman_ford::run_resilient_par(
+            let (bf, stats) = bellman_ford::run_resilient(
                 &g,
                 0,
                 horizon,
@@ -1411,7 +1412,7 @@ pub fn e26_labeling_resilience(out: &mut Report) {
     for &cp in &[0.005f64, 0.02] {
         let churn = ChurnSchedule::random(n, 80, cp, 6, 33).protect(0);
         let faults = FaultModel { seed: 33, ..FaultModel::none().with_churn(churn) };
-        let (bf, stats) = bellman_ford::run_resilient_par(&g, 0, horizon, 2000, 6, faults, jobs);
+        let (bf, stats) = bellman_ford::run_resilient(&g, 0, horizon, 2000, 6, faults, jobs);
         out.metric(format!("bf_exact_pct_crash{}", (cp * 1000.0) as u64), exact(&bf.labels));
         out.line(format!(
             "  {cp:>10.3} {:>11.1}% {:>10} {:>10} {:>10}",
@@ -1435,7 +1436,7 @@ pub fn e26_labeling_resilience(out: &mut Report) {
         let (mut black, mut conflicts, mut uncovered) = (0usize, 0usize, 0usize);
         for seed in 10..13u64 {
             let (mis, _) =
-                run_mis_protocol_par(&g, &priority, 500, 3, FaultModel::lossy(p, seed), jobs);
+                run_mis_protocol_with(&g, &priority, 500, 3, FaultModel::lossy(p, seed), jobs);
             black += mis.black.iter().filter(|&&b| b).count();
             conflicts += g.edges().filter(|&(u, v)| mis.black[u] && mis.black[v]).count();
             uncovered += g
@@ -1457,8 +1458,8 @@ pub fn e26_labeling_resilience(out: &mut Report) {
     // retransmissions and acks to decide exactly the centralized labels.
     let central = csn_core::labeling::cds::marking(&g);
     let faults = FaultModel::lossy(0.3, 4);
-    let (raw, raw_stats) = run_marking_protocol_par(&g, 300, 1, faults.clone(), jobs);
-    let (rel, rel_stats, overhead) = run_marking_protocol_reliable_par(&g, 5000, faults, jobs);
+    let (raw, raw_stats) = run_marking_protocol_with(&g, 300, 1, faults.clone(), jobs);
+    let (rel, rel_stats, overhead) = run_marking_protocol_reliable(&g, 5000, faults, jobs);
     let wrong = |black: &[bool]| black.iter().zip(&central).filter(|(a, b)| a != b).count();
     out.line("CDS marking at drop 0.3, raw vs Reliable adapter:");
     out.line(format!(
@@ -1613,9 +1614,8 @@ pub fn e28_hypercube_routing(out: &mut Report) {
         ),
     ];
     for (name, faults) in rows {
-        let (bf, stats) =
-            bellman_ford::run_resilient_par(&g, 0, horizon, 2000, 3, faults.clone(), 1);
-        let par = bellman_ford::run_resilient_par(&g, 0, horizon, 2000, 3, faults, 4);
+        let (bf, stats) = bellman_ford::run_resilient(&g, 0, horizon, 2000, 3, faults.clone(), 1);
+        let par = bellman_ford::run_resilient(&g, 0, horizon, 2000, 3, faults, 4);
         assert_eq!(par, (bf.clone(), stats), "parallel diverged under {name}");
         out.metric(
             format!("hypercube_exact_pct_{}", name.replace([' ', '.', '+'], "")),

@@ -11,7 +11,6 @@ use csn_core::graph::{Graph, NodeId};
 use csn_core::mobility::scenario::CityScenario;
 use csn_core::mobility::stream::ContactStream;
 use csn_core::mobility::ContactEvent;
-use csn_core::temporal::{Contact, TimeUnit};
 use csn_core::trimming::forwarding::{
     solve_forwarding_policy, ForwardingPolicy, LinearUtility, Relay,
 };
@@ -31,25 +30,6 @@ pub const TOUR_UTILITY: LinearUtility = LinearUtility { u0: 1.0, c: 1.0 / 300.0 
 pub fn city(nodes: usize) -> CityScenario {
     let vehicles = nodes * 5 / 8;
     CityScenario::new(vehicles, nodes - vehicles, CITY_DURATION, 42)
-}
-
-/// Streams `city` straight into the flat, `(t, u, v)`-sorted, deduplicated
-/// contact slice the `*_over` DTN entry points take, never materializing
-/// the event vector or a `TimeEvolvingGraph`.
-pub fn discretize_flat(city: &CityScenario, dt: f64) -> Vec<Contact> {
-    let horizon = ((ContactStream::duration(city) / dt).ceil() as TimeUnit).max(1);
-    let mut flat: Vec<Contact> = Vec::new();
-    city.for_each_contact(&mut |e: ContactEvent| {
-        let first = (e.start / dt).floor() as TimeUnit;
-        let last_excl = ((e.end / dt).ceil() as TimeUnit).min(horizon);
-        let (u, v) = (e.u.min(e.v), e.u.max(e.v));
-        for t in first..last_excl {
-            flat.push(Contact { u, v, t });
-        }
-    });
-    flat.sort_unstable_by_key(|c| (c.t, c.u, c.v));
-    flat.dedup();
-    flat
 }
 
 /// The DTN ladder's source/destination pairs on an `n`-node trace: 48

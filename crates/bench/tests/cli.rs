@@ -75,7 +75,7 @@ fn structurad_serves_a_small_workload() {
     for count in [
         "from 1178 distinct users",
         "fallbacks 400  nodes scanned 200000",
-        "entries scanned 1491547",
+        "entries scanned 1411946",
     ] {
         assert!(stderr.contains(count), "missing {count:?}: {stderr}");
     }

@@ -29,7 +29,7 @@ mod kernels {
                 .with_duplication(0.1)
                 .with_reorder()
                 .with_churn(ChurnSchedule::random(n, 60, 0.01, 5, seed).protect(0));
-            run_resilient(&g, 0, 64, 500, 3, faults)
+            run_resilient(&g, 0, 64, 500, 3, faults, 1)
         };
         assert_eq!(run(), run());
     }
@@ -161,20 +161,18 @@ mod distsim {
 mod scenario {
     use super::JOBS;
     use csn_bench::scenario_bench::{
-        city, discretize_flat, dtn_queries, generalized_hypercube, hypercube_profile, tour_policy,
-        PubSub, CITY_DT, CITY_DURATION, TOUR_UTILITY,
+        city, dtn_queries, generalized_hypercube, hypercube_profile, tour_policy, PubSub, CITY_DT,
+        CITY_DURATION, TOUR_UTILITY,
     };
     use csn_core::distsim::{ChurnSchedule, FaultModel, Simulator};
     use csn_core::graph::cores::{core_numbers, IncrementalCores};
     use csn_core::graph::stream::{EdgeStream, GnutellaStream};
-    use csn_core::labeling::bellman_ford::{run, run_resilient_par};
+    use csn_core::labeling::bellman_ford::{run, run_resilient};
     use csn_core::mobility::scenario::CityScenario;
     use csn_core::mobility::stream::ContactStream;
     use csn_core::remapping::fspace::{feature_distance, node_disjoint_paths};
-    use csn_core::temporal::routing::{
-        direct_delivery, direct_delivery_over, epidemic, epidemic_over, spray_and_wait,
-        spray_and_wait_over,
-    };
+    use csn_core::temporal::journey::earliest_arrival;
+    use csn_core::temporal::routing::{direct_delivery, epidemic, spray_and_wait};
     use csn_core::temporal::TrackedCursor;
 
     /// Nodes of the city trace `scripts/check.sh`'s scenario smoke runs.
@@ -190,18 +188,16 @@ mod scenario {
         assert!(contacts >= floor, "{contacts} contacts, floor {floor}");
     }
 
-    /// Per query on the city trace, epidemic delivers wherever
+    /// Per query on the frozen city trace, epidemic delivers wherever
     /// spray-and-wait(8) does and never later, and spray likewise against
     /// direct delivery.
     #[test]
     fn dtn_ladder_ordered() {
-        let city = city(CITY_NODES);
-        let flat = discretize_flat(&city, CITY_DT);
-        let n = ContactStream::node_count(&city);
-        for (s, d) in dtn_queries(n) {
-            let direct = direct_delivery_over(&flat, s, d, 0).delivered_at;
-            let spray = spray_and_wait_over(n, &flat, s, d, 0, 8).delivered_at;
-            let epi = epidemic_over(n, &flat, s, d, 0).delivered_at;
+        let city = ContactStream::to_time_evolving_graph(&city(CITY_NODES), CITY_DT).freeze();
+        for (s, d) in dtn_queries(city.node_count()) {
+            let direct = direct_delivery(&city, s, d, 0).delivered_at;
+            let spray = spray_and_wait(&city, s, d, 0, 8).delivered_at;
+            let epi = epidemic(&city, s, d, 0).delivered_at;
             let ordered = match (epi, spray, direct) {
                 (None, Some(_), _) | (_, None, Some(_)) => false,
                 (Some(te), Some(ts), td) => te <= ts && td.is_none_or(|td| ts <= td),
@@ -222,25 +218,23 @@ mod scenario {
         assert!(policy.set_at(TOUR_UTILITY.deadline()).is_empty());
     }
 
-    /// On a small city (60 vehicles, 40 pedestrians, seed 11): the streamed
-    /// flat slice equals the EG's contacts, the slice DTN entry points equal
-    /// the EG forms on 40 strided queries, and a `SnapshotCursor` and an
-    /// `IncrementalCores` on a `TrackedCursor` equal per-step rebuilds.
+    /// On a small city (60 vehicles, 40 pedestrians, seed 11): epidemic on
+    /// the frozen form delivers at the earliest arrival on 40 strided
+    /// queries, and a `SnapshotCursor` and an `IncrementalCores` on a
+    /// `TrackedCursor` equal per-step rebuilds.
     #[test]
-    fn slice_dtn_and_cursors_match() {
+    fn epidemic_and_cursors_match() {
         let small = CityScenario::new(60, 40, CITY_DURATION, 11);
         let eg = small.collect_trace().to_time_evolving_graph(CITY_DT);
-        let flat = discretize_flat(&small, CITY_DT);
-        assert!(flat == eg.contacts(), "flat slice differs from eg.contacts()");
+        let frozen = eg.freeze();
         let n = eg.node_count();
         for q in 0..40 {
             let (s, d) = ((q * 7) % n, (q * 13 + n / 2) % n);
             if s == d {
                 continue;
             }
-            assert_eq!(direct_delivery_over(&flat, s, d, 0), direct_delivery(&eg, s, d, 0));
-            assert_eq!(epidemic_over(n, &flat, s, d, 0), epidemic(&eg, s, d, 0));
-            assert_eq!(spray_and_wait_over(n, &flat, s, d, 0, 8), spray_and_wait(&eg, s, d, 0, 8));
+            let arrival = earliest_arrival(&eg, s, 0)[d];
+            assert_eq!(epidemic(&frozen, s, d, 0).delivered_at, arrival, "({s}, {d})");
         }
         let mut cur = eg.snapshot_cursor();
         let mut tracked = TrackedCursor::new(&eg);
@@ -311,7 +305,7 @@ mod scenario {
             let faults = FaultModel::lossy(0.2, 31)
                 .with_delay(0.15)
                 .with_churn(ChurnSchedule::random(n, 40, 0.01, 3, 31).protect(0));
-            run_resilient_par(&cube, 0, horizon, 300, 3, faults, jobs)
+            run_resilient(&cube, 0, horizon, 300, 3, faults, jobs)
         };
         let serial = faulted(1);
         assert_eq!(faulted(1), serial, "a repeat diverges from the first run");

@@ -115,24 +115,12 @@ pub fn run(g: &Graph, dest: NodeId, horizon: usize, max_rounds: usize) -> BfOutc
 /// Runs distributed Bellman–Ford under a fault model — loss, delay,
 /// duplication, churn, or streamed topology deltas — detecting convergence
 /// with a stability window of `window` rounds (see
-/// [`Simulator::run_until_stable`]). Returns the outcome plus the full
+/// [`Simulator::run_until_stable`]), with the round stepper fanned out over
+/// `jobs` workers. The outcome and stats are bit-identical at any job count
+/// (the deterministic wave-merge of [`csn_distsim::Simulator::step`]), so
+/// `jobs` is purely a wall-clock knob. Returns the outcome plus the full
 /// [`RunStats`] so experiments can report the §IV-C message overhead.
 pub fn run_resilient(
-    g: &Graph,
-    dest: NodeId,
-    horizon: usize,
-    max_rounds: usize,
-    window: usize,
-    faults: FaultModel,
-) -> (BfOutcome, RunStats) {
-    run_resilient_par(g, dest, horizon, max_rounds, window, faults, 1)
-}
-
-/// [`run_resilient`] with the round stepper fanned out over `jobs` workers
-/// — bit-identical outcome and stats at any job count (the deterministic
-/// wave-merge of [`csn_distsim::Simulator::step`]), so this is purely a
-/// wall-clock knob for large-n experiment sweeps.
-pub fn run_resilient_par(
     g: &Graph,
     dest: NodeId,
     horizon: usize,
@@ -284,7 +272,7 @@ mod tests {
     fn resilient_without_faults_matches_plain_run() {
         let g = generators::erdos_renyi(30, 0.12, 6).unwrap();
         let plain = run(&g, 0, 64, 1000);
-        let (resilient, stats) = run_resilient(&g, 0, 64, 1000, 1, FaultModel::none());
+        let (resilient, stats) = run_resilient(&g, 0, 64, 1000, 1, FaultModel::none(), 1);
         assert_eq!(plain, resilient);
         assert!(stats.quiescent);
         assert_eq!(stats.sent, stats.messages);
@@ -296,7 +284,7 @@ mod tests {
         // surviving label is an overestimate (or the horizon).
         let g = generators::erdos_renyi(40, 0.1, 12).unwrap();
         let truth = bfs_distances(&g, 0);
-        let (out, stats) = run_resilient(&g, 0, 64, 2000, 3, FaultModel::lossy(0.4, 21));
+        let (out, stats) = run_resilient(&g, 0, 64, 2000, 3, FaultModel::lossy(0.4, 21), 1);
         assert!(stats.dropped > 0);
         assert_eq!(stats.sent, stats.messages + stats.dropped, "accounting reconciles");
         for u in g.nodes() {

@@ -128,20 +128,10 @@ pub fn run_mis_protocol(g: &Graph, priority: &[u64], max_rounds: usize) -> Proto
 }
 
 /// Runs the MIS election under a fault model with a stability-window
-/// convergence detector; returns the outcome plus the full [`RunStats`].
+/// convergence detector, stepping rounds on `jobs` workers (bit-identical
+/// outcome at any job count: deterministic wave-merge); returns the
+/// outcome plus the full [`RunStats`].
 pub fn run_mis_protocol_with(
-    g: &Graph,
-    priority: &[u64],
-    max_rounds: usize,
-    window: usize,
-    faults: FaultModel,
-) -> (ProtocolOutcome, RunStats) {
-    run_mis_protocol_par(g, priority, max_rounds, window, faults, 1)
-}
-
-/// [`run_mis_protocol_with`] stepping rounds on `jobs` workers —
-/// bit-identical outcome at any job count (deterministic wave-merge).
-pub fn run_mis_protocol_par(
     g: &Graph,
     priority: &[u64],
     max_rounds: usize,
@@ -234,21 +224,11 @@ pub fn run_marking_protocol(g: &Graph) -> ProtocolOutcome {
     }
 }
 
-/// Runs the marking protocol raw under a fault model; lost neighbor lists
-/// leave nodes undecided (their `tables` never fill), reproducing the
-/// §IV-C view-inconsistency failure.
+/// Runs the marking protocol raw under a fault model, stepping rounds on
+/// `jobs` workers (bit-identical outcome at any job count: deterministic
+/// wave-merge); lost neighbor lists leave nodes undecided (their `tables`
+/// never fill), reproducing the §IV-C view-inconsistency failure.
 pub fn run_marking_protocol_with(
-    g: &Graph,
-    max_rounds: usize,
-    window: usize,
-    faults: FaultModel,
-) -> (ProtocolOutcome, RunStats) {
-    run_marking_protocol_par(g, max_rounds, window, faults, 1)
-}
-
-/// [`run_marking_protocol_with`] stepping rounds on `jobs` workers —
-/// bit-identical outcome at any job count (deterministic wave-merge).
-pub fn run_marking_protocol_par(
     g: &Graph,
     max_rounds: usize,
     window: usize,
@@ -265,20 +245,12 @@ pub fn run_marking_protocol_par(
     (outcome, stats)
 }
 
-/// Runs the marking protocol wrapped in [`Reliable`] under a fault model:
-/// retransmission masks the loss, so every node decides, at the message
-/// and round overhead reported in the returned [`ReliableOverhead`].
+/// Runs the marking protocol wrapped in [`Reliable`] under a fault model,
+/// stepping rounds on `jobs` workers (bit-identical outcome at any job
+/// count: deterministic wave-merge): retransmission masks the loss, so
+/// every node decides, at the message and round overhead reported in the
+/// returned [`ReliableOverhead`].
 pub fn run_marking_protocol_reliable(
-    g: &Graph,
-    max_rounds: usize,
-    faults: FaultModel,
-) -> (ProtocolOutcome, RunStats, ReliableOverhead) {
-    run_marking_protocol_reliable_par(g, max_rounds, faults, 1)
-}
-
-/// [`run_marking_protocol_reliable`] stepping rounds on `jobs` workers —
-/// bit-identical outcome at any job count (deterministic wave-merge).
-pub fn run_marking_protocol_reliable_par(
     g: &Graph,
     max_rounds: usize,
     faults: FaultModel,
@@ -342,11 +314,11 @@ mod tests {
         let g = generators::erdos_renyi(40, 0.1, 77).unwrap();
         let priority: Vec<u64> = (0..40).collect();
         let plain = run_mis_protocol(&g, &priority, 1000);
-        let (clean, _) = run_mis_protocol_with(&g, &priority, 1000, 1, FaultModel::none());
+        let (clean, _) = run_mis_protocol_with(&g, &priority, 1000, 1, FaultModel::none(), 1);
         assert_eq!(plain, clean);
         let faults = FaultModel::lossy(0.3, 5).with_delay(0.2);
-        let (a, sa) = run_mis_protocol_with(&g, &priority, 1000, 3, faults.clone());
-        let (b, sb) = run_mis_protocol_with(&g, &priority, 1000, 3, faults);
+        let (a, sa) = run_mis_protocol_with(&g, &priority, 1000, 3, faults.clone(), 1);
+        let (b, sb) = run_mis_protocol_with(&g, &priority, 1000, 3, faults, 1);
         assert_eq!(a, b, "same fault seed, same outcome");
         assert_eq!(sa, sb);
     }
@@ -356,10 +328,10 @@ mod tests {
         let g = generators::erdos_renyi(40, 0.15, 42).unwrap();
         let central = crate::cds::marking(&g);
         let faults = FaultModel::lossy(0.4, 9);
-        let (raw, raw_stats) = run_marking_protocol_with(&g, 200, 1, faults.clone());
+        let (raw, raw_stats) = run_marking_protocol_with(&g, 200, 1, faults.clone(), 1);
         assert!(raw_stats.dropped > 0);
         assert_ne!(raw.black, central, "lost neighbor lists starve the decision rule");
-        let (rel, rel_stats, overhead) = run_marking_protocol_reliable(&g, 5000, faults);
+        let (rel, rel_stats, overhead) = run_marking_protocol_reliable(&g, 5000, faults, 1);
         assert_eq!(rel.black, central, "retransmission masks the loss");
         assert!(overhead.retransmissions > 0);
         assert_eq!(rel_stats.retransmissions, overhead.retransmissions);

@@ -48,12 +48,14 @@ impl ContactTrace {
     ///
     /// # Panics
     ///
-    /// Panics if an event has `end <= start`, an endpoint out of range, or
+    /// Panics if an event lies outside `[0, duration]` (a NaN time
+    /// included), has `end <= start`, an endpoint out of range, or
     /// `u == v`.
     pub fn new(n: usize, duration: f64, mut events: Vec<ContactEvent>) -> Self {
         for e in &events {
             assert!(e.u < n && e.v < n, "endpoint out of range");
             assert_ne!(e.u, e.v, "self-contact");
+            assert!(e.start >= 0.0 && e.end <= duration, "event outside [0, duration]");
             assert!(e.end > e.start, "empty or inverted contact");
         }
         events.sort_by(|a, b| {
@@ -214,10 +216,21 @@ mod tests {
 
     #[test]
     fn zero_duration_trace_discretizes_into_one_unit() {
-        let t = ContactTrace::new(2, 0.0, vec![ev(0, 1, 0.0, 0.5)]);
-        let eg = t.to_time_evolving_graph(1.0);
+        let eg = ContactTrace::new(2, 0.0, vec![]).to_time_evolving_graph(1.0);
         assert_eq!(eg.horizon(), 1);
-        assert_eq!(eg.labels(0, 1), Some(&[0][..]));
+        assert_eq!(eg.contact_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, duration]")]
+    fn events_past_the_duration_panic() {
+        ContactTrace::new(2, 0.0, vec![ev(0, 1, 0.0, 0.5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, duration]")]
+    fn nan_times_panic() {
+        ContactTrace::new(2, 10.0, vec![ev(0, 1, f64::NAN, 1.0)]);
     }
 
     #[test]

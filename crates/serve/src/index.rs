@@ -3,7 +3,7 @@
 //! Load a graph once, freeze it, precompute everything a query can ask for
 //! — landmark distance tables, NSF levels, core numbers, top-k centrality
 //! ranks, per-node sorted forwarding sets, an optional hypercube
-//! safety-level overlay, and an optional journey store — then answer
+//! safety-level overlay, and an optional frozen contact trace — then answer
 //! [`Query`] values through [`ServeIndex::answer`] without ever mutating
 //! the index. All mutable working memory lives in a caller-owned
 //! [`ServeScratch`] (one per serving worker), so `&ServeIndex` is shared
@@ -20,10 +20,10 @@
 //! node-major `n × k` `u32` landmark table). The per-node NSF-level and
 //! core-number columns and the forwarding-set entries are `u32` as well:
 //! every value is below `n`, which the landmark build has already checked
-//! fits. An attached trace adds its journey store, built once in
+//! fits. An attached trace adds its frozen form, built once in
 //! [`ServeIndex::with_temporal`]: 16 B per label run, 20 B per distinct
 //! contact pair and 8 B per trace node and per time unit (see
-//! `temporal.rs`). Answer cost per query kind: `O(k)` over two contiguous
+//! [`FrozenEg`]). Answer cost per query kind: `O(k)` over two contiguous
 //! `k`-entry rows for bounds, `O(k)` + a scratch-arena BFS only on a bound
 //! miss for exact distances, `O(1)` lookups for structure/rank,
 //! `O(|F(u)|)` copy for forwarding sets, `O(dims²)` for safety routes, and
@@ -31,13 +31,12 @@
 //! set plus, per later unit, only the runs that begin there.
 
 use crate::query::{Query, Response, UNREACHABLE};
-use crate::temporal::{JourneyScratch, JourneyStore};
 use csn_graph::centrality::top_by_degree;
 use csn_graph::scratch::BfsScratch;
 use csn_graph::traversal::bfs_distance;
 use csn_graph::{GraphView, LandmarkIndex, NodeId};
 use csn_labeling::safety::SafetyLevels;
-use csn_temporal::TimeEvolvingGraph;
+use csn_temporal::{FrozenEg, JourneyScratch, TimeEvolvingGraph};
 use csn_trimming::incremental::push_forwarding_set;
 use std::collections::HashSet;
 
@@ -100,7 +99,7 @@ pub struct ServeIndex<G> {
     fwd_off: Vec<usize>,
     fwd: Vec<u32>,
     safety: Option<SafetyLevels>,
-    journeys: Option<JourneyStore>,
+    journeys: Option<FrozenEg>,
 }
 
 /// Per-worker mutable working memory for [`ServeIndex::answer`]: a BFS
@@ -117,10 +116,10 @@ pub struct ServeScratch {
 }
 
 impl ServeScratch {
-    /// Adjacency and appear-list entries scanned by every journey answered
+    /// Row and appear-list entries scanned by every journey answered
     /// through this scratch: an exact work count that repeats run to run.
     pub fn journey_entries_scanned(&self) -> u64 {
-        self.journey.scanned
+        self.journey.scanned()
     }
 
     /// Nodes reached by every exact-distance fallback BFS run through this
@@ -192,16 +191,15 @@ impl<G: GraphView> ServeIndex<G> {
 
     /// Attaches a contact trace so [`Query::Journey`] can be answered; the
     /// trace's node ids must be meaningful to the caller (they need not
-    /// match the static graph's). Builds the journey store once, an index
-    /// of the trace's label runs that every worker reads, then drops the
-    /// trace: the index keeps only its node count.
+    /// match the static graph's). Freezes the trace once into the
+    /// [`FrozenEg`] every worker reads, then drops it.
     ///
     /// # Panics
     ///
-    /// If `eg` has `u32::MAX` or more nodes or label runs (the store keeps
-    /// ids as `u32`).
+    /// As [`TimeEvolvingGraph::freeze`]: if `eg` has `u32::MAX` or more
+    /// nodes or label runs.
     pub fn with_temporal(mut self, eg: TimeEvolvingGraph) -> Self {
-        self.journeys = Some(JourneyStore::new(&eg));
+        self.journeys = Some(eg.freeze());
         self
     }
 
@@ -310,10 +308,10 @@ impl<G: GraphView> ServeIndex<G> {
         }
     }
 
-    /// Heap bytes held by the precomputed tables, the journey store
+    /// Heap bytes held by the precomputed tables, the frozen trace
     /// included (graph storage excluded — the graph reports its own
     /// footprint). Dominated by the landmark table on a large graph and by
-    /// the journey store on a small graph with a long trace; see
+    /// the frozen trace on a small graph with a long trace; see
     /// SERVING.md.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -324,13 +322,12 @@ impl<G: GraphView> ServeIndex<G> {
             + self.top.capacity() * size_of::<NodeId>()
             + self.fwd_off.capacity() * size_of::<usize>()
             + self.fwd.capacity() * size_of::<u32>()
-            + self.journeys.as_ref().map_or(0, JourneyStore::heap_bytes)
+            + self.journeys.as_ref().map_or(0, FrozenEg::heap_bytes)
     }
 }
 
-/// Narrows a node id, per-node label, hop distance or run index: every one
-/// is below a count that [`LandmarkIndex::build`] or [`JourneyStore::new`]
-/// has checked is below `u32::MAX`.
+/// Narrows a node id, per-node label or hop distance: every one is below a
+/// count that [`LandmarkIndex::build`] has checked is below `u32::MAX`.
 pub(crate) fn narrow(x: &usize) -> u32 {
     u32::try_from(*x).expect("values below a checked count fit u32")
 }

@@ -12,7 +12,8 @@
 //!   distance tables with triangle-inequality bounds and exact-BFS
 //!   fallback, cached NSF levels and core numbers, top-k centrality ranks,
 //!   per-node sorted forwarding sets under a frozen trim overlay, an
-//!   optional hypercube safety-level overlay, an optional journey store.
+//!   optional hypercube safety-level overlay, an optional frozen contact
+//!   trace for journeys.
 //! * [`query`] — the [`Query`]/[`Response`] protocol and its canonical
 //!   text rendering.
 //! * [`shard`] — [`serve_serial`] and [`serve_batched`]: the batched
@@ -21,10 +22,6 @@
 //!   any `(shards, jobs)`.
 //! * [`workload`] — [`Zipf`]/[`WorkloadConfig`]: deterministic skewed
 //!   query streams from millions of synthetic users.
-//! * `temporal` (crate-private) — the journey store behind
-//!   [`ServeIndex::with_temporal`]: an index of the trace's label runs,
-//!   built once, that answers each journey in one forward pass over time,
-//!   equal to the heap-based oracle.
 //! * [`trace`] — [`standard_trace`]: the committed replay gate.
 //!
 //! There is no real networking: the "server" is a deterministic
@@ -53,7 +50,6 @@
 pub mod index;
 pub mod query;
 pub mod shard;
-mod temporal;
 pub mod trace;
 pub mod workload;
 

@@ -75,7 +75,7 @@ pub enum Query {
     },
     /// Earliest arrival time of a temporal journey `source → target`
     /// departing at `start`, answered in one forward pass over the index's
-    /// journey store (see [`crate::ServeIndex::with_temporal`]).
+    /// frozen contact trace (see [`crate::ServeIndex::with_temporal`]).
     Journey {
         /// Journey source node.
         source: NodeId,

@@ -191,7 +191,7 @@ proptest! {
         let mut idx =
             ServeIndex::build(g, &ServeConfig { landmarks: 4, ..ServeConfig::default() });
         // A positive horizon attaches an edge-Markovian trace, so journeys
-        // are answered from the shared journey store through each worker's
+        // are answered from the shared frozen trace through each worker's
         // own marks; at zero they fold into exact distances.
         if journey_horizon > 0 {
             let trace = EdgeMarkovian::new(n, 0.4, 4.0 / n as f64).generate(journey_horizon, wl_seed);

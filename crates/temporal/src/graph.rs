@@ -99,7 +99,7 @@ pub struct TimeEvolvingGraph {
     edges: Vec<TemporalEdge>,
     /// `adj[u]` lists `(partner, edge)` for each edge incident to `u`: the
     /// other endpoint and the index into `edges`.
-    adj: Vec<Vec<(u32, u32)>>,
+    pub(crate) adj: Vec<Vec<(u32, u32)>>,
 }
 
 impl TimeEvolvingGraph {

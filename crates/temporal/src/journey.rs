@@ -536,7 +536,7 @@ mod tests {
         assert_eq!(flooding_time(&eg, out, 0), None);
         assert_eq!(eg.labels(out, A), None);
         assert_eq!(eg.labels(A, out), None);
-        assert_eq!(crate::routing::direct_delivery(&eg, out, A, 0).delivered_at, None);
+        assert_eq!(crate::routing::direct_delivery(&eg.freeze(), out, A, 0).delivered_at, None);
         assert!(!Journey { hops: vec![(A, out, 1)] }.is_valid(&eg, A, 0));
         assert!(!Journey { hops: vec![(out, A, 1)] }.is_valid(&eg, out, 0));
     }

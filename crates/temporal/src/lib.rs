@@ -21,6 +21,9 @@
 //!   (arrival time × cost) journeys.
 //! * [`snapshot`] — the incremental [`snapshot::SnapshotCursor`] for
 //!   whole-horizon snapshot sweeps.
+//! * [`frozen`] — [`FrozenEg`], the read-only form built by
+//!   [`TimeEvolvingGraph::freeze`]: one forward pass per earliest arrival,
+//!   and the carry-store-forward strategies of [`routing`].
 //!
 //! # Performance
 //!
@@ -32,7 +35,8 @@
 //! by `O(Δ_t)` per [`snapshot::SnapshotCursor::advance`] step, yielding a
 //! graph equal to `snapshot(t)` at every position. The cursor captures the
 //! `EG` at construction — after mutating the `EG` (`remove_label`,
-//! `remove_edge`, `isolate_node`, `add_contact`), build a fresh cursor.
+//! `remove_edge`, `isolate_node`, `add_contact`), build a fresh cursor. A
+//! [`FrozenEg`] likewise captures the `EG` it was frozen from.
 //!
 //! # Examples
 //!
@@ -52,6 +56,7 @@
 //! ```
 
 pub mod centrality;
+pub mod frozen;
 pub mod graph;
 pub mod journey;
 pub mod maintain;
@@ -61,6 +66,7 @@ pub mod routing;
 pub mod snapshot;
 pub mod weighted;
 
+pub use frozen::{FrozenEg, JourneyScratch};
 pub use graph::{Contact, TemporalEdge, TimeEvolvingGraph, TimeUnit};
 pub use journey::Journey;
 pub use maintain::{StructureMaintainer, TrackedCursor};

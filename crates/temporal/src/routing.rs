@@ -14,16 +14,14 @@
 //!   holding `c > 1` copies hands half to the first uninfected contact;
 //!   single-copy holders deliver only directly. Interpolates between the
 //!   two extremes.
-
 //!
-//! Each strategy has two entry points: the `TimeEvolvingGraph` form and a
-//! `*_over` form taking a pre-sorted flat contact slice. The slice forms
-//! exist for city-scale traces (ISSUE 10): a million-contact trace costs
-//! hundreds of MB as a `TimeEvolvingGraph` (one label vector per pair) but
-//! only 24 bytes per contact as a flat `Vec<Contact>`, and the slice is
-//! sorted once instead of re-sorted by every `eg.contacts()` call. The EG
-//! forms are thin wrappers, so the two stay identical by construction (and
-//! are gated equal at small n by the `--scenario` perf gates).
+//! Every strategy reads the [`FrozenEg`] of the trace
+//! ([`TimeEvolvingGraph::freeze`](crate::TimeEvolvingGraph::freeze)), so a
+//! city-scale trace is frozen once and queried many times. Direct delivery
+//! is a binary search in the pair's label runs. The flooding strategies
+//! sweep the contacts in `(t, u, v)` order with `u < v`: unit by unit, the
+//! pairs up at that unit in pair order. That order decides `epidemic`'s
+//! `hops` and spray's hand-offs.
 //!
 //! A node id outside the EG (at least `n`) reaches nothing and is reached
 //! by nothing. A source outside it keeps its one copy and delivers
@@ -31,8 +29,10 @@
 //! outside it is never delivered to, so the outcome is that of an
 //! unreachable destination, with the copy footprint at the horizon.
 
-use crate::graph::{Contact, TimeEvolvingGraph, TimeUnit};
+use crate::frozen::FrozenEg;
+use crate::graph::TimeUnit;
 use csn_graph::NodeId;
+use std::ops::ControlFlow;
 
 /// Outcome of routing one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,106 +45,57 @@ pub struct DtnOutcome {
     pub hops: usize,
 }
 
+/// The outcome of a source outside the EG: it keeps its one copy.
+const KEPT: DtnOutcome = DtnOutcome { delivered_at: None, copies: 1, hops: 0 };
+
 /// Direct delivery: wait for a contact `(source, dest)` at time `>= start`.
 /// Never delivers if either id is outside the EG.
-pub fn direct_delivery(
-    eg: &TimeEvolvingGraph,
-    source: NodeId,
-    dest: NodeId,
-    start: TimeUnit,
-) -> DtnOutcome {
-    let delivered_at = eg
-        .labels(source, dest)
-        .and_then(|labels| labels.get(labels.partition_point(|&l| l < start)).copied());
-    DtnOutcome { delivered_at, copies: 1, hops: usize::from(delivered_at.is_some()) }
-}
-
-/// [`direct_delivery`] over a flat contact slice sorted by `(t, u, v)`.
-pub fn direct_delivery_over(
-    contacts: &[Contact],
-    source: NodeId,
-    dest: NodeId,
-    start: TimeUnit,
-) -> DtnOutcome {
-    let delivered_at = contacts
-        .iter()
-        .find(|c| {
-            c.t >= start && ((c.u == source && c.v == dest) || (c.u == dest && c.v == source))
-        })
-        .map(|c| c.t);
+pub fn direct_delivery(eg: &FrozenEg, source: NodeId, dest: NodeId, start: TimeUnit) -> DtnOutcome {
+    let delivered_at = eg.next_contact(source, dest, start);
     DtnOutcome { delivered_at, copies: 1, hops: usize::from(delivered_at.is_some()) }
 }
 
 /// Epidemic routing: flood every contact; delivery time equals the
 /// earliest arrival, copy count equals the infected set size at delivery
-/// (or at the horizon when undelivered). An id outside the EG follows the
+/// (or at the horizon when undelivered). Delivery is checked only at units
+/// with at least one contact, so `source == dest` delivers at the first
+/// such unit at or after `start`. An id outside the EG follows the
 /// module's rule: a source there keeps its one copy, and a destination
 /// there is never delivered to.
-pub fn epidemic(
-    eg: &TimeEvolvingGraph,
-    source: NodeId,
-    dest: NodeId,
-    start: TimeUnit,
-) -> DtnOutcome {
-    epidemic_over(eg.node_count(), &eg.contacts(), source, dest, start)
-}
-
-/// [`epidemic`] over a flat contact slice sorted by `(t, u, v)` among `n`
-/// nodes — the city-scale entry point (no per-query `contacts()` rebuild).
-/// A `source` at least `n` keeps its one copy, and a `dest` at least `n`
-/// is never delivered to.
-pub fn epidemic_over(
-    n: usize,
-    contacts: &[Contact],
-    source: NodeId,
-    dest: NodeId,
-    start: TimeUnit,
-) -> DtnOutcome {
+pub fn epidemic(eg: &FrozenEg, source: NodeId, dest: NodeId, start: TimeUnit) -> DtnOutcome {
+    let n = eg.node_count();
     if source >= n {
-        return DtnOutcome { delivered_at: None, copies: 1, hops: 0 };
+        return KEPT;
     }
     let mut infected = vec![false; n];
     let mut hops = vec![0usize; n];
     infected[source] = true;
-    // Process contacts in time order; within one time unit keep sweeping
-    // until no new infection (instantaneous multi-hop, matching journeys).
-    let mut i = 0;
-    while i < contacts.len() {
-        let t = contacts[i].t;
-        if t >= start {
-            let slice_end = contacts[i..]
-                .iter()
-                .position(|c| c.t != t)
-                .map(|k| i + k)
-                .unwrap_or(contacts.len());
-            loop {
-                let mut changed = false;
-                for c in &contacts[i..slice_end] {
-                    for (a, b) in [(c.u, c.v), (c.v, c.u)] {
-                        if infected[a] && !infected[b] {
-                            infected[b] = true;
-                            hops[b] = hops[a] + 1;
-                            changed = true;
-                        }
+    // Within one time unit keep sweeping until no new infection
+    // (instantaneous multi-hop, matching journeys).
+    let delivered_at = eg.sweep(start, |t, up| {
+        loop {
+            let mut changed = false;
+            for &(u, v, _) in up {
+                for (a, b) in [(u as usize, v as usize), (v as usize, u as usize)] {
+                    if infected[a] && !infected[b] {
+                        infected[b] = true;
+                        hops[b] = hops[a] + 1;
+                        changed = true;
                     }
                 }
-                if !changed {
-                    break;
-                }
             }
-            if infected.get(dest) == Some(&true) {
-                return DtnOutcome {
-                    delivered_at: Some(t),
-                    copies: infected.iter().filter(|&&x| x).count(),
-                    hops: hops[dest],
-                };
+            if !changed {
+                break;
             }
-            i = slice_end;
-        } else {
-            i += 1;
         }
-    }
-    DtnOutcome { delivered_at: None, copies: infected.iter().filter(|&&x| x).count(), hops: 0 }
+        if infected.get(dest) == Some(&true) {
+            ControlFlow::Break(t)
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    let copies = infected.iter().filter(|&&x| x).count();
+    DtnOutcome { delivered_at, copies, hops: delivered_at.map_or(0, |_| hops[dest]) }
 }
 
 /// Binary spray-and-wait with copy budget `L >= 1`. An id outside the EG
@@ -155,70 +106,177 @@ pub fn epidemic_over(
 ///
 /// Panics if `L == 0`.
 pub fn spray_and_wait(
-    eg: &TimeEvolvingGraph,
-    source: NodeId,
-    dest: NodeId,
-    start: TimeUnit,
-    l_copies: usize,
-) -> DtnOutcome {
-    spray_and_wait_over(eg.node_count(), &eg.contacts(), source, dest, start, l_copies)
-}
-
-/// [`spray_and_wait`] over a flat contact slice sorted by `(t, u, v)`
-/// among `n` nodes. A `source` at least `n` keeps its one copy, and a
-/// `dest` at least `n` is never delivered to.
-///
-/// # Panics
-///
-/// Panics if `l_copies == 0`.
-pub fn spray_and_wait_over(
-    n: usize,
-    contacts: &[Contact],
+    eg: &FrozenEg,
     source: NodeId,
     dest: NodeId,
     start: TimeUnit,
     l_copies: usize,
 ) -> DtnOutcome {
     assert!(l_copies >= 1, "need at least one copy");
+    let n = eg.node_count();
     if source >= n {
-        return DtnOutcome { delivered_at: None, copies: 1, hops: 0 };
+        return KEPT;
     }
     let mut budget = vec![0usize; n];
     let mut hops = vec![0usize; n];
     budget[source] = l_copies;
-    for c in contacts {
-        if c.t < start {
-            continue;
+    let delivered = eg.sweep(start, |t, up| {
+        for &(u, v, _) in up {
+            for (a, b) in [(u as usize, v as usize), (v as usize, u as usize)] {
+                if budget[a] == 0 {
+                    continue;
+                }
+                if b == dest {
+                    let holders = budget.iter().filter(|&&x| x > 0).count();
+                    return ControlFlow::Break(DtnOutcome {
+                        delivered_at: Some(t),
+                        copies: holders + 1,
+                        hops: hops[a] + 1,
+                    });
+                }
+                if budget[a] > 1 && budget[b] == 0 {
+                    let give = budget[a] / 2;
+                    budget[a] -= give;
+                    budget[b] = give;
+                    hops[b] = hops[a] + 1;
+                }
+            }
         }
-        for (a, b) in [(c.u, c.v), (c.v, c.u)] {
-            if budget[a] == 0 {
-                continue;
-            }
-            if b == dest {
-                let holders = budget.iter().filter(|&&x| x > 0).count();
-                return DtnOutcome {
-                    delivered_at: Some(c.t),
-                    copies: holders + 1,
-                    hops: hops[a] + 1,
-                };
-            }
-            if budget[a] > 1 && budget[b] == 0 {
-                let give = budget[a] / 2;
-                budget[a] -= give;
-                budget[b] = give;
-                hops[b] = hops[a] + 1;
-            }
-        }
-    }
-    DtnOutcome { delivered_at: None, copies: budget.iter().filter(|&&x| x > 0).count(), hops: 0 }
+        ControlFlow::Continue(())
+    });
+    delivered.unwrap_or_else(|| DtnOutcome {
+        delivered_at: None,
+        copies: budget.iter().filter(|&&x| x > 0).count(),
+        hops: 0,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{Contact, TimeEvolvingGraph};
     use crate::journey::earliest_arrival;
     use crate::paper::{fig2_example, A, C};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The flat-slice sweeps the frozen strategies replaced, over contacts
+    /// sorted by `(t, u, v)` with `u < v` among `n` nodes: the reference
+    /// every strategy is gated against.
+    mod reference {
+        use super::*;
+
+        pub fn direct_delivery(
+            contacts: &[Contact],
+            source: NodeId,
+            dest: NodeId,
+            start: TimeUnit,
+        ) -> DtnOutcome {
+            let delivered_at = contacts
+                .iter()
+                .find(|c| {
+                    c.t >= start
+                        && ((c.u == source && c.v == dest) || (c.u == dest && c.v == source))
+                })
+                .map(|c| c.t);
+            DtnOutcome { delivered_at, copies: 1, hops: usize::from(delivered_at.is_some()) }
+        }
+
+        pub fn epidemic(
+            n: usize,
+            contacts: &[Contact],
+            source: NodeId,
+            dest: NodeId,
+            start: TimeUnit,
+        ) -> DtnOutcome {
+            if source >= n {
+                return KEPT;
+            }
+            let mut infected = vec![false; n];
+            let mut hops = vec![0usize; n];
+            infected[source] = true;
+            let mut i = 0;
+            while i < contacts.len() {
+                let t = contacts[i].t;
+                if t >= start {
+                    let slice_end = contacts[i..]
+                        .iter()
+                        .position(|c| c.t != t)
+                        .map(|k| i + k)
+                        .unwrap_or(contacts.len());
+                    loop {
+                        let mut changed = false;
+                        for c in &contacts[i..slice_end] {
+                            for (a, b) in [(c.u, c.v), (c.v, c.u)] {
+                                if infected[a] && !infected[b] {
+                                    infected[b] = true;
+                                    hops[b] = hops[a] + 1;
+                                    changed = true;
+                                }
+                            }
+                        }
+                        if !changed {
+                            break;
+                        }
+                    }
+                    if infected.get(dest) == Some(&true) {
+                        return DtnOutcome {
+                            delivered_at: Some(t),
+                            copies: infected.iter().filter(|&&x| x).count(),
+                            hops: hops[dest],
+                        };
+                    }
+                    i = slice_end;
+                } else {
+                    i += 1;
+                }
+            }
+            let copies = infected.iter().filter(|&&x| x).count();
+            DtnOutcome { delivered_at: None, copies, hops: 0 }
+        }
+
+        pub fn spray_and_wait(
+            n: usize,
+            contacts: &[Contact],
+            source: NodeId,
+            dest: NodeId,
+            start: TimeUnit,
+            l_copies: usize,
+        ) -> DtnOutcome {
+            if source >= n {
+                return KEPT;
+            }
+            let mut budget = vec![0usize; n];
+            let mut hops = vec![0usize; n];
+            budget[source] = l_copies;
+            for c in contacts {
+                if c.t < start {
+                    continue;
+                }
+                for (a, b) in [(c.u, c.v), (c.v, c.u)] {
+                    if budget[a] == 0 {
+                        continue;
+                    }
+                    if b == dest {
+                        let holders = budget.iter().filter(|&&x| x > 0).count();
+                        return DtnOutcome {
+                            delivered_at: Some(c.t),
+                            copies: holders + 1,
+                            hops: hops[a] + 1,
+                        };
+                    }
+                    if budget[a] > 1 && budget[b] == 0 {
+                        let give = budget[a] / 2;
+                        budget[a] -= give;
+                        budget[b] = give;
+                        hops[b] = hops[a] + 1;
+                    }
+                }
+            }
+            let copies = budget.iter().filter(|&&x| x > 0).count();
+            DtnOutcome { delivered_at: None, copies, hops: 0 }
+        }
+    }
 
     fn random_eg(n: usize, horizon: TimeUnit, seed: u64) -> TimeEvolvingGraph {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -238,10 +296,11 @@ mod tests {
         // Epidemic delivery time IS the temporal earliest arrival.
         for seed in 0..10 {
             let eg = random_eg(15, 30, seed);
+            let frozen = eg.freeze();
             for start in [0u32, 5] {
                 let arr = earliest_arrival(&eg, 0, start);
                 for d in 1..15 {
-                    let out = epidemic(&eg, 0, d, start);
+                    let out = epidemic(&frozen, 0, d, start);
                     assert_eq!(out.delivered_at, arr[d], "seed {seed}, dest {d}, start {start}");
                 }
             }
@@ -250,15 +309,14 @@ mod tests {
 
     #[test]
     fn fig2_epidemic_delivers_a_to_c() {
-        let eg = fig2_example();
-        let out = epidemic(&eg, A, C, 2);
+        let out = epidemic(&fig2_example().freeze(), A, C, 2);
         assert_eq!(out.delivered_at, Some(5), "the paper's A -4-> B -5-> C journey");
         assert_eq!(out.hops, 2);
     }
 
     #[test]
     fn direct_only_uses_the_direct_contact() {
-        let eg = fig2_example();
+        let eg = fig2_example().freeze();
         // A and C never meet: direct delivery fails.
         assert_eq!(direct_delivery(&eg, A, C, 0).delivered_at, None);
         // A and B meet at 4 when starting at 2.
@@ -268,7 +326,7 @@ mod tests {
     #[test]
     fn spray_one_copy_equals_direct() {
         for seed in 0..8 {
-            let eg = random_eg(12, 25, 100 + seed);
+            let eg = random_eg(12, 25, 100 + seed).freeze();
             for d in 1..12 {
                 assert_eq!(
                     spray_and_wait(&eg, 0, d, 0, 1).delivered_at,
@@ -285,7 +343,7 @@ mod tests {
         // copies: epidemic >= spray(L) and spray <= L + 1.
         let mut checked = 0;
         for seed in 0..10 {
-            let eg = random_eg(16, 40, 200 + seed);
+            let eg = random_eg(16, 40, 200 + seed).freeze();
             for d in 1..16 {
                 let e = epidemic(&eg, 0, d, 0);
                 let s = spray_and_wait(&eg, 0, d, 0, 4);
@@ -310,26 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn slice_forms_match_eg_forms() {
-        for seed in 0..6 {
-            let eg = random_eg(14, 30, 300 + seed);
-            let contacts = eg.contacts();
-            for d in 1..14 {
-                assert_eq!(direct_delivery_over(&contacts, 0, d, 2), direct_delivery(&eg, 0, d, 2),);
-                assert_eq!(epidemic_over(14, &contacts, 0, d, 2), epidemic(&eg, 0, d, 2));
-                assert_eq!(
-                    spray_and_wait_over(14, &contacts, 0, d, 2, 4),
-                    spray_and_wait(&eg, 0, d, 2, 4),
-                );
-            }
-        }
-    }
-
-    #[test]
     fn undelivered_reports_copy_footprint() {
         let mut eg = TimeEvolvingGraph::new(4, 10);
         eg.add_contact(0, 1, 1);
         eg.add_contact(1, 2, 2);
+        let eg = eg.freeze();
         // Node 3 is isolated: nobody delivers to it.
         let e = epidemic(&eg, 0, 3, 0);
         assert_eq!(e.delivered_at, None);
@@ -337,5 +380,55 @@ mod tests {
         let s = spray_and_wait(&eg, 0, 3, 0, 8);
         assert_eq!(s.delivered_at, None);
         assert!(s.copies >= 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every strategy on the frozen form equals its flat reference over
+        /// `eg.contacts()` on all three outcome fields. The contacts are
+        /// added in random order and orientation, one unit is left empty,
+        /// and the queries cover `source == dest`, every start up to past
+        /// the horizon and ids at and past `n`.
+        #[test]
+        fn frozen_strategies_match_the_flat_sweeps(
+            n in 2usize..8,
+            horizon in 1u32..14,
+            empty in 0u32..14,
+            contacts in proptest::collection::vec((0usize..64, 0usize..64, 0u32..14), 0..60),
+        ) {
+            let mut eg = TimeEvolvingGraph::new(n, horizon);
+            for (a, b, t) in contacts {
+                let (u, v, t) = (a % n, b % n, t % horizon);
+                if u != v && t != empty {
+                    eg.add_contact(u, v, t);
+                }
+            }
+            let (frozen, flat) = (eg.freeze(), eg.contacts());
+            for source in 0..=n + 1 {
+                for dest in 0..=n + 1 {
+                    for start in 0..=horizon + 1 {
+                        let q = format!("({source}, {dest}) at {start}");
+                        prop_assert_eq!(
+                            direct_delivery(&frozen, source, dest, start),
+                            reference::direct_delivery(&flat, source, dest, start),
+                            "direct {}", &q
+                        );
+                        prop_assert_eq!(
+                            epidemic(&frozen, source, dest, start),
+                            reference::epidemic(n, &flat, source, dest, start),
+                            "epidemic {}", &q
+                        );
+                        for l in [1, 2, 8] {
+                            prop_assert_eq!(
+                                spray_and_wait(&frozen, source, dest, start, l),
+                                reference::spray_and_wait(n, &flat, source, dest, start, l),
+                                "spray({}) {}", l, &q
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -362,9 +362,7 @@ mod tests {
 
     #[test]
     fn ids_outside_the_eg_reach_nothing() {
-        use csn_temporal::routing::{
-            epidemic, epidemic_over, spray_and_wait, spray_and_wait_over, DtnOutcome,
-        };
+        use csn_temporal::routing::{epidemic, spray_and_wait, DtnOutcome};
         let eg = fig2_example();
         let (n, out) = (eg.node_count(), eg.node_count() + 5);
         assert_eq!(eg.neighbors(out).count(), 0);
@@ -374,25 +372,22 @@ mod tests {
         assert!(node_replaceable(&eg, out, &fig2_priorities(), TrimOptions::default()));
         // A source outside the EG keeps its one copy.
         let kept = DtnOutcome { delivered_at: None, copies: 1, hops: 0 };
-        let flat = eg.contacts();
-        assert_eq!(epidemic(&eg, out, C, 0), kept);
-        assert_eq!(epidemic_over(n, &flat, out, C, 0), kept);
-        assert_eq!(spray_and_wait(&eg, out, C, 0, 4), kept);
-        assert_eq!(spray_and_wait_over(n, &flat, out, C, 0, 4), kept);
+        let frozen = eg.freeze();
+        assert_eq!(epidemic(&frozen, out, C, 0), kept);
+        assert_eq!(spray_and_wait(&frozen, out, C, 0, 4), kept);
         // A destination outside the EG fares as an isolated one inside it.
         let mut padded = TimeEvolvingGraph::new(n + 1, eg.horizon());
-        for c in &flat {
+        for c in &eg.contacts() {
             padded.add_contact(c.u, c.v, c.t);
         }
+        let padded = padded.freeze();
         let unreachable = epidemic(&padded, A, n, 0);
         assert_eq!(unreachable.delivered_at, None);
         assert_eq!(unreachable.copies, n, "the flood reaches all of Fig. 2");
-        assert_eq!(epidemic(&eg, A, out, 0), unreachable);
-        assert_eq!(epidemic_over(n, &flat, A, out, 0), unreachable);
+        assert_eq!(epidemic(&frozen, A, out, 0), unreachable);
         let unreachable = spray_and_wait(&padded, A, n, 0, 4);
         assert_eq!(unreachable.delivered_at, None);
-        assert_eq!(spray_and_wait(&eg, A, out, 0, 4), unreachable);
-        assert_eq!(spray_and_wait_over(n, &flat, A, out, 0, 4), unreachable);
+        assert_eq!(spray_and_wait(&frozen, A, out, 0, 4), unreachable);
     }
 
     fn random_eg(n: usize, horizon: TimeUnit, density: f64, seed: u64) -> TimeEvolvingGraph {
