@@ -14,8 +14,8 @@
 //!
 //! 1. **Default tier** → `BENCH_kernels.json`: Brandes betweenness and
 //!    all-pairs BFS on a BA graph's adjacency list and its frozen form,
-//!    fresh-alloc vs scratch Brandes, `betweenness_par` at 1, 2, 4 and 7
-//!    workers, the landmark-table build (k = 16) one BFS per landmark vs
+//!    fresh-alloc Brandes vs the scratch sweep at 1, 2, 4 and 7 workers,
+//!    the landmark-table build (k = 16) one BFS per landmark vs
 //!    multi-source with the arcs each scans, a snapshot sweep by rebuilds
 //!    and by cursor, a faulted Bellman–Ford run, and the counted-touch
 //!    `maintain` rows: node touches of the k-core, NSF and forwarding-set
@@ -53,7 +53,6 @@ use csn_bench::rows::{Document, Row};
 use csn_bench::timed;
 use csn_core::graph::centrality::{betweenness_centrality, brandes_delta};
 use csn_core::graph::landmark::UNREACHABLE;
-use csn_core::graph::parallel::betweenness_par;
 use csn_core::graph::scratch::BfsScratch;
 use csn_core::graph::traversal::{all_pairs_bfs, bfs_distances_into};
 use csn_core::graph::{generators, CompactCsrGraph, GraphError, GraphView, LandmarkIndex, NodeId};
@@ -205,14 +204,13 @@ fn run_kernels(_: &Flags) -> Vec<Row> {
     let on_ba = |stage: &'static str, representation: &'static str| {
         Row::new("kernels", stage).param("graph", &graph).param("representation", representation)
     };
-    time(&mut rows, on_ba("all_pairs_bfs", "adjacency"), || all_pairs_bfs(&g));
-    time(&mut rows, on_ba("all_pairs_bfs", "frozen"), || all_pairs_bfs(&frozen));
-    time(&mut rows, on_ba("betweenness", "adjacency"), || betweenness_centrality(&g));
+    time(&mut rows, on_ba("all_pairs_bfs", "adjacency"), || all_pairs_bfs(&g, 1));
+    time(&mut rows, on_ba("all_pairs_bfs", "frozen"), || all_pairs_bfs(&frozen, 1));
+    time(&mut rows, on_ba("betweenness", "adjacency"), || betweenness_centrality(&g, 1));
     time(&mut rows, on_ba("betweenness", "fresh_alloc"), || fresh_alloc_betweenness(&frozen));
-    time(&mut rows, on_ba("betweenness", "scratch"), || betweenness_centrality(&frozen));
     for jobs in [1, 2, 4, 7] {
-        time(&mut rows, on_ba("betweenness_par", "scratch").param("jobs", jobs), || {
-            betweenness_par(&frozen, jobs)
+        time(&mut rows, on_ba("betweenness", "scratch").param("jobs", jobs), || {
+            betweenness_centrality(&frozen, jobs)
         });
     }
     let (k, landmark_seed) = (16usize, 0xC5u64);
@@ -276,7 +274,6 @@ fn run_scale(flags: &Flags) -> Vec<Row> {
 /// The `--scale` rows at `nodes`.
 fn scale_rows(nodes: usize) -> Vec<Row> {
     use csn_core::graph::approx;
-    use csn_core::graph::parallel::betweenness_sampled_par;
     use csn_core::graph::stream::{
         BaStream, EdgeStream, GeometricStream, GnutellaStream, KleinbergStream,
     };
@@ -316,8 +313,9 @@ fn scale_rows(nodes: usize) -> Vec<Row> {
     });
 
     // --- Kernels on the compact BA graph. A BFS relaxes every packed entry
-    // once: 2·edge_count traversed edges per source. The parallel row runs
-    // on every detected core.
+    // once: 2·edge_count traversed edges per source. The
+    // `betweenness_sampled_par` row runs the same sweep on every detected
+    // core; its key names no core count, so it compares on any box.
     let samples = 32usize.min(nodes);
     let per_source = 2 * GraphView::edge_count(&ba_c);
     let kernel = |stage: &'static str, samples: usize| {
@@ -328,13 +326,13 @@ fn scale_rows(nodes: usize) -> Vec<Row> {
     };
     time(&mut rows, kernel("bfs_distances", 1), || bfs_distances(&ba_c, 0));
     time(&mut rows, kernel("betweenness_sampled", samples), || {
-        approx::betweenness_sampled(&ba_c, samples, 9)
+        approx::betweenness_sampled(&ba_c, samples, 9, 1)
     });
     time(&mut rows, kernel("closeness_sampled", samples), || {
         approx::closeness_sampled(&ba_c, samples, 9)
     });
     time(&mut rows, kernel("betweenness_sampled_par", samples), || {
-        betweenness_sampled_par(&ba_c, samples, 9, cores)
+        approx::betweenness_sampled(&ba_c, samples, 9, cores)
     });
     eprintln!("scale at n={nodes}: {} rows", rows.len());
     rows

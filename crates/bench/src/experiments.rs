@@ -967,7 +967,7 @@ pub fn e16_centrality(out: &mut Report) {
     // results — freezing preserves neighbor order); PageRank on the digraph.
     let frozen = g.freeze().expect("fits u32");
     let deg = degree_centrality(&frozen);
-    let bc = betweenness_centrality(&frozen);
+    let bc = betweenness_centrality(&frozen, 1);
     let ec = eigenvector_centrality(&frozen, 2000, 1e-10).expect("converges");
     let (pr, iters) = pagerank(&g.to_digraph(), 0.85, 200, 1e-10);
     // Rank correlation proxy: top-10 overlap between measures.

@@ -346,15 +346,15 @@ pub struct RunStats {
 }
 
 /// Picks the node-wave width for one round: enough waves per worker
-/// (8×`jobs`, clamped to a sane grain) that stealing can balance uneven
-/// protocol work; one single wave on the serial path. The width never
-/// affects results — merge order is wave-ascending, which is node-ascending
-/// for every width.
+/// (8×`jobs`, saturating, clamped to a sane grain) that stealing can
+/// balance uneven protocol work; one single wave on the serial path. The
+/// width never affects results — merge order is wave-ascending, which is
+/// node-ascending for every width.
 fn wave_size(n: usize, jobs: usize) -> usize {
     if jobs <= 1 {
         n.max(1)
     } else {
-        n.div_ceil(jobs * 8).clamp(16, 4096)
+        n.div_ceil(jobs.saturating_mul(8)).clamp(16, 4096)
     }
 }
 
@@ -639,8 +639,9 @@ impl<'p, P: Protocol> Simulator<'p, P> {
     ///    worker ran a wave and however wide it was — through a stable
     ///    counting sort by receiver that places each message's sender and
     ///    payload, which leaves each receiver's messages in one contiguous
-    ///    range in that order: the `betweenness_par` wave-ordered-merge
-    ///    trick applied to messages. The receivers, those of fresh messages
+    ///    range in that order: the wave-ordered merge of the Brandes
+    ///    source sweep (`csn_graph::centrality::betweenness_centrality`)
+    ///    applied to messages. The receivers, those of fresh messages
     ///    and those holding delayed ones, come out ascending from a bitset.
     /// 3. **Delivery (serial).** Receivers are visited in ascending order;
     ///    per receiver, its delayed messages are re-examined first (queue
@@ -1024,6 +1025,22 @@ mod tests {
             let (stats, states) = run(jobs);
             assert_eq!(stats, serial_stats, "jobs={jobs}: RunStats diverged");
             assert_eq!(states, serial_states, "jobs={jobs}: states diverged");
+        }
+    }
+
+    #[test]
+    fn any_jobs_value_steps_like_serial() {
+        // 8·jobs saturates, so a huge worker count is one 16-node wave on
+        // one worker, not an overflow.
+        let g = generators::path(6);
+        let run = |jobs: usize| {
+            let mut sim = Simulator::new(&g, &Flood).with_jobs(jobs);
+            let stats = sim.run_until_quiet(100);
+            (stats, sim.states().to_vec())
+        };
+        let serial = run(1);
+        for jobs in [usize::MAX / 4, usize::MAX] {
+            assert_eq!(run(jobs), serial, "jobs={jobs}");
         }
     }
 

@@ -17,22 +17,22 @@
 //!    set is `0..n` in order and the rescale factor is exactly `1.0`, so
 //!    [`betweenness_sampled`] and [`closeness_sampled`] reproduce
 //!    [`crate::centrality::betweenness_centrality`] /
-//!    [`crate::centrality::closeness_centrality`] **bit-for-bit** — same
-//!    per-source kernels, same fold order, and `x * 1.0` / integer-valued
-//!    f64 arithmetic below 2⁵³ are exact.
+//!    [`crate::centrality::closeness_centrality`] **bit-for-bit** — the
+//!    same Brandes source sweep, the same per-source BFS, and `x * 1.0` /
+//!    integer-valued f64 arithmetic below 2⁵³ are exact.
 //! 2. **Partial sampling agrees within ε.** On small graphs where the exact
 //!    answer is affordable, the pair-normalized deviation must stay inside
 //!    the documented [`betweenness_epsilon`] bound.
 //!
 //! # Performance
 //!
-//! Cost is `k/n` of the exact kernel: `O(k·m)` time, `O(n)` extra space
-//! (one scratch arena, reused across sources — no per-source allocation).
-//! Traversed-edges/s at n = 10⁶ is recorded in the committed
-//! `BENCH_scale.json`; [`crate::parallel::betweenness_sampled_par`] fans
-//! the sampled sources over the worker pool bit-identically to
-//! [`betweenness_sampled`]. See SCALING.md for how ε, k, and runtime trade
-//! off.
+//! Cost is `k/n` of the exact kernel: `O(k·m)` time, with scratch arenas
+//! reused across sources — no per-source allocation.
+//! [`betweenness_sampled`] is the exact kernel's Brandes source sweep run
+//! over the sampled sources, so it takes the same `jobs` worker count and
+//! is bit-identical at any `jobs`. Traversed-edges/s at n = 10⁶ is
+//! recorded in the committed `BENCH_scale.json`. See SCALING.md for how ε,
+//! k, and runtime trade off.
 //!
 //! # Examples
 //!
@@ -42,17 +42,19 @@
 //! let g = generators::barabasi_albert(200, 3, 42).unwrap();
 //! // Full sampling: bit-identical to the exact kernel.
 //! assert_eq!(
-//!     approx::betweenness_sampled(&g, 200, 7),
-//!     centrality::betweenness_centrality(&g),
+//!     approx::betweenness_sampled(&g, 200, 7, 1),
+//!     centrality::betweenness_centrality(&g, 1),
 //! );
-//! // Quarter sampling: 4x cheaper, within the documented bound.
-//! let approx_bc = approx::betweenness_sampled(&g, 50, 7);
+//! // Quarter sampling: 4x cheaper, within the documented bound, and the
+//! // same at any worker count.
+//! let approx_bc = approx::betweenness_sampled(&g, 50, 7, 1);
 //! assert_eq!(approx_bc.len(), 200);
+//! assert_eq!(approx::betweenness_sampled(&g, 50, 7, 4), approx_bc);
 //! ```
 
-use crate::centrality::brandes_delta_into;
+use crate::centrality::brandes_sweep;
 use crate::graph::NodeId;
-use crate::scratch::{BfsScratch, BrandesScratch};
+use crate::scratch::BfsScratch;
 use crate::view::GraphView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,34 +77,33 @@ pub fn sample_sources(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
     pool
 }
 
-/// Source-sampled betweenness (Brandes–Pich): runs the exact per-source
-/// Brandes kernel on `samples` uniformly drawn sources and rescales the
-/// accumulated dependencies by `n / k`.
+/// Source-sampled betweenness (Brandes–Pich): runs the exact kernel's
+/// Brandes source sweep on `samples` uniformly drawn sources, fanned out
+/// over `jobs` workers, and rescales the accumulated dependencies by
+/// `n / k`.
 ///
-/// The estimate is unbiased. With `samples >= n` the result is
-/// **bit-identical** to [`crate::centrality::betweenness_centrality`]:
-/// sources are `0..n` in the same fold order and the rescale is exactly
-/// `1.0`. Error bound: see [`betweenness_epsilon`].
+/// The estimate is unbiased and bit-identical at any `jobs`. With
+/// `samples >= n` the result is **bit-identical** to
+/// [`crate::centrality::betweenness_centrality`]: sources are `0..n` in the
+/// same fold order and the rescale is exactly `1.0`. Error bound: see
+/// [`betweenness_epsilon`].
 ///
 /// # Panics
 ///
 /// Panics if `samples == 0` on a non-empty graph.
-pub fn betweenness_sampled<G: GraphView>(g: &G, samples: usize, seed: u64) -> Vec<f64> {
+pub fn betweenness_sampled<G: GraphView + Sync>(
+    g: &G,
+    samples: usize,
+    seed: u64,
+    jobs: usize,
+) -> Vec<f64> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
     assert!(samples > 0, "need at least one sampled source");
     let sources = sample_sources(n, samples, seed);
-    let mut bc = vec![0.0f64; n];
-    let mut sc = BrandesScratch::new();
-    let mut delta = Vec::new();
-    for &s in &sources {
-        brandes_delta_into(g, s, &mut sc, &mut delta);
-        for (b, d) in bc.iter_mut().zip(&delta) {
-            *b += d;
-        }
-    }
+    let mut bc = brandes_sweep(g, &sources, jobs);
     // `x * 1.0 / 2.0` at full sampling is bitwise `x / 2.0`, preserving the
     // exact kernel's halving.
     let scale = n as f64 / sources.len() as f64;
@@ -212,10 +213,10 @@ mod tests {
     fn full_sampling_is_bitwise_exact() {
         for seed in [1, 99] {
             let g = generators::erdos_renyi(70, 0.08, seed).unwrap();
-            assert_eq!(betweenness_sampled(&g, 70, 5), betweenness_centrality(&g));
-            assert_eq!(betweenness_sampled(&g, 1000, 5), betweenness_centrality(&g));
-            assert_eq!(closeness_sampled(&g, 70, 5), closeness_centrality(&g));
-            assert_eq!(closeness_sampled(&g, 1000, 5), closeness_centrality(&g));
+            assert_eq!(betweenness_sampled(&g, 70, 5, 1), betweenness_centrality(&g, 1));
+            assert_eq!(betweenness_sampled(&g, 1000, 5, 1), betweenness_centrality(&g, 1));
+            assert_eq!(closeness_sampled(&g, 70, 5), closeness_centrality(&g, 1));
+            assert_eq!(closeness_sampled(&g, 1000, 5), closeness_centrality(&g, 1));
         }
     }
 
@@ -223,8 +224,8 @@ mod tests {
     fn sampled_betweenness_within_epsilon_bound() {
         let n = 120;
         let g = generators::barabasi_albert(n, 3, 11).unwrap();
-        let exact = betweenness_centrality(&g);
-        let approx = betweenness_sampled(&g, n / 4, 17);
+        let exact = betweenness_centrality(&g, 1);
+        let approx = betweenness_sampled(&g, n / 4, 17, 1);
         let norm = ((n - 1) * (n - 2)) as f64 / 2.0;
         let eps = betweenness_epsilon(n, n / 4, 0.05);
         let worst =
@@ -235,7 +236,7 @@ mod tests {
     #[test]
     fn sampled_closeness_tracks_exact_ranking() {
         let g = generators::barabasi_albert(150, 3, 4).unwrap();
-        let exact = closeness_centrality(&g);
+        let exact = closeness_centrality(&g, 1);
         let approx = closeness_sampled(&g, 60, 9);
         // Connected BA graph: every estimate positive, scores close, and
         // the clearly-central vs clearly-peripheral contrast survives.
@@ -249,8 +250,8 @@ mod tests {
     #[test]
     fn sampled_kernels_are_seeded() {
         let g = generators::watts_strogatz(80, 3, 0.2, 2).unwrap();
-        assert_eq!(betweenness_sampled(&g, 20, 5), betweenness_sampled(&g, 20, 5));
-        assert_ne!(betweenness_sampled(&g, 20, 5), betweenness_sampled(&g, 20, 6));
+        assert_eq!(betweenness_sampled(&g, 20, 5, 1), betweenness_sampled(&g, 20, 5, 1));
+        assert_ne!(betweenness_sampled(&g, 20, 5, 1), betweenness_sampled(&g, 20, 6, 1));
         assert_eq!(closeness_sampled(&g, 20, 5), closeness_sampled(&g, 20, 5));
     }
 
@@ -268,7 +269,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_graphs() {
         let g = crate::Graph::new(0);
-        assert!(betweenness_sampled(&g, 5, 0).is_empty());
+        assert!(betweenness_sampled(&g, 5, 0, 1).is_empty());
         assert!(closeness_sampled(&g, 5, 0).is_empty());
         let g = crate::Graph::new(1);
         assert_eq!(closeness_sampled(&g, 5, 0), vec![0.0]);
@@ -278,7 +279,7 @@ mod tests {
     fn sampled_kernels_accept_compact_csr() {
         let g = generators::barabasi_albert(100, 2, 8).unwrap();
         let c = g.freeze().unwrap();
-        assert_eq!(betweenness_sampled(&g, 25, 3), betweenness_sampled(&c, 25, 3));
+        assert_eq!(betweenness_sampled(&g, 25, 3, 1), betweenness_sampled(&c, 25, 3, 1));
         assert_eq!(closeness_sampled(&g, 25, 3), closeness_sampled(&c, 25, 3));
     }
 }

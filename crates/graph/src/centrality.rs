@@ -8,15 +8,19 @@
 //! "dynamic labeling" processes.
 //!
 //! The undirected kernels are generic over [`GraphView`]; PageRank and HITS
-//! take a [`Digraph`]. The per-source pieces ([`brandes_delta`],
-//! [`closeness_one`]) are public so the source-parallel variants in
-//! [`crate::parallel`] run the *same* code per source and merely reorder the
-//! scheduling — which is what makes their results bit-identical to the
-//! serial functions here.
+//! take a [`Digraph`]. Betweenness and closeness are one source sweep each
+//! that takes a `jobs` worker count: the sources fan out over the
+//! [`csn_parallel`] work-stealing pool (`jobs = 1` is an inline loop, no
+//! threads), and every result is **bit-identical** at any `jobs`. Each
+//! source runs the same public per-source kernel ([`brandes_delta_into`],
+//! [`closeness_one_into`]), the pool hands results back in task order, and
+//! Brandes folds its dependency vectors in source order — the same f64
+//! additions in the same order whatever worker ran what.
 
 use crate::graph::{Digraph, NodeId};
 use crate::scratch::{BfsScratch, BrandesScratch, NO_PRED};
 use crate::view::GraphView;
+use std::sync::Mutex;
 
 /// Degree centrality: `degree(u) / (n - 1)`.
 pub fn degree_centrality<G: GraphView>(g: &G) -> Vec<f64> {
@@ -45,8 +49,7 @@ pub fn top_by_degree<G: GraphView>(g: &G, count: usize) -> Vec<NodeId> {
 }
 
 /// The closeness score of a single node: one BFS plus the Wasserman–Faust
-/// reachable-fraction scaling. [`closeness_centrality`] and
-/// [`crate::parallel::closeness_par`] both delegate here.
+/// reachable-fraction scaling. [`closeness_centrality`] delegates here.
 pub fn closeness_one<G: GraphView>(g: &G, u: NodeId) -> f64 {
     closeness_one_into(g, u, &mut BfsScratch::new())
 }
@@ -75,20 +78,26 @@ pub fn closeness_one_into<G: GraphView>(g: &G, u: NodeId, scratch: &mut BfsScrat
 
 /// Closeness centrality: `(reachable - 1) / sum_of_distances`, scaled by the
 /// reachable fraction (the Wasserman–Faust improvement, robust to
-/// disconnected graphs). Isolated nodes score 0. One BFS scratch is reused
-/// across all sources.
-pub fn closeness_centrality<G: GraphView>(g: &G) -> Vec<f64> {
-    let mut sc = BfsScratch::new();
-    g.nodes().map(|u| closeness_one_into(g, u, &mut sc)).collect()
+/// disconnected graphs). Isolated nodes score 0. The nodes fan out over
+/// `jobs` workers, each reusing one BFS scratch across the nodes it runs;
+/// the result is bit-identical at any `jobs`.
+pub fn closeness_centrality<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<f64> {
+    let (scores, _) = csn_parallel::run_indexed_stateful(
+        g.node_count(),
+        jobs,
+        |_| BfsScratch::new(),
+        |u, scratch| closeness_one_into(g, u, scratch),
+    );
+    scores
 }
 
 /// One source's Brandes dependency vector: `delta[w]` is the contribution of
 /// source `s` to the (un-halved) betweenness of `w`, with `delta[s]` forced
 /// to `0.0` so callers can fold the whole vector unconditionally.
 ///
-/// [`betweenness_centrality`] and [`crate::parallel::betweenness_par`] both
-/// accumulate exactly these vectors in source order, so their outputs agree
-/// bit-for-bit.
+/// [`betweenness_centrality`] and [`crate::approx::betweenness_sampled`]
+/// accumulate exactly these vectors in source order, so summing this
+/// function's output over the same sources agrees with them bit-for-bit.
 pub fn brandes_delta<G: GraphView>(g: &G, s: NodeId) -> Vec<f64> {
     let mut out = Vec::new();
     brandes_delta_into(g, s, &mut BrandesScratch::new(), &mut out);
@@ -151,7 +160,53 @@ pub fn brandes_delta_into<G: GraphView>(
     sc.reset_round();
 }
 
-/// Betweenness centrality via Brandes' algorithm (unweighted).
+/// The Brandes source sweep: the sum of the dependency vectors of
+/// `sources`, fanned out over `jobs` workers in waves and folded in source
+/// order — the same f64 additions as a serial loop over `sources`, at any
+/// `jobs`.
+///
+/// Each worker owns one scratch for the whole call, and each wave writes
+/// its dependency vectors into a ring of buffers reused by every wave, so
+/// a call allocates `O(workers · n + wave · n)` once. The pool is called
+/// once per wave, so the scratches outlive each pool call: they sit behind
+/// uncontended `Mutex`es (worker `w` is the only thread that locks slot `w`,
+/// task `i` the only one that locks buffer `i`), which satisfy the `Sync`
+/// bound of the pool's task closure.
+pub(crate) fn brandes_sweep<G: GraphView + Sync>(
+    g: &G,
+    sources: &[NodeId],
+    jobs: usize,
+) -> Vec<f64> {
+    let mut bc = vec![0.0f64; g.node_count()];
+    // Four sources per worker and wave: enough tasks that stealing balances
+    // uneven sources, while live memory stays `O(wave · n)` dependency
+    // vectors. Saturating, so any `jobs` runs.
+    let wave = jobs.max(1).saturating_mul(4);
+    let tasks = wave.min(sources.len());
+    // The pool runs at most `min(jobs, tasks)` workers and never reports a
+    // worker index past them.
+    let scratches: Vec<Mutex<BrandesScratch>> =
+        (0..jobs.clamp(1, tasks.max(1))).map(|_| Mutex::new(BrandesScratch::new())).collect();
+    let buffers: Vec<Mutex<Vec<f64>>> = (0..tasks).map(|_| Mutex::new(Vec::new())).collect();
+    for chunk in sources.chunks(wave) {
+        csn_parallel::run_indexed(chunk.len(), jobs, |i, w| {
+            let mut sc = scratches[w].lock().expect("scratch lock");
+            let mut buf = buffers[i].lock().expect("buffer lock");
+            brandes_delta_into(g, chunk[i], &mut sc, &mut buf);
+        });
+        for buf in &buffers[..chunk.len()] {
+            let delta = buf.lock().expect("buffer lock");
+            for (b, d) in bc.iter_mut().zip(delta.iter()) {
+                *b += d;
+            }
+        }
+    }
+    bc
+}
+
+/// Betweenness centrality via Brandes' algorithm (unweighted), with the
+/// sources fanned out over `jobs` workers; the result is bit-identical at
+/// any `jobs`.
 ///
 /// Returns raw (unnormalized) scores; for undirected graphs each pair is
 /// counted once (scores are halved at the end).
@@ -163,22 +218,13 @@ pub fn brandes_delta_into<G: GraphView>(
 ///
 /// // Path 0-1-2: the middle node bridges the single pair (0, 2).
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-/// let b = betweenness_centrality(&g);
+/// let b = betweenness_centrality(&g, 1);
 /// assert_eq!(b, vec![0.0, 1.0, 0.0]);
+/// assert_eq!(betweenness_centrality(&g, 4), b);
 /// ```
-pub fn betweenness_centrality<G: GraphView>(g: &G) -> Vec<f64> {
-    let n = g.node_count();
-    let mut bc = vec![0.0f64; n];
-    // Brandes: one BFS per source with dependency accumulation, over a
-    // single scratch + delta buffer reused for every source.
-    let mut sc = BrandesScratch::new();
-    let mut delta = Vec::new();
-    for s in g.nodes() {
-        brandes_delta_into(g, s, &mut sc, &mut delta);
-        for (b, d) in bc.iter_mut().zip(&delta) {
-            *b += d;
-        }
-    }
+pub fn betweenness_centrality<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<f64> {
+    let sources: Vec<NodeId> = g.nodes().collect();
+    let mut bc = brandes_sweep(g, &sources, jobs);
     // Each undirected pair was counted from both endpoints.
     for b in &mut bc {
         *b /= 2.0;
@@ -395,7 +441,7 @@ mod tests {
     #[test]
     fn closeness_highest_at_path_center() {
         let g = generators::path(5);
-        let cc = closeness_centrality(&g);
+        let cc = closeness_centrality(&g, 1);
         assert!(cc[2] > cc[1] && cc[1] > cc[0]);
         assert!((cc[2] - 4.0 / 6.0).abs() < 1e-12);
     }
@@ -403,7 +449,7 @@ mod tests {
     #[test]
     fn closeness_handles_disconnected() {
         let g = Graph::from_edges(4, &[(0, 1)]).unwrap();
-        let cc = closeness_centrality(&g);
+        let cc = closeness_centrality(&g, 1);
         assert_eq!(cc[2], 0.0);
         assert!(cc[0] > 0.0);
     }
@@ -412,7 +458,7 @@ mod tests {
     fn betweenness_on_path_matches_closed_form() {
         // On a path of n nodes, bc(i) = i * (n-1-i).
         let g = generators::path(6);
-        let bc = betweenness_centrality(&g);
+        let bc = betweenness_centrality(&g, 1);
         for (i, &b) in bc.iter().enumerate() {
             assert!((b - (i * (5 - i)) as f64).abs() < 1e-9, "node {i}: {b}");
         }
@@ -422,7 +468,7 @@ mod tests {
     fn betweenness_of_star_center() {
         // Center bridges all C(k,2) leaf pairs.
         let g = generators::star(5);
-        let bc = betweenness_centrality(&g);
+        let bc = betweenness_centrality(&g, 1);
         assert!((bc[0] - 10.0).abs() < 1e-9);
         assert_eq!(bc[1], 0.0);
     }
@@ -430,7 +476,7 @@ mod tests {
     #[test]
     fn brandes_matches_naive_on_random_graph() {
         let g = generators::erdos_renyi(40, 0.15, 99).unwrap();
-        let fast = betweenness_centrality(&g);
+        let fast = betweenness_centrality(&g, 1);
         let slow = betweenness_naive(&g);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
@@ -469,8 +515,8 @@ mod tests {
         // order is the same — exact equality, not tolerance.
         let g = generators::erdos_renyi(40, 0.15, 7).unwrap();
         let frozen = g.freeze().unwrap();
-        assert_eq!(betweenness_centrality(&g), betweenness_centrality(&frozen));
-        assert_eq!(closeness_centrality(&g), closeness_centrality(&frozen));
+        assert_eq!(betweenness_centrality(&g, 1), betweenness_centrality(&frozen, 1));
+        assert_eq!(closeness_centrality(&g, 1), closeness_centrality(&frozen, 1));
         assert_eq!(degree_centrality(&g), degree_centrality(&frozen));
     }
 

@@ -377,8 +377,8 @@ mod tests {
         let g = generators::erdos_renyi(60, 0.1, 5).unwrap();
         let c = g.freeze().unwrap();
         assert_eq!(
-            crate::centrality::betweenness_centrality(&g),
-            crate::centrality::betweenness_centrality(&c)
+            crate::centrality::betweenness_centrality(&g, 1),
+            crate::centrality::betweenness_centrality(&c, 1)
         );
         assert_eq!(traversal::dfs_preorder(&g, 0), traversal::dfs_preorder(&c, 0));
         assert_eq!(traversal::bfs_distances(&g, 0), traversal::bfs_distances(&c, 0));

@@ -27,7 +27,7 @@
 //! under 1 µs per step.
 //! [`core_numbers`] is also the oracle the twin is gated against, bit for
 //! bit, in unit tests, in `maintain_props`, and in `csn-bench`'s
-//! `gates::scenario::slice_dtn_and_cursors_match` on a city trace.
+//! `gates::scenario::epidemic_and_cursors_match` on a city trace.
 
 use crate::graph::{Graph, NodeId};
 use crate::view::GraphView;

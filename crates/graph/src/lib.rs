@@ -26,9 +26,6 @@
 //!   ([`approx::betweenness_sampled`], [`approx::closeness_sampled`]) with
 //!   Hoeffding-style error bounds; at full sampling they degenerate
 //!   bit-identically to the exact kernels.
-//! * [`parallel`] — source-parallel kernels ([`parallel::betweenness_par`],
-//!   [`parallel::closeness_par`], [`parallel::all_pairs_bfs_par`]) whose
-//!   results are bit-identical to the serial functions.
 //! * [`generators`] — Erdős–Rényi, Barabási–Albert, Watts–Strogatz,
 //!   Kleinberg grids, random geometric (unit-disk), hypercubes, generalized
 //!   hypercubes, and a Gnutella-like peer-to-peer topology.
@@ -36,6 +33,9 @@
 //! * [`shortest_path`] — Dijkstra, Bellman–Ford, BFS distances.
 //! * [`centrality`] — degree, closeness, betweenness (Brandes),
 //!   eigenvector/PageRank, HITS (§III of the paper surveys these).
+//!   Betweenness, closeness and [`traversal::all_pairs_bfs`] are one source
+//!   sweep each that takes a `jobs` worker count; their results are
+//!   bit-identical at any `jobs`.
 //! * [`powerlaw`] — discrete power-law MLE fitting used by the nested
 //!   scale-free analysis (Fig. 3 / §III-B).
 //! * [`cores`] — k-core decomposition.
@@ -61,10 +61,10 @@
 //! different graphs back to back, visited/dist state is invalidated in
 //! `O(1)`, and a source that reaches `k` nodes does `O(k)` cleanup rather
 //! than `O(n)`. The all-sources drivers ([`centrality::betweenness_centrality`],
-//! [`centrality::closeness_centrality`], [`traversal::all_pairs_bfs`],
-//! [`shortest_path::all_pairs_dijkstra`]) reuse one scratch internally, and
-//! the [`parallel`] kernels hold one scratch per pool worker — `O(jobs · n)`
-//! working memory per call instead of `O(sources · n)` allocations.
+//! [`centrality::closeness_centrality`], [`traversal::all_pairs_bfs`]) hold
+//! one scratch per pool worker — `O(jobs · n)` working memory per call
+//! instead of `O(sources · n)` allocations — and
+//! [`shortest_path::all_pairs_dijkstra`] reuses one scratch internally.
 //!
 //! # Examples
 //!
@@ -84,8 +84,8 @@
 //! let frozen = g.freeze().unwrap();
 //! assert!(csn_graph::traversal::is_connected(&frozen));
 //! assert_eq!(
-//!     csn_graph::centrality::betweenness_centrality(&g),
-//!     csn_graph::centrality::betweenness_centrality(&frozen),
+//!     csn_graph::centrality::betweenness_centrality(&g, 1),
+//!     csn_graph::centrality::betweenness_centrality(&frozen, 1),
 //! );
 //! assert_eq!(frozen.thaw(), g);
 //! ```
@@ -100,7 +100,6 @@ pub mod graph;
 pub mod io;
 pub mod landmark;
 pub mod mst;
-pub mod parallel;
 pub mod powerlaw;
 pub mod scratch;
 pub mod shortest_path;

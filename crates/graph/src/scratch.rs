@@ -2,8 +2,8 @@
 //! single-source kernels.
 //!
 //! The hot loops of this crate — Brandes betweenness, closeness, BFS,
-//! Dijkstra — are *per-source* computations that the serial kernels run `n`
-//! times and the parallel kernels fan out over a pool. Allocating the
+//! Dijkstra — are *per-source* computations that the all-sources sweeps run
+//! `n` times, fanned out over a pool of `jobs` workers. Allocating the
 //! per-source state fresh each time (`vec![…; n]` several times per source,
 //! plus a `Vec<Vec<NodeId>>` predecessor table for Brandes) is a large
 //! constant-factor tax. The scratch structs here hoist that state out of the
@@ -38,8 +38,8 @@
 //! results bit-identical to the fresh-allocation wrappers
 //! ([`crate::centrality::brandes_delta`], [`crate::traversal::bfs_distances`],
 //! …), a property pinned down by the `scratch_props` property-test suite
-//! (per-source reuse, and the fresh-alloc Brandes sum against the serial and
-//! parallel drivers).
+//! (per-source reuse, and the fresh-alloc Brandes sum against the sweeps at
+//! every worker count).
 //!
 //! # Examples
 //!

@@ -518,8 +518,8 @@ mod tests {
             assert_eq!(row.as_slice(), crate::Graph::neighbors(&g, u), "row {u}");
         }
         assert_eq!(
-            crate::centrality::betweenness_centrality(&c),
-            crate::centrality::betweenness_centrality(&g)
+            crate::centrality::betweenness_centrality(&c, 1),
+            crate::centrality::betweenness_centrality(&g, 1)
         );
     }
 

@@ -91,18 +91,22 @@ pub fn bfs_distance<G: GraphView>(
 }
 
 /// BFS distance vectors from every source: `out[s][v]` is the hop distance
-/// from `s` to `v` (`usize::MAX` when unreachable). The serial counterpart
-/// of [`crate::parallel::all_pairs_bfs_par`]. One BFS scratch is reused
-/// across all sources.
-pub fn all_pairs_bfs<G: GraphView>(g: &G) -> Vec<Vec<usize>> {
-    let mut sc = BfsScratch::new();
-    g.nodes()
-        .map(|s| {
+/// from `s` to `v` (`usize::MAX` when unreachable). The sources fan out over
+/// `jobs` workers, each reusing one BFS scratch across the sources it runs
+/// (each row is still allocated, as it is returned); the result is
+/// identical at any `jobs`.
+pub fn all_pairs_bfs<G: GraphView + Sync>(g: &G, jobs: usize) -> Vec<Vec<usize>> {
+    let (rows, _) = csn_parallel::run_indexed_stateful(
+        g.node_count(),
+        jobs,
+        |_| BfsScratch::new(),
+        |s, scratch| {
             let mut row = Vec::new();
-            bfs_distances_into(g, s, &mut sc, &mut row);
+            bfs_distances_into(g, s, scratch, &mut row);
             row
-        })
-        .collect()
+        },
+    );
+    rows
 }
 
 /// BFS distances from `source` following arc directions in a digraph.
@@ -433,6 +437,6 @@ mod tests {
         assert_eq!(dfs_preorder(&g, 0), dfs_preorder(&frozen, 0));
         assert_eq!(connected_components(&g), connected_components(&frozen));
         assert_eq!(bfs_path(&g, 0, 3), bfs_path(&frozen, 0, 3));
-        assert_eq!(all_pairs_bfs(&g), all_pairs_bfs(&frozen));
+        assert_eq!(all_pairs_bfs(&g, 1), all_pairs_bfs(&frozen, 1));
     }
 }

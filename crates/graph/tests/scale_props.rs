@@ -1,13 +1,13 @@
 //! Property tests for the million-node substrate tier: streaming generators
 //! obey their model invariants and replay deterministically, a streamed
-//! build lands on the same edge set as the `Graph` it replays, the parallel
-//! kernels are bit-identical on the frozen form, and the sampled kernels
-//! degenerate to the exact ones at full sampling — across worker counts.
-//! Freezing itself (round trip, serial kernels) is covered by `csr_props`.
+//! build lands on the same edge set as the `Graph` it replays, and the
+//! sampled kernels degenerate to the exact ones at full sampling. Freezing
+//! itself (round trip, kernels) is covered by `csr_props`, and the sweeps
+//! at every worker count by `scratch_props`.
 
 use csn_graph::compact::{CompactCsrGraph, RowOrder};
 use csn_graph::stream::{BaStream, EdgeStream, GeometricStream, KleinbergStream};
-use csn_graph::{approx, centrality, generators, parallel, Graph, GraphView};
+use csn_graph::{approx, centrality, generators, Graph, GraphView};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph as an edge list over `n` nodes.
@@ -50,7 +50,10 @@ proptest! {
         // in the same neighbour order, so Brandes agrees bit for bit.
         let g = generators::barabasi_albert(n, m, seed).unwrap();
         prop_assert_eq!(&c.thaw(), &g);
-        prop_assert_eq!(centrality::betweenness_centrality(&c), centrality::betweenness_centrality(&g));
+        prop_assert_eq!(
+            centrality::betweenness_centrality(&c, 1),
+            centrality::betweenness_centrality(&g, 1)
+        );
     }
 
     #[test]
@@ -102,36 +105,13 @@ proptest! {
     }
 
     #[test]
-    fn parallel_kernels_bitwise_match_on_compact(g in arb_graph(24)) {
-        let c = g.freeze().unwrap();
-        let serial_bc = centrality::betweenness_centrality(&g);
-        let serial_cc = centrality::closeness_centrality(&g);
-        for jobs in [1usize, 2, 4, 7] {
-            prop_assert_eq!(&serial_bc, &parallel::betweenness_par(&c, jobs));
-            prop_assert_eq!(&serial_cc, &parallel::closeness_par(&c, jobs));
-        }
-    }
-
-    #[test]
     fn full_sampling_degenerates_to_exact_kernels(g in arb_graph(28)) {
         let n = g.node_count();
-        let exact_bc = centrality::betweenness_centrality(&g);
-        let exact_cc = centrality::closeness_centrality(&g);
         // k = n: bit-identical, by construction (sorted sources, unit scale).
-        prop_assert_eq!(&exact_bc, &approx::betweenness_sampled(&g, n, 7));
-        prop_assert_eq!(&exact_cc, &approx::closeness_sampled(&g, n, 7));
-        for jobs in [1usize, 2, 4, 7] {
-            prop_assert_eq!(&exact_bc, &parallel::betweenness_sampled_par(&g, n, 7, jobs));
-        }
-    }
-
-    #[test]
-    fn sampled_par_matches_sampled_serial(g in arb_graph(28), seed in 0u64..100) {
-        let n = g.node_count();
-        let k = (n / 3).max(1);
-        let serial = approx::betweenness_sampled(&g, k, seed);
-        for jobs in [1usize, 2, 4, 7] {
-            prop_assert_eq!(&serial, &parallel::betweenness_sampled_par(&g, k, seed, jobs));
-        }
+        prop_assert_eq!(
+            centrality::betweenness_centrality(&g, 1),
+            approx::betweenness_sampled(&g, n, 7, 1)
+        );
+        prop_assert_eq!(centrality::closeness_centrality(&g, 1), approx::closeness_sampled(&g, n, 7));
     }
 }

@@ -114,7 +114,8 @@ where
 /// deterministic distsim stepper needs — each worker owns one outbox arena
 /// (selected by `worker`), tasks are node-index waves, and the caller merges
 /// the per-worker arenas in wave order afterwards so the result is
-/// bit-identical to serial at any job count (the `betweenness_par` trick).
+/// bit-identical to serial at any job count (the wave-ordered merge of the
+/// Brandes source sweep in `csn_graph::centrality`).
 ///
 /// `jobs == 1` degenerates to one inline state on the calling thread with
 /// `worker == 0`.

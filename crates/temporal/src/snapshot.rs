@@ -13,7 +13,7 @@
 //! The maintained graph equals `eg.snapshot(t)` at every position (their
 //! edge *sets* are identical; [`Graph`] equality ignores adjacency order) —
 //! the `snapshot_props` property suite pins this down, and `csn-bench`'s
-//! `gates::scenario::slice_dtn_and_cursors_match` checks it on a city trace.
+//! `gates::scenario::epidemic_and_cursors_match` checks it on a city trace.
 //!
 //! The cursor is a frozen view: it captures the `EG` at construction time
 //! and does not observe later mutations. After `remove_label` /
