@@ -3,11 +3,11 @@
 //! Each tier writes one committed artifact (or `--out PATH`) in the one row
 //! schema of `csn_bench::rows`: every row is keyed by its tier, stage and
 //! parameters, and carries exact counters (touches, arcs, edges, rounds,
-//! messages, contacts, bytes) and one informational wall time. The box may
-//! be single-core and noisy, so the trajectory lives in the committed
-//! JSON, not in a pass/fail threshold; `scripts/check.sh` reruns every tier
-//! at its check size and fails when a fresh row's counters are not a
-//! committed row's. The correctness of everything measured here is asserted
+//! messages, contacts, bytes) and one informational wall time. Wall times
+//! are noisy on a small shared machine, so the trajectory lives in the
+//! committed JSON, not in a pass/fail threshold; `scripts/check.sh` reruns
+//! every tier at its check size and fails when a fresh row's counters are
+//! not a committed row's. The correctness of everything measured here is asserted
 //! by tier-1 tests — `crates/bench/tests/gates.rs` and the crates' property
 //! suites — so this binary exits non-zero only on a usage error (status 2)
 //! or when it cannot write its artifact (status 1).
@@ -17,7 +17,8 @@
 //!    fresh-alloc Brandes vs the scratch sweep at 1, 2, 4 and 7 workers,
 //!    the landmark-table build (k = 16) one BFS per landmark vs
 //!    multi-source with the arcs each scans, a snapshot sweep by rebuilds
-//!    and by cursor, a faulted Bellman–Ford run, and the counted-touch
+//!    and by cursor (with the appear and disappear entries the cursor
+//!    applies), a faulted Bellman–Ford run, and the counted-touch
 //!    `maintain` rows: node touches of the k-core, NSF and forwarding-set
 //!    maintainers on a sparse edge-Markovian trace next to per-step
 //!    rebuilds (see `csn_bench::kernels_bench`).
@@ -89,7 +90,7 @@ fn main() {
     let out = flags.get("--out", default_out.to_string());
     let doc = Document {
         rows: run(&flags),
-        git_rev: git_rev(),
+        git_rev: csn_bench::git_rev(),
         detected_cores: csn_bench::pool::available_parallelism(),
     };
     if let Err(e) = std::fs::write(&out, doc.render()) {
@@ -101,17 +102,6 @@ fn main() {
         doc.rows.len(),
         doc.detected_cores
     );
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// The sizes a tier runs: `check` (the size `scripts/check.sh` runs) when
@@ -239,7 +229,15 @@ fn run_kernels(_: &Flags) -> Vec<Row> {
             black_box(eg.snapshot(t));
         }
     });
-    time(&mut rows, sweep("cursor"), || {
+    // The delta entries a cursor sweep applies, the initial edges at t = 0
+    // included.
+    let deltas = eg.snapshot_cursor();
+    let (appear, disappear) = (0..eg.horizon()).fold((0, 0), |(a, d), t| {
+        (a + deltas.appearing_at(t).len(), d + deltas.disappearing_at(t).len())
+    });
+    let cursor =
+        sweep("cursor").counter("appear_entries", appear).counter("disappear_entries", disappear);
+    time(&mut rows, cursor, || {
         let mut cur = eg.snapshot_cursor();
         black_box(cur.graph());
         while cur.advance() {

@@ -259,7 +259,7 @@ pub fn run_reports(opts: &RunOptions) -> RunOutcome {
     let cpu_secs = timings.iter().map(|t| t.wall_time_secs).sum();
     let summary = RunSummary {
         schema: "structura-experiments-v1".to_string(),
-        git_rev: git_rev(),
+        git_rev: crate::git_rev(),
         jobs: opts.jobs,
         workers_used: stats.workers,
         detected_cores: pool::available_parallelism(),
@@ -281,17 +281,6 @@ pub fn run(filter: &str) {
         print!("{}", report.render());
         eprintln!("  [{} took {:.1}s]", report.id, report.wall_time_secs);
     }
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// E1 (Fig. 1): interval graphs and interval hypergraphs of online sessions.

@@ -45,6 +45,19 @@ pub mod scenario_bench;
 
 pub use csn_parallel as pool;
 
+/// The checked-out commit (`git rev-parse HEAD`), or `"unknown"` outside
+/// a git checkout.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Runs `f` and returns its output with its wall time in seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();

@@ -76,11 +76,6 @@ impl Report {
         self.metrics.push(Metric { name: name.into(), value });
     }
 
-    /// Number of rendered lines (headings + rows).
-    pub fn line_count(&self) -> usize {
-        self.sections.iter().map(|s| usize::from(s.heading.is_some()) + s.rows.len()).sum()
-    }
-
     fn into_parts(self) -> (Vec<Section>, Vec<Metric>) {
         (self.sections, self.metrics)
     }

@@ -214,21 +214,26 @@ impl FaultModel {
 /// Converts a [`SnapshotCursor`]'s precomputed appear/disappear deltas into
 /// [`FaultEvent::Delta`]s: time unit `t` becomes an event at round
 /// `t * rounds_per_unit`, so a protocol gets `rounds_per_unit` rounds on
-/// each snapshot. The cursor's `t = 0` graph is the starting topology and
-/// produces no event.
+/// each snapshot (0 counts as 1); the product saturates at `usize::MAX`,
+/// which the units past it share, still in unit order. Each delta lists its
+/// edges in pair order. The cursor's `t = 0` graph is the starting topology
+/// and produces no event.
 pub fn snapshot_delta_events(
     cursor: &SnapshotCursor,
     rounds_per_unit: usize,
 ) -> Vec<(usize, FaultEvent)> {
     let rpu = rounds_per_unit.max(1);
+    let edges = |pairs: &[(u32, u32)]| -> Vec<(NodeId, NodeId)> {
+        pairs.iter().map(|&(u, v)| (u as NodeId, v as NodeId)).collect()
+    };
     let mut events = Vec::new();
-    for t in 1..cursor.horizon().max(1) {
-        let add = cursor.appearing_at(t).to_vec();
-        let remove = cursor.disappearing_at(t).to_vec();
+    for t in 1..cursor.horizon() {
+        let (add, remove) = (edges(cursor.appearing_at(t)), edges(cursor.disappearing_at(t)));
         if add.is_empty() && remove.is_empty() {
             continue;
         }
-        events.push((t as usize * rpu, FaultEvent::Delta(TopologyDelta { add, remove })));
+        let round = (t as usize).saturating_mul(rpu);
+        events.push((round, FaultEvent::Delta(TopologyDelta { add, remove })));
     }
     events
 }
@@ -300,5 +305,19 @@ mod tests {
             events[1].1,
             FaultEvent::Delta(TopologyDelta { add: vec![(1, 2)], remove: vec![] })
         );
+    }
+
+    #[test]
+    fn snapshot_delta_rounds_saturate_in_unit_order() {
+        use csn_temporal::TimeEvolvingGraph;
+        // Deltas at units 2 and 3 only: (0, 1) appears at 2, and at 3 it
+        // vanishes while (1, 2) appears and runs to the horizon.
+        let mut eg = TimeEvolvingGraph::new(3, 4);
+        eg.add_contact(0, 1, 2);
+        eg.add_contact(2, 1, 3);
+        let events = snapshot_delta_events(&eg.snapshot_cursor(), usize::MAX);
+        let unit2 = FaultEvent::Delta(TopologyDelta { add: vec![(0, 1)], remove: vec![] });
+        let unit3 = FaultEvent::Delta(TopologyDelta { add: vec![(1, 2)], remove: vec![(0, 1)] });
+        assert_eq!(events, [(usize::MAX, unit2), (usize::MAX, unit3)]);
     }
 }

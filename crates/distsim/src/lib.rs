@@ -16,7 +16,7 @@
 //!   node knows k-hop information for a small constant k",
 //! * a full fault-injection subsystem ([`FaultModel`]) and a reliability
 //!   adapter ([`Reliable`]) — see below,
-//! * **deterministic parallel round stepping** ([`Simulator::set_jobs`]):
+//! * **deterministic parallel round stepping** ([`Simulator::with_jobs`]):
 //!   per-round node execution fans out over `csn_parallel` in node-index
 //!   waves whose outboxes are merged in canonical order by a counting sort
 //!   that carries the payloads, so every `(seed, jobs)` pair yields
@@ -263,7 +263,7 @@ impl<'a, M: Clone> Outbox<'a, M> {
 /// next round — through the [`Outbox`] sink.
 ///
 /// The `Sync` / `Send` bounds let [`Simulator::step`] fan node execution
-/// out over worker threads ([`Simulator::set_jobs`]); results are
+/// out over worker threads ([`Simulator::with_jobs`]); results are
 /// bit-identical to the serial path at any job count, so protocols need no
 /// parallel-awareness beyond the bounds.
 pub trait Protocol: Sync {
@@ -441,24 +441,13 @@ impl<'p, P: Protocol> Simulator<'p, P> {
         }
     }
 
-    /// Sets the worker count for round stepping (builder form). See
-    /// [`Simulator::set_jobs`].
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.set_jobs(jobs);
-        self
-    }
-
     /// Sets the worker count for round stepping. `1` (the default) runs
-    /// nodes inline on the calling thread; any value produces bit-identical
-    /// results — see [`Simulator::step`] — so this is purely a wall-clock
-    /// knob.
-    pub fn set_jobs(&mut self, jobs: usize) {
+    /// nodes inline on the calling thread, and 0 counts as 1; any value
+    /// produces bit-identical results — see [`Simulator::step`] — so this is
+    /// purely a wall-clock knob.
+    pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-    }
-
-    /// The configured stepping worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
+        self
     }
 
     /// State of node `u`.
@@ -858,8 +847,8 @@ impl<'p, P: Protocol> Simulator<'p, P> {
     /// for the parallel wave/merge pipeline) plus an O(1) stability check —
     /// [`Simulator::pending_messages`] reads maintained counters, so the
     /// convergence detector adds no per-node scan. Results are
-    /// bit-identical at any [`Simulator::set_jobs`] value; on the 1-core CI
-    /// box the parallel path is exercised for correctness, not speed.
+    /// bit-identical at any [`Simulator::with_jobs`] value, so a second
+    /// worker changes only the wall time.
     pub fn run_until_stable(&mut self, max_rounds: usize, window: usize) -> RunStats {
         let window = window.max(1);
         let mut streak = 0usize;

@@ -10,53 +10,28 @@
 //!
 //! # Performance
 //!
-//! Contact detection supports two interchangeable back ends gated bitwise
-//! against each other (see [`ContactDetection`]): the O(n²) all-pairs scan
-//! and a uniform-cell grid index in the [`csn_graph::stream::GeometricStream`]
-//! idiom — cells at least one radio range wide, so every in-range pair lies
-//! in a 3×3 cell neighborhood. Either back end yields each step's in-range
-//! pairs in ascending pair order, and one sorted merge with the open
-//! contacts (also kept in pair order) opens and closes contacts, so a step
-//! costs O(n + open + near) with the grid instead of O(n²). City-scale
+//! Contact detection has two back ends, picked by node count and gated
+//! bitwise against each other by the unit tests: the O(n²) all-pairs scan
+//! below 64 nodes, and from 64 on a uniform-cell grid index in the
+//! [`csn_graph::stream::GeometricStream`] idiom — cells at least one radio
+//! range wide, so every in-range pair lies in a 3×3 cell neighborhood.
+//! Either back end yields each step's in-range pairs in ascending pair
+//! order, and one sorted merge with the open contacts (also kept in pair
+//! order) opens and closes contacts, so a step costs O(n + open + near)
+//! with the grid instead of O(n²). City-scale
 //! traces (n in the thousands, millions of contacts) are built through
 //! [`crate::stream::RwpStream`] without materializing the event vector;
 //! throughput is recorded in `BENCH_scenario.json` (see SCENARIOS.md).
 
+use crate::stream::{ContactStream, RwpStream};
 use crate::trace::{ContactEvent, ContactTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How `simulate`/`simulate_unbounded` find in-range pairs each step.
-///
-/// Both back ends produce *byte-identical* traces: they test the identical
-/// floating-point predicate on the identical post-advance positions and
-/// hand the same ascending in-range pair list to one merge, so even the
-/// emission order is the same. The mobility proptest suite and the
-/// `--scenario` perf gate assert the equality on small n every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContactDetection {
-    /// Grid for `n >= 64`, naive below (the grid's constant factor only
-    /// pays off once the quadratic term dominates).
-    #[default]
-    Auto,
-    /// The O(n²) all-pairs reference scan.
-    Naive,
-    /// The uniform-cell grid index.
-    Grid,
-}
-
-impl ContactDetection {
-    /// Nodes at which [`ContactDetection::Auto`] switches to the grid.
-    pub const AUTO_GRID_THRESHOLD: usize = 64;
-
-    fn use_grid(self, n: usize) -> bool {
-        match self {
-            ContactDetection::Auto => n >= Self::AUTO_GRID_THRESHOLD,
-            ContactDetection::Naive => false,
-            ContactDetection::Grid => true,
-        }
-    }
-}
+/// Nodes from which a walk finds in-range pairs with the grid instead of
+/// the all-pairs scan: the grid's constant factor only pays off once the
+/// quadratic term dominates.
+pub(crate) const GRID_THRESHOLD: usize = 64;
 
 /// Configuration of a random-waypoint simulation on the unit square.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,31 +62,14 @@ impl RandomWaypoint {
         assert!(0.0 < self.v_min && self.v_min <= self.v_max, "bad speed range");
     }
 
-    /// Simulates `duration` seconds and returns the contact trace.
+    /// Simulates `duration` seconds and returns the contact trace: the
+    /// collected [`RwpStream::bounded`].
     ///
     /// # Panics
     ///
     /// Panics if parameters are non-positive or `v_min > v_max`.
     pub fn simulate(&self, duration: f64, seed: u64) -> ContactTrace {
-        self.simulate_with(duration, seed, ContactDetection::Auto)
-    }
-
-    /// [`RandomWaypoint::simulate`] with an explicit contact-detection back
-    /// end (the bitwise grid-vs-naive gates use this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if parameters are non-positive or `v_min > v_max`.
-    pub fn simulate_with(
-        &self,
-        duration: f64,
-        seed: u64,
-        detection: ContactDetection,
-    ) -> ContactTrace {
-        self.validate();
-        let mut events = Vec::new();
-        run_walk(self, Walk::Bounded, duration, seed, detection, &mut |e| events.push(e));
-        ContactTrace::new(self.n, duration, events)
+        RwpStream::bounded(*self, duration, seed).collect_trace()
     }
 
     /// Random waypoint **without a boundary** (§II-B): each waypoint is a
@@ -119,7 +77,8 @@ impl RandomWaypoint {
     /// current position, so nodes diffuse over the open plane. The paper's
     /// claim — reproduced by experiment E17 — is that this variant does
     /// *not* produce exponential contact-duration or inter-contact-time
-    /// distributions (pairs drift apart, stretching the tail).
+    /// distributions (pairs drift apart, stretching the tail). The trace
+    /// is the collected [`RwpStream::unbounded`].
     ///
     /// # Panics
     ///
@@ -131,35 +90,7 @@ impl RandomWaypoint {
         trip_max: f64,
         seed: u64,
     ) -> ContactTrace {
-        self.simulate_unbounded_with(duration, trip_min, trip_max, seed, ContactDetection::Auto)
-    }
-
-    /// [`RandomWaypoint::simulate_unbounded`] with an explicit
-    /// contact-detection back end.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive parameters or `trip_min > trip_max`.
-    pub fn simulate_unbounded_with(
-        &self,
-        duration: f64,
-        trip_min: f64,
-        trip_max: f64,
-        seed: u64,
-        detection: ContactDetection,
-    ) -> ContactTrace {
-        self.validate();
-        assert!(0.0 < trip_min && trip_min <= trip_max, "bad trip range");
-        let mut events = Vec::new();
-        run_walk(
-            self,
-            Walk::Unbounded { trip_min, trip_max },
-            duration,
-            seed,
-            detection,
-            &mut |e| events.push(e),
-        );
-        ContactTrace::new(self.n, duration, events)
+        RwpStream::unbounded(*self, duration, trip_min, trip_max, seed).collect_trace()
     }
 }
 
@@ -254,22 +185,21 @@ type Pair = (u32, u32);
 /// Open contacts live in a `Vec` of `(pair, start)` in ascending pair
 /// order. Each step merges it once with that step's in-range pairs (see
 /// [`merge_step`]), so closures and the end-of-trace drain emit in pair
-/// order — deterministic across processes and back ends.
+/// order — deterministic across processes and back ends. The grid finds
+/// the in-range pairs if `grid`, else the all-pairs scan.
 pub(crate) fn run_walk(
     model: &RandomWaypoint,
     walk: Walk,
     duration: f64,
     seed: u64,
-    detection: ContactDetection,
+    grid: bool,
     emit: &mut dyn FnMut(ContactEvent),
 ) {
     let n = model.n;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = initial_state(model, walk, &mut rng);
     let steps = (duration / model.dt).ceil() as usize;
-    let mut grid = detection
-        .use_grid(n)
-        .then(|| ContactGrid::new(n, model.range, matches!(walk, Walk::Bounded)));
+    let mut grid = grid.then(|| ContactGrid::new(n, model.range, matches!(walk, Walk::Bounded)));
     let (mut open, mut next, mut near) = (Vec::new(), Vec::new(), Vec::new());
     for step in 0..steps {
         for s in &mut state {
@@ -501,7 +431,7 @@ mod tests {
         walk: Walk,
         duration: f64,
         seed: u64,
-        detection: ContactDetection,
+        grid: bool,
     ) -> Vec<ContactEvent> {
         let mut events = Vec::new();
         let n = model.n;
@@ -509,9 +439,8 @@ mod tests {
         let mut state = initial_state(model, walk, &mut rng);
         let steps = (duration / model.dt).ceil() as usize;
         let mut open: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        let mut grid = detection
-            .use_grid(n)
-            .then(|| ContactGrid::new(n, model.range, matches!(walk, Walk::Bounded)));
+        let mut grid =
+            grid.then(|| ContactGrid::new(n, model.range, matches!(walk, Walk::Bounded)));
         let mut near = Vec::new();
         for step in 0..steps {
             for s in &mut state {
@@ -567,6 +496,20 @@ mod tests {
         events
     }
 
+    /// The events the walk emits on the grid if `grid`, else on the
+    /// all-pairs scan, in emission order.
+    fn walk_events(
+        model: &RandomWaypoint,
+        walk: Walk,
+        duration: f64,
+        seed: u64,
+        grid: bool,
+    ) -> Vec<ContactEvent> {
+        let mut events = Vec::new();
+        run_walk(model, walk, duration, seed, grid, &mut |e| events.push(e));
+        events
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -586,12 +529,31 @@ mod tests {
             } else {
                 Walk::Unbounded { trip_min: 0.05, trip_max: 0.3 }
             };
-            let detection =
-                [ContactDetection::Auto, ContactDetection::Naive, ContactDetection::Grid][variant % 3];
-            let mut merged = Vec::new();
-            run_walk(&m, walk, duration, seed, detection, &mut |e| merged.push(e));
-            let reference = reference_walk(&m, walk, duration, seed, detection);
-            prop_assert_eq!(merged, reference, "n {}, {:?}, {:?}", n, walk, detection);
+            // The back end `run_walk` picks, then each one forced.
+            let grid = [n >= GRID_THRESHOLD, false, true][variant % 3];
+            let merged = walk_events(&m, walk, duration, seed, grid);
+            let reference = reference_walk(&m, walk, duration, seed, grid);
+            prop_assert_eq!(merged, reference, "n {}, {:?}, grid {}", n, walk, grid);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn grid_detection_is_bitwise_identical_to_all_pairs(
+            n in 2usize..50,
+            range in 0.02f64..0.4,
+            duration in 20.0f64..100.0,
+            seed in 0u64..1_000,
+        ) {
+            let mut m = RandomWaypoint::default_config(n);
+            m.range = range;
+            for walk in [Walk::Bounded, Walk::Unbounded { trip_min: 0.05, trip_max: 0.3 }] {
+                let naive = walk_events(&m, walk, duration, seed, false);
+                let grid = walk_events(&m, walk, duration, seed, true);
+                prop_assert_eq!(naive, grid, "{:?} grid diverged from all-pairs scan", walk);
+            }
         }
     }
 
@@ -649,14 +611,13 @@ mod tests {
 
     #[test]
     fn grid_matches_naive_bitwise() {
+        let m = RandomWaypoint::default_config(25);
         for seed in 0..4 {
-            let m = RandomWaypoint::default_config(25);
-            let naive = m.simulate_with(150.0, seed, ContactDetection::Naive);
-            let grid = m.simulate_with(150.0, seed, ContactDetection::Grid);
-            assert_eq!(naive, grid, "seed {seed}: grid diverged from all-pairs scan");
-            let naive_u = m.simulate_unbounded_with(150.0, 0.1, 0.4, seed, ContactDetection::Naive);
-            let grid_u = m.simulate_unbounded_with(150.0, 0.1, 0.4, seed, ContactDetection::Grid);
-            assert_eq!(naive_u, grid_u, "seed {seed}: sparse grid diverged (unbounded)");
+            for walk in [Walk::Bounded, Walk::Unbounded { trip_min: 0.1, trip_max: 0.4 }] {
+                let naive = walk_events(&m, walk, 150.0, seed, false);
+                let grid = walk_events(&m, walk, 150.0, seed, true);
+                assert_eq!(naive, grid, "seed {seed}, {walk:?}: grid diverged from all-pairs scan");
+            }
         }
     }
 

@@ -18,7 +18,7 @@
 //! construction — asserted for every generated trace by the mobility
 //! proptest suite.
 
-use crate::rwp::{ContactDetection, RandomWaypoint};
+use crate::rwp::RandomWaypoint;
 use crate::social::{Population, SocialContactModel};
 use crate::stream::{ContactStream, PairPoissonStream, RwpStream, SocialStream};
 use crate::trace::ContactEvent;
@@ -34,8 +34,6 @@ const BRIDGE_SEED_OFFSET: u64 = 0x2545_f491_4f6c_dd1d;
 pub struct CityScenario {
     /// Vehicle mobility (its `n` is the vehicle count).
     pub rwp: RandomWaypoint,
-    /// Contact-detection back end for the vehicle layer.
-    pub detection: ContactDetection,
     /// Pedestrian social profiles.
     pub population: Population,
     /// Pedestrian contact process.
@@ -67,7 +65,6 @@ impl CityScenario {
     pub fn new(vehicles: usize, pedestrians: usize, duration: f64, seed: u64) -> Self {
         CityScenario {
             rwp: RandomWaypoint::default_config(vehicles),
-            detection: ContactDetection::Auto,
             population: Population::random(
                 pedestrians,
                 &Population::fig6_radix(),
@@ -132,9 +129,7 @@ impl ContactStream for CityScenario {
 
     fn for_each_contact(&self, emit: &mut dyn FnMut(ContactEvent)) {
         // Vehicle layer: ids already 0-based.
-        RwpStream::bounded(self.rwp, self.duration, self.seed)
-            .with_detection(self.detection)
-            .for_each_contact(emit);
+        RwpStream::bounded(self.rwp, self.duration, self.seed).for_each_contact(emit);
         // Pedestrian layer: offset ids past the vehicles.
         if self.pedestrian_count() > 0 {
             let nv = self.vehicle_count();
@@ -168,6 +163,7 @@ impl ContactStream for CityScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rwp::{run_walk, Walk};
 
     #[test]
     fn city_trace_is_well_formed_and_seeded() {
@@ -196,11 +192,16 @@ mod tests {
 
     #[test]
     fn detection_backend_is_invisible() {
-        let mut a = CityScenario::new(25, 10, 300.0, 5);
-        a.detection = ContactDetection::Naive;
-        let mut b = CityScenario::new(25, 10, 300.0, 5);
-        b.detection = ContactDetection::Grid;
-        assert_eq!(a.collect_trace(), b.collect_trace());
+        // 25 vehicles run the all-pairs scan; the grid must emit the same
+        // vehicle-layer events, which the city emits first.
+        let city = CityScenario::new(25, 10, 300.0, 5);
+        let nv = city.vehicle_count();
+        let mut vehicles = Vec::new();
+        city.for_each_contact(&mut |e| vehicles.extend((e.u < nv && e.v < nv).then_some(e)));
+        let mut grid = Vec::new();
+        run_walk(&city.rwp, Walk::Bounded, city.duration, city.seed, true, &mut |e| grid.push(e));
+        assert!(!grid.is_empty(), "25 vehicles over 300 s must meet");
+        assert_eq!(vehicles, grid);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! [`SocialStream`]); [`crate::scenario::CityScenario`] composes them into
 //! a heterogeneous city trace.
 
-use crate::rwp::{run_walk, ContactDetection, RandomWaypoint, Walk};
+use crate::rwp::{run_walk, RandomWaypoint, Walk, GRID_THRESHOLD};
 use crate::social::{sample_exp, Population, SocialContactModel};
 use crate::trace::{ContactEvent, ContactTrace};
 use csn_temporal::{TimeEvolvingGraph, TimeUnit};
@@ -84,16 +84,14 @@ pub trait ContactStream {
 
 /// [`ContactStream`] over a random-waypoint walk (bounded or unbounded).
 ///
-/// `RwpStream::bounded(m, d, s).collect_trace()` is byte-identical to
-/// `m.simulate(d, s)` — the eager entry points are thin wrappers over the
-/// same `run_walk` core.
+/// `RwpStream::bounded(m, d, s).collect_trace()` is `m.simulate(d, s)`:
+/// the eager entry points collect these streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RwpStream {
     model: RandomWaypoint,
     walk: Walk,
     duration: f64,
     seed: u64,
-    detection: ContactDetection,
 }
 
 impl RwpStream {
@@ -104,7 +102,7 @@ impl RwpStream {
     /// Panics on non-positive model parameters or `v_min > v_max`.
     pub fn bounded(model: RandomWaypoint, duration: f64, seed: u64) -> Self {
         model.validate();
-        RwpStream { model, walk: Walk::Bounded, duration, seed, detection: ContactDetection::Auto }
+        RwpStream { model, walk: Walk::Bounded, duration, seed }
     }
 
     /// Boundary-free walk (uniform-direction trips of
@@ -122,19 +120,7 @@ impl RwpStream {
     ) -> Self {
         model.validate();
         assert!(0.0 < trip_min && trip_min <= trip_max, "bad trip range");
-        RwpStream {
-            model,
-            walk: Walk::Unbounded { trip_min, trip_max },
-            duration,
-            seed,
-            detection: ContactDetection::Auto,
-        }
-    }
-
-    /// Forces a contact-detection back end (the bitwise gates use this).
-    pub fn with_detection(mut self, detection: ContactDetection) -> Self {
-        self.detection = detection;
-        self
+        RwpStream { model, walk: Walk::Unbounded { trip_min, trip_max }, duration, seed }
     }
 }
 
@@ -148,7 +134,8 @@ impl ContactStream for RwpStream {
     }
 
     fn for_each_contact(&self, emit: &mut dyn FnMut(ContactEvent)) {
-        run_walk(&self.model, self.walk, self.duration, self.seed, self.detection, emit);
+        let grid = self.model.n >= GRID_THRESHOLD;
+        run_walk(&self.model, self.walk, self.duration, self.seed, grid, emit);
     }
 }
 

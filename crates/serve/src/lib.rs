@@ -28,7 +28,8 @@
 //! request-loop (`structurad` in `csn-bench` is the CLI front-end), which
 //! keeps every run replayable and lets CI gate batched-parallel equality
 //! bitwise. See `SERVING.md` at the repo root for the index memory model
-//! and the single-core throughput caveat.
+//! and why its wall times are informational: they move with the host, and
+//! a few-core box gains little from `jobs`.
 //!
 //! # Examples
 //!

@@ -22,10 +22,9 @@
 //! table lookups). A `Distance` answer reads two contiguous `k`-entry
 //! landmark rows, per-worker scratch keeps working memory off the
 //! allocator after warm-up, and each piece allocates one answer vector.
-//! With one physical core (the CI box) the batched path still runs — it
-//! just degenerates to the serial loop plus queueing overhead, which is
-//! why serving wall times are informational there while the equality
-//! tests are the gate.
+//! On a few cores the batched path gains little over the serial loop, and
+//! on one it is that loop plus queueing overhead, so serving wall times are
+//! informational while the equality tests are the gate.
 
 use crate::index::{ServeIndex, ServeScratch};
 use crate::query::{Query, Response};

@@ -27,7 +27,7 @@
 //! distinct pair 20 B (two row entries and its first-run index), a node or
 //! a time unit 8 B (one offset), plus one closing offset per offset column.
 
-use crate::graph::{TimeEvolvingGraph, TimeUnit};
+use crate::graph::{TemporalEdge, TimeEvolvingGraph, TimeUnit};
 use csn_graph::NodeId;
 use std::ops::ControlFlow;
 
@@ -42,14 +42,56 @@ pub struct FrozenEg {
     /// pair order: pair `p` owns `runs[first_run[p]..first_run[p + 1]]`.
     runs: Vec<(TimeUnit, TimeUnit)>,
     first_run: Vec<u32>,
-    /// Node `u`'s `(partner, pair)` entries are `adj[adj_off[u]..adj_off[u + 1]]`,
-    /// sorted by partner.
-    adj_off: Vec<usize>,
-    adj: Vec<(u32, u32)>,
-    /// The `(min, max)` pairs whose run starts at unit `t` are
-    /// `appear[appear_off[t]..appear_off[t + 1]]`, in pair order.
-    appear_off: Vec<usize>,
-    appear: Vec<(u32, u32)>,
+    /// Node `u`'s `(partner, pair)` entries, sorted by partner.
+    rows: Lists,
+    /// Unit `t`'s `(min, max)` pairs whose run starts there, in pair order.
+    appear: Lists,
+}
+
+/// Per-key lists of `(u32, u32)` entries in two flat columns, list `k`
+/// being `entries[off[k]..off[k + 1]]`, filled by a stable counting sort:
+/// [`Lists::sized`] counts every list's entries and [`Lists::place`]
+/// appends them in call order. `freeze` fills its node rows and appear list
+/// this way, and the [`SnapshotCursor`](crate::SnapshotCursor) its appear
+/// and vanish lists, both placing from [`TimeEvolvingGraph::for_each_pair`],
+/// so every per-unit list is in pair order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Lists {
+    off: Vec<usize>,
+    entries: Vec<(u32, u32)>,
+}
+
+impl Lists {
+    /// Lists `0..keys` sized for one entry per key in `counted`, to be
+    /// filled by placing exactly those entries. Until then `off[k + 1]` is
+    /// the slot list `k` fills next, so once full it ends list `k`, that
+    /// is, starts list `k + 1`.
+    pub(crate) fn sized(keys: usize, counted: impl IntoIterator<Item = usize>) -> Lists {
+        let mut off = vec![0; keys + 1];
+        for key in counted {
+            off[key + 1] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut off[1..] {
+            sum += std::mem::replace(slot, sum);
+        }
+        Lists { off, entries: vec![(0, 0); sum] }
+    }
+
+    /// Appends `entry` to list `key`.
+    pub(crate) fn place(&mut self, key: usize, entry: (u32, u32)) {
+        let slot = &mut self.off[key + 1];
+        self.entries[*slot] = entry;
+        *slot += 1;
+    }
+
+    /// List `key`; empty past the last list.
+    pub(crate) fn get(&self, key: usize) -> &[(u32, u32)] {
+        match self.off.get(key..key.saturating_add(2)) {
+            Some(&[start, end]) => &self.entries[start..end],
+            _ => &[],
+        }
+    }
 }
 
 /// Working memory for [`FrozenEg::earliest_arrival`], one per worker. Both
@@ -107,68 +149,50 @@ impl TimeEvolvingGraph {
     /// form keeps ids and run indices as `u32`).
     pub fn freeze(&self) -> FrozenEg {
         let (nodes, horizon) = (self.node_count(), self.horizon());
-        // Counting pass: `adj_off[u]` and `appear_off[t]` first hold each
-        // row's length, then the slot its filling starts at.
-        let mut adj_off = vec![0usize; nodes + 1];
-        let mut appear_off = vec![0usize; horizon as usize + 1];
-        let mut run_count = 0usize;
-        for e in self.edges() {
-            adj_off[e.u] += 1;
-            adj_off[e.v] += 1;
-            for (start, _) in e.runs() {
-                appear_off[start as usize] += 1;
-                run_count += 1;
-            }
-        }
+        let edges = self.edges();
+        let mut rows = Lists::sized(nodes, edges.iter().flat_map(|e| [e.u, e.v]));
+        let starts = edges.iter().flat_map(|e| e.runs().map(|(start, _)| start as usize));
+        let mut appear = Lists::sized(horizon as usize, starts);
+        let run_count = appear.entries.len();
         // Every pair has at least one label, so pair ids fit `u32` too.
         assert!(
             nodes < u32::MAX as usize && run_count < u32::MAX as usize,
             "the frozen form keeps ids in u32: {nodes} nodes, {run_count} label runs"
         );
-        for off in [&mut adj_off, &mut appear_off] {
-            let mut sum = 0;
-            for slot in off.iter_mut() {
-                sum += std::mem::replace(slot, sum);
-            }
-        }
-
-        // Pairs in `(min, max)` order: node `u`'s pairs with a larger
-        // partner, by partner. A row receives its smaller partners first
-        // (while those nodes number their pairs) and its larger ones last,
-        // so each row fills in partner order.
-        let mut adj = vec![(0u32, 0u32); adj_off[nodes]];
-        let mut appear = vec![(0u32, 0u32); run_count];
         let mut runs = Vec::with_capacity(run_count);
         let mut first_run = Vec::with_capacity(self.edge_count() + 1);
+        // A row receives its smaller partners first (while those nodes
+        // number their pairs) and its larger ones last, so each row fills in
+        // partner order.
+        self.for_each_pair(|u, w, e| {
+            // Pair ids stay below the run count, checked above.
+            let p = first_run.len() as u32;
+            first_run.push(runs.len() as u32);
+            rows.place(u as usize, (w, p));
+            rows.place(w as usize, (u, p));
+            for run in e.runs() {
+                runs.push(run);
+                appear.place(run.0 as usize, (u, w));
+            }
+        });
+        first_run.push(runs.len() as u32);
+        FrozenEg { nodes, horizon, runs, first_run, rows, appear }
+    }
+
+    /// Calls `visit(u, w, e)` for every contact pair in `(min, max)` order,
+    /// with `e` its edge: node `u`'s larger partners `w`, ascending, for
+    /// `u = 0..n`. One row-sized buffer is the only temporary.
+    pub(crate) fn for_each_pair(&self, mut visit: impl FnMut(u32, u32, &TemporalEdge)) {
         let mut larger = Vec::new();
-        for u in 0..nodes {
+        for (u, row) in self.adj.iter().enumerate() {
             larger.clear();
-            larger.extend(self.adj[u].iter().filter(|&&(w, _)| w as usize > u));
+            larger.extend(row.iter().filter(|&&(w, _)| w as usize > u));
             larger.sort_unstable();
             for &(w, ei) in &larger {
-                // Pair ids stay below the run count, checked above; `new`
-                // checked that node ids fit u32.
-                let (p, u32_u) = (first_run.len() as u32, u as u32);
-                first_run.push(runs.len() as u32);
-                for (end, partner) in [(u, w), (w as usize, u32_u)] {
-                    adj[adj_off[end]] = (partner, p);
-                    adj_off[end] += 1;
-                }
-                for run in self.edges()[ei as usize].runs() {
-                    runs.push(run);
-                    let slot = &mut appear_off[run.0 as usize];
-                    appear[*slot] = (u32_u, w);
-                    *slot += 1;
-                }
+                // `new` checked that node ids fit u32.
+                visit(u as u32, w, &self.edges()[ei as usize]);
             }
         }
-        first_run.push(runs.len() as u32);
-        // Each offset now ends its row, that is, starts the next one.
-        for off in [&mut adj_off, &mut appear_off] {
-            off.rotate_right(1);
-            off[0] = 0;
-        }
-        FrozenEg { nodes, horizon, runs, first_run, adj_off, adj, appear_off, appear }
     }
 }
 
@@ -193,8 +217,9 @@ impl FrozenEg {
         use std::mem::size_of;
         self.runs.capacity() * size_of::<(TimeUnit, TimeUnit)>()
             + self.first_run.capacity() * size_of::<u32>()
-            + (self.adj_off.capacity() + self.appear_off.capacity()) * size_of::<usize>()
-            + (self.adj.capacity() + self.appear.capacity()) * size_of::<(u32, u32)>()
+            + (self.rows.off.capacity() + self.appear.off.capacity()) * size_of::<usize>()
+            + (self.rows.entries.capacity() + self.appear.entries.capacity())
+                * size_of::<(u32, u32)>()
     }
 
     /// Earliest arrival at `target` of a message sent from `source` at
@@ -232,8 +257,7 @@ impl FrozenEg {
             if t == self.horizon {
                 return None;
             }
-            let appear = &self.appear[self.appear_off[t as usize]..self.appear_off[t as usize + 1]];
-            for &(u, v) in appear {
+            for &(u, v) in self.appear.get(t as usize) {
                 s.scanned += 1;
                 let (has_u, has_v) = (s.has(u), s.has(v));
                 if has_u != has_v {
@@ -267,7 +291,7 @@ impl FrozenEg {
         // `freeze` filled both from the runs in pair order, bucketed by
         // start.
         let mut ends = vec![0; self.runs.len()];
-        let mut slot = self.appear_off.clone();
+        let mut slot = self.appear.off.clone();
         for &(first, last) in &self.runs {
             ends[slot[first as usize]] = last;
             slot[first as usize] += 1;
@@ -278,9 +302,9 @@ impl FrozenEg {
             // merged with the runs that start at `t`. Both lists are in pair
             // order, and they are disjoint, since a run starting at `t` was
             // down at `t − 1`.
-            let span = self.appear_off[t as usize]..self.appear_off[t as usize + 1];
+            let span = self.appear.off[t as usize]..self.appear.off[t as usize + 1];
             let mut i = 0;
-            for (&(u, v), &end) in self.appear[span.clone()].iter().zip(&ends[span]) {
+            for (&(u, v), &end) in self.appear.entries[span.clone()].iter().zip(&ends[span]) {
                 while i < up.len() && (up[i].0, up[i].1) < (u, v) {
                     if up[i].2 >= t {
                         next.push(up[i]);
@@ -305,7 +329,7 @@ impl FrozenEg {
     /// nodes on the scratch's stack. Returns whether it reached `target`.
     fn close(&self, t: TimeUnit, target: u32, s: &mut JourneyScratch) -> bool {
         while let Some(u) = s.stack.pop() {
-            for &(w, pair) in self.row(u as usize) {
+            for &(w, pair) in self.rows.get(u as usize) {
                 s.scanned += 1;
                 if s.has(w) || !self.is_up(pair, t) {
                     continue;
@@ -317,11 +341,6 @@ impl FrozenEg {
             }
         }
         false
-    }
-
-    /// Node `u`'s `(partner, pair)` entries, sorted by partner.
-    fn row(&self, u: NodeId) -> &[(u32, u32)] {
-        &self.adj[self.adj_off[u]..self.adj_off[u + 1]]
     }
 
     /// The runs of pair `p`.
@@ -336,7 +355,7 @@ impl FrozenEg {
         if u >= self.nodes {
             return None;
         }
-        let row = self.row(u);
+        let row = self.rows.get(u);
         let i = row.binary_search_by_key(&v, |&(w, _)| w as usize).ok()?;
         Some(row[i].1)
     }
@@ -484,6 +503,16 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn cursor_appear_column_is_the_frozen_appear_list() {
+        for eg in [fig2_example(), EdgeMarkovian::new(20, 0.3, 0.1).generate(40, 5)] {
+            let (cur, frozen) = (eg.snapshot_cursor(), eg.freeze());
+            for t in 0..=eg.horizon() {
+                assert_eq!(cur.appearing_at(t), frozen.appear.get(t as usize), "t={t}");
+            }
+        }
     }
 
     #[test]

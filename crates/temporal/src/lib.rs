@@ -20,7 +20,8 @@
 //! * [`weighted`] — weighted time-evolving graphs and Pareto-optimal
 //!   (arrival time × cost) journeys.
 //! * [`snapshot`] — the incremental [`snapshot::SnapshotCursor`] for
-//!   whole-horizon snapshot sweeps.
+//!   whole-horizon snapshot sweeps, its per-unit deltas kept in the frozen
+//!   form's layout.
 //! * [`frozen`] — [`FrozenEg`], the read-only form built by
 //!   [`TimeEvolvingGraph::freeze`]: one forward pass per earliest arrival,
 //!   and the carry-store-forward strategies of [`routing`].
@@ -33,7 +34,9 @@
 //! [`TimeEvolvingGraph::snapshot_cursor`]: it precomputes each time unit's
 //! edge appear/disappear deltas once and then mutates one maintained graph
 //! by `O(Δ_t)` per [`snapshot::SnapshotCursor::advance`] step, yielding a
-//! graph equal to `snapshot(t)` at every position. The cursor captures the
+//! graph equal to `snapshot(t)` at every position. Its deltas are laid out
+//! and filled as [`FrozenEg`]'s appear list: flat `(min, max)` columns in
+//! pair order, which `appearing_at` and `disappearing_at` return as slices. The cursor captures the
 //! `EG` at construction — after mutating the `EG` (`remove_label`,
 //! `remove_edge`, `isolate_node`, `add_contact`), build a fresh cursor. A
 //! [`FrozenEg`] likewise captures the `EG` it was frozen from.

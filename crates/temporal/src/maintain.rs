@@ -48,7 +48,7 @@
 //! per-`t` rebuilds and the cores and NSF sweeps no more, `perf_smoke`
 //! records the counts in `BENCH_kernels.json` (its `maintain` block), and
 //! `scripts/check.sh` fails when they drift from the committed file. That
-//! matters on a 1-core CI box where wall-clock alone is noisy.
+//! matters on a small shared machine, where wall-clock alone is noisy.
 //!
 //! # Examples
 //!
@@ -125,7 +125,7 @@
 use crate::graph::{TimeEvolvingGraph, TimeUnit};
 use crate::snapshot::SnapshotCursor;
 use csn_graph::cores::IncrementalCores;
-use csn_graph::{Graph, NodeId};
+use csn_graph::Graph;
 use std::any::Any;
 
 /// A structure kept up to date under edge churn.
@@ -149,9 +149,9 @@ pub trait StructureMaintainer {
     /// against the snapshot the state was last brought up to date with:
     /// `g` equals that snapshot minus `removed` plus `added`, every removed
     /// edge was present, every added edge was absent, the two lists are
-    /// disjoint and neither repeats an edge (the
+    /// disjoint and each is strictly increasing `(min, max)` pairs (the
     /// [`SnapshotCursor::appearing_at`] delta contract).
-    fn apply(&mut self, g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]);
+    fn apply(&mut self, g: &Graph, removed: &[(u32, u32)], added: &[(u32, u32)]);
 
     /// Nodes examined by [`apply`](Self::apply) since the last
     /// [`reseed`](Self::reseed) — the *counted* cost of maintenance,
@@ -172,7 +172,7 @@ impl StructureMaintainer for IncrementalCores {
         *self = IncrementalCores::new(g);
     }
 
-    fn apply(&mut self, g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
+    fn apply(&mut self, g: &Graph, removed: &[(u32, u32)], added: &[(u32, u32)]) {
         if !(removed.is_empty() && added.is_empty()) {
             self.recompute(g);
         }
@@ -198,10 +198,10 @@ impl StructureMaintainer for IncrementalCores {
 /// maintainer's [`StructureMaintainer::apply`] (see the
 /// [module docs](self#performance)); the cursor side copies nothing — the
 /// maintainers read its graph and its precomputed delta slices. The
-/// expensive parts — the cursor's delta tables and each maintainer's
+/// expensive parts — the cursor's delta lists and each maintainer's
 /// seeded state — are paid once at construction /
 /// [`register`](Self::register); [`reset`](Self::reset) reuses the delta
-/// tables (see [`SnapshotCursor::reset`]) and re-seeds maintainers only
+/// lists (see [`SnapshotCursor::reset`]) and re-seeds maintainers only
 /// from the `t = 0` snapshot, so repeated sweeps over the same trace (a
 /// serving loop, a replayed experiment) never re-scan the `EG`'s label
 /// sets.
@@ -350,7 +350,7 @@ mod tests {
         assert_eq!(assert_cores_tracked(&eg), 2 * 4, "one pass per changing step");
     }
 
-    type Edges = Vec<(NodeId, NodeId)>;
+    type Edges = Vec<(u32, u32)>;
 
     /// Records every snapshot and delta a [`TrackedCursor`] hands it.
     #[derive(Default)]
@@ -370,7 +370,7 @@ mod tests {
             self.steps.clear();
         }
 
-        fn apply(&mut self, g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
+        fn apply(&mut self, g: &Graph, removed: &[(u32, u32)], added: &[(u32, u32)]) {
             self.steps.push((g.clone(), removed.to_vec(), added.to_vec()));
         }
 

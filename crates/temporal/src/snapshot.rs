@@ -10,6 +10,11 @@
 //! `O(Δ_t)` edge mutations to one maintained graph. A whole-horizon sweep
 //! is `O(E · L̄ + Σ_t Δ_t)` total instead of `O(horizon · E · log L̄)`.
 //!
+//! The deltas are laid out as [`FrozenEg`](crate::FrozenEg)'s appear list,
+//! and filled by the same counting sort: per-unit offsets into a flat
+//! column of `(min, max)` pairs in pair order, for appear and for vanish
+//! events.
+//!
 //! The maintained graph equals `eg.snapshot(t)` at every position (their
 //! edge *sets* are identical; [`Graph`] equality ignores adjacency order) —
 //! the `snapshot_props` property suite pins this down, and `csn-bench`'s
@@ -38,8 +43,9 @@
 //! assert_eq!(cur.time(), 4);
 //! ```
 
+use crate::frozen::Lists;
 use crate::graph::{TimeEvolvingGraph, TimeUnit};
-use csn_graph::{Graph, NodeId};
+use csn_graph::Graph;
 
 /// An incremental sweep over the snapshots `G_0, G_1, …` of a
 /// [`TimeEvolvingGraph`], applying per-step edge deltas to one maintained
@@ -49,35 +55,36 @@ pub struct SnapshotCursor {
     t: TimeUnit,
     horizon: TimeUnit,
     graph: Graph,
-    /// `appear[t]`: edges whose label run starts at `t`.
-    appear: Vec<Vec<(NodeId, NodeId)>>,
-    /// `disappear[t]`: edges whose label run ended at `t - 1`.
-    disappear: Vec<Vec<(NodeId, NodeId)>>,
+    /// Unit `t`'s `(min, max)` pairs whose label run starts at `t`.
+    appear: Lists,
+    /// Unit `t`'s `(min, max)` pairs whose label run ended at `t - 1`.
+    vanish: Lists,
 }
 
 impl SnapshotCursor {
-    /// Builds a cursor positioned at `t = 0`. One pass over every edge's
-    /// [`runs`](crate::TemporalEdge::runs) converts each run of consecutive
-    /// labels `[s, e]` into an appear event at `s` and a disappear event at
-    /// `e + 1`.
+    /// Builds a cursor positioned at `t = 0`. Each run of consecutive labels
+    /// `[s, e]` becomes an appear event at `s` and a vanish event at
+    /// `e + 1`, sorted into per-unit lists in pair order by the counting
+    /// sort [`TimeEvolvingGraph::freeze`] fills its appear list with.
     pub fn new(eg: &TimeEvolvingGraph) -> Self {
         let horizon = eg.horizon();
-        let slots = horizon.max(1) as usize;
-        let mut appear: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); slots];
-        let mut disappear: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); slots];
-        for e in eg.edges() {
+        // A run that reaches the horizon never vanishes.
+        let vanish_at = |end: TimeUnit| (end + 1 < horizon).then_some(end as usize + 1);
+        let runs = || eg.edges().iter().flat_map(|e| e.runs());
+        let mut appear = Lists::sized(horizon as usize, runs().map(|(start, _)| start as usize));
+        let mut vanish = Lists::sized(horizon as usize, runs().filter_map(|(_, e)| vanish_at(e)));
+        eg.for_each_pair(|u, w, e| {
             for (start, end) in e.runs() {
-                appear[start as usize].push((e.u, e.v));
-                if end + 1 < horizon {
-                    disappear[(end + 1) as usize].push((e.u, e.v));
+                appear.place(start as usize, (u, w));
+                if let Some(t) = vanish_at(end) {
+                    vanish.place(t, (u, w));
                 }
             }
-        }
-        let mut graph = Graph::new(eg.node_count());
-        for &(u, v) in &appear[0] {
-            graph.add_edge(u, v);
-        }
-        SnapshotCursor { t: 0, horizon, graph, appear, disappear }
+        });
+        let graph = Graph::new(eg.node_count());
+        let mut cur = SnapshotCursor { t: 0, horizon, graph, appear, vanish };
+        cur.reset();
+        cur
     }
 
     /// The current time unit.
@@ -96,18 +103,21 @@ impl SnapshotCursor {
         &self.graph
     }
 
-    /// The edges whose label run starts at `t` (empty outside the horizon).
-    /// Together with [`SnapshotCursor::disappearing_at`] this exposes the
-    /// precomputed per-time-unit deltas, e.g. for replaying the trace as
-    /// topology events in a downstream simulator.
+    /// The edges whose label run starts at `t`, as `(min, max)` pairs in
+    /// pair order (empty outside the horizon). Together with
+    /// [`SnapshotCursor::disappearing_at`] this exposes the precomputed
+    /// per-time-unit deltas, e.g. for replaying the trace as topology events
+    /// in a downstream simulator.
     ///
     /// # Delta contract
     ///
     /// For every `t` in `1..horizon`, the snapshot at `t` is the snapshot
     /// at `t - 1` **minus** `disappearing_at(t)` **plus** `appearing_at(t)`
-    /// — removals apply first, and the two sets are disjoint (an edge whose
+    /// — removals apply first, and the two lists are disjoint (an edge whose
     /// run ends at `t - 1` and restarts at `t` produces *neither* event,
-    /// because runs of consecutive labels are coalesced). `appearing_at(0)`
+    /// because runs of consecutive labels are coalesced). Each list is in
+    /// pair order: strictly increasing `(min, max)` pairs, whatever the
+    /// order and orientation the contacts were added in. `appearing_at(0)`
     /// is exactly the edge set of `G_0`; `disappearing_at(0)` is always
     /// empty; runs that touch the horizon emit no disappear event.
     ///
@@ -125,14 +135,14 @@ impl SnapshotCursor {
     /// assert_eq!(cur.appearing_at(2), &[(1, 2)]);
     /// assert_eq!(cur.disappearing_at(3), &[(1, 2)]);
     /// ```
-    pub fn appearing_at(&self, t: TimeUnit) -> &[(NodeId, NodeId)] {
-        self.appear.get(t as usize).map_or(&[], Vec::as_slice)
+    pub fn appearing_at(&self, t: TimeUnit) -> &[(u32, u32)] {
+        self.appear.get(t as usize)
     }
 
-    /// The edges whose label run ended at `t - 1` (empty outside the
-    /// horizon).
-    pub fn disappearing_at(&self, t: TimeUnit) -> &[(NodeId, NodeId)] {
-        self.disappear.get(t as usize).map_or(&[], Vec::as_slice)
+    /// The edges whose label run ended at `t - 1`, as `(min, max)` pairs in
+    /// pair order (empty outside the horizon).
+    pub fn disappearing_at(&self, t: TimeUnit) -> &[(u32, u32)] {
+        self.vanish.get(t as usize)
     }
 
     /// Rewinds the cursor to `t = 0`, rebuilding the maintained graph from
@@ -141,12 +151,12 @@ impl SnapshotCursor {
     /// # Performance
     ///
     /// Unlike constructing a fresh cursor this does **not** re-scan the
-    /// `EG`'s label sets — the delta tables were computed once in
+    /// `EG`'s label sets — the delta lists were computed once in
     /// [`SnapshotCursor::new`] and are reused as-is — so starting a second
     /// sweep costs only `O(n + Δ_0)` (one empty graph allocation plus the
     /// `t = 0` insertions), not `O(n + contacts)`. Repeated whole-horizon
     /// sweeps — [`TrackedCursor::reset`](crate::TrackedCursor::reset)
-    /// rewinds through here — pay for the delta tables once.
+    /// rewinds through here — pay for the delta lists once.
     ///
     /// ```
     /// use csn_temporal::TimeEvolvingGraph;
@@ -164,8 +174,8 @@ impl SnapshotCursor {
     pub fn reset(&mut self) {
         self.t = 0;
         self.graph = Graph::new(self.graph.node_count());
-        for &(u, v) in &self.appear[0] {
-            self.graph.add_edge(u, v);
+        for &(u, v) in self.appear.get(0) {
+            self.graph.add_edge(u as usize, v as usize);
         }
     }
 
@@ -178,11 +188,11 @@ impl SnapshotCursor {
         }
         self.t += 1;
         let t = self.t as usize;
-        for &(u, v) in &self.disappear[t] {
-            self.graph.remove_edge(u, v);
+        for &(u, v) in self.vanish.get(t) {
+            self.graph.remove_edge(u as usize, v as usize);
         }
-        for &(u, v) in &self.appear[t] {
-            self.graph.add_edge(u, v);
+        for &(u, v) in self.appear.get(t) {
+            self.graph.add_edge(u as usize, v as usize);
         }
         true
     }

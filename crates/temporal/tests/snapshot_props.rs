@@ -2,7 +2,8 @@
 //! sweep equals the per-step `snapshot(t)` rebuilds at *every* time unit of
 //! random EGs — including cursors rebuilt after `remove_label` /
 //! `remove_edge` / `isolate_node` churn — and its per-step deltas are
-//! exactly the edge-set differences between consecutive snapshots.
+//! exactly the edge-set differences between consecutive snapshots, each in
+//! pair order.
 
 use csn_graph::NodeId;
 use csn_temporal::{TimeEvolvingGraph, TimeUnit};
@@ -35,11 +36,12 @@ fn assert_cursor_matches(eg: &TimeEvolvingGraph) {
     }
 }
 
-/// `edges` as sorted `(min, max)` pairs, duplicates kept.
-fn canonical<'a>(edges: impl IntoIterator<Item = &'a (NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
-    let mut out: Vec<_> = edges.into_iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
-    out.sort_unstable();
-    out
+/// `pairs` as node ids, after checking that they are in pair order:
+/// strictly increasing `(min, max)` pairs.
+fn in_pair_order(pairs: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
+    assert!(pairs.iter().all(|&(u, v)| u < v), "not (min, max) pairs: {pairs:?}");
+    assert!(pairs.windows(2).all(|w| w[0] < w[1]), "not strictly increasing: {pairs:?}");
+    pairs.iter().map(|&(u, v)| (u as NodeId, v as NodeId)).collect()
 }
 
 proptest! {
@@ -47,20 +49,21 @@ proptest! {
 
     #[test]
     fn deltas_are_exact_snapshot_differences(eg in arb_eg(12, 24)) {
-        // Each delta list must equal a set difference, which also rules out
-        // duplicates. Before t = 0 the edge set is empty, so appearing_at(0)
-        // is E(G_0) and disappearing_at(0) is empty.
+        // Each delta list must be in pair order and equal a set difference,
+        // which also rules out duplicates. Before t = 0 the edge set is
+        // empty, so appearing_at(0) is E(G_0) and disappearing_at(0) is
+        // empty.
         let cur = eg.snapshot_cursor();
         let mut prev: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for t in 0..eg.horizon() {
             let next: BTreeSet<_> = eg.snapshot(t).edges().collect();
             prop_assert_eq!(
-                canonical(cur.disappearing_at(t)),
+                in_pair_order(cur.disappearing_at(t)),
                 prev.difference(&next).copied().collect::<Vec<_>>(),
                 "disappearing_at({}) is not E(G_t-1) minus E(G_t)", t
             );
             prop_assert_eq!(
-                canonical(cur.appearing_at(t)),
+                in_pair_order(cur.appearing_at(t)),
                 next.difference(&prev).copied().collect::<Vec<_>>(),
                 "appearing_at({}) is not E(G_t) minus E(G_t-1)", t
             );

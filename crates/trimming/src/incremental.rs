@@ -28,7 +28,6 @@
 //! [`forwarding_sets_at`] is the oracle the `maintain_props` suite gates
 //! against, bitwise, at every `t`.
 
-use crate::static_rule::TrimReport;
 use csn_graph::{Graph, GraphView, NodeId};
 use csn_temporal::maintain::StructureMaintainer;
 use std::collections::HashSet;
@@ -114,12 +113,6 @@ impl IncrementalForwarding {
         inc
     }
 
-    /// Convenience: freeze the arcs a [`crate::static_rule::trim_arcs`] run
-    /// removed and seed from `g`.
-    pub fn from_trim_report(g: &Graph, report: &TrimReport) -> Self {
-        IncrementalForwarding::new(g, &report.removed_arcs)
-    }
-
     fn rebuild_sets(&mut self, g: &Graph) {
         self.sets = sets_on(g, &self.trimmed);
         self.live_arcs = self.sets.iter().map(Vec::len).sum();
@@ -187,13 +180,15 @@ impl StructureMaintainer for IncrementalForwarding {
     ///
     /// Panics if a removed live arc is missing from its set or an added
     /// live arc is already in it: the delta broke the trait's contract.
-    fn apply(&mut self, _g: &Graph, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) {
+    fn apply(&mut self, _g: &Graph, removed: &[(u32, u32)], added: &[(u32, u32)]) {
         for &(u, v) in removed {
+            let (u, v) = (u as NodeId, v as NodeId);
             self.touched += 2;
             self.arc_off(u, v);
             self.arc_off(v, u);
         }
         for &(u, v) in added {
+            let (u, v) = (u as NodeId, v as NodeId);
             self.touched += 2;
             self.arc_on(u, v);
             self.arc_on(v, u);
