@@ -599,8 +599,8 @@ fn pubsub_row(n: usize) -> Row {
 /// Generalized-hypercube routing under faults on radix [6, 6, 6, 6], on
 /// every detected core.
 fn hypercube_row() -> Row {
-    use csn_bench::scenario_bench::generalized_hypercube;
     use csn_core::distsim::{ChurnSchedule, FaultModel};
+    use csn_core::graph::generators::generalized_hypercube;
     use csn_core::labeling::bellman_ford::run_resilient;
 
     let radix = [6usize, 6, 6, 6];

@@ -1553,8 +1553,9 @@ pub fn e27_pubsub_churn(out: &mut Report) {
 /// exactly when fault-free, degrade measurably under loss and churn, and
 /// the d node-disjoint F-space paths tolerate d − 1 faulty relays.
 pub fn e28_hypercube_routing(out: &mut Report) {
-    use crate::scenario_bench::{generalized_hypercube, hypercube_profile};
+    use crate::scenario_bench::hypercube_profile;
     use csn_core::distsim::{ChurnSchedule, FaultModel};
+    use csn_core::graph::generators::generalized_hypercube;
     use csn_core::labeling::bellman_ford;
     use csn_core::remapping::fspace::{feature_distance, node_disjoint_paths};
 

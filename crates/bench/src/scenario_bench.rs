@@ -3,11 +3,12 @@
 //! vehicular/pedestrian city traces streamed through grid-accelerated
 //! contact detection, the DTN query set and TOUR forwarding from
 //! trace-estimated rates, the pub-sub protocol of the Gnutella-style run
-//! under churn, and the generalized hypercube routed over under faults.
+//! under churn, and the node profiles of the generalized hypercube routed
+//! over under faults.
 //! See SCENARIOS.md for the memory model and how to read the rows.
 
 use csn_core::distsim::{ChurnSchedule, Neighborhood, Outbox, Protocol};
-use csn_core::graph::{Graph, NodeId};
+use csn_core::graph::NodeId;
 use csn_core::mobility::scenario::CityScenario;
 use csn_core::mobility::stream::ContactStream;
 use csn_core::mobility::ContactEvent;
@@ -140,7 +141,7 @@ impl PubSub {
 
 /// The mixed-radix profile of hypercube node `i` (least-significant
 /// dimension first), inverse of the strides used by
-/// [`generalized_hypercube`].
+/// [`generalized_hypercube`](csn_core::graph::generators::generalized_hypercube).
 pub fn hypercube_profile(mut i: usize, radix: &[usize]) -> Vec<usize> {
     radix
         .iter()
@@ -152,38 +153,11 @@ pub fn hypercube_profile(mut i: usize, radix: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// The generalized hypercube over `radix` (§III-C): one node per
-/// mixed-radix profile, an edge between any two profiles differing in
-/// exactly one feature — `Σ (rᵢ − 1)` neighbors per node, matching the
-/// F-space adjacency `csn_remapping::fspace` routes over.
-///
-/// # Panics
-///
-/// Panics if `radix` is empty or any dimension is `< 2`.
-pub fn generalized_hypercube(radix: &[usize]) -> Graph {
-    assert!(!radix.is_empty() && radix.iter().all(|&r| r >= 2), "need dimensions of radix >= 2");
-    let n: usize = radix.iter().product();
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        let pu = hypercube_profile(u, radix);
-        let mut stride = 1usize;
-        for (d, &r) in radix.iter().enumerate() {
-            for val in 0..r {
-                if val > pu[d] {
-                    // Emit each edge once, from the lower-valued profile.
-                    g.add_edge(u, u + (val - pu[d]) * stride);
-                }
-            }
-            stride *= r;
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use csn_core::distsim::Simulator;
+    use csn_core::graph::generators::generalized_hypercube;
     use csn_core::graph::traversal::bfs_distances;
     use csn_core::remapping::fspace::feature_distance;
 

@@ -161,11 +161,12 @@ mod distsim {
 mod scenario {
     use super::JOBS;
     use csn_bench::scenario_bench::{
-        city, dtn_queries, generalized_hypercube, hypercube_profile, tour_policy, PubSub, CITY_DT,
-        CITY_DURATION, TOUR_UTILITY,
+        city, dtn_queries, hypercube_profile, tour_policy, PubSub, CITY_DT, CITY_DURATION,
+        TOUR_UTILITY,
     };
     use csn_core::distsim::{ChurnSchedule, FaultModel, Simulator};
     use csn_core::graph::cores::{core_numbers, IncrementalCores};
+    use csn_core::graph::generators::generalized_hypercube;
     use csn_core::graph::stream::{EdgeStream, GnutellaStream};
     use csn_core::labeling::bellman_ford::{run, run_resilient};
     use csn_core::mobility::scenario::CityScenario;

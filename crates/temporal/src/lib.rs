@@ -36,10 +36,10 @@
 //! by `O(Δ_t)` per [`snapshot::SnapshotCursor::advance`] step, yielding a
 //! graph equal to `snapshot(t)` at every position. Its deltas are laid out
 //! and filled as [`FrozenEg`]'s appear list: flat `(min, max)` columns in
-//! pair order, which `appearing_at` and `disappearing_at` return as slices. The cursor captures the
-//! `EG` at construction — after mutating the `EG` (`remove_label`,
-//! `remove_edge`, `isolate_node`, `add_contact`), build a fresh cursor. A
-//! [`FrozenEg`] likewise captures the `EG` it was frozen from.
+//! pair order, which `appearing_at` and `disappearing_at` return as slices.
+//! An `EG` only grows (`add_contact`, `add_periodic`). The cursor captures
+//! the `EG` at construction, so after adding contacts build a fresh cursor.
+//! A [`FrozenEg`] likewise captures the `EG` it was frozen from.
 //!
 //! # Examples
 //!

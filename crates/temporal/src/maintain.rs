@@ -245,11 +245,6 @@ impl TrackedCursor {
         &self.cursor
     }
 
-    /// Number of registered maintainers.
-    pub fn maintainer_count(&self) -> usize {
-        self.maintainers.len()
-    }
-
     /// The maintainer behind `handle`, as the trait object.
     pub fn maintainer(&self, handle: usize) -> &dyn StructureMaintainer {
         &*self.maintainers[handle]
@@ -425,7 +420,6 @@ mod tests {
         assert!(cur.view::<String>(h).is_none());
         assert!(cur.view::<IncrementalCores>(h + 1).is_none());
         assert_eq!(cur.maintainer(h).name(), "cores");
-        assert_eq!(cur.maintainer_count(), 1);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! `gates::scenario::epidemic_and_cursors_match` checks it on a city trace.
 //!
 //! The cursor is a frozen view: it captures the `EG` at construction time
-//! and does not observe later mutations. After `remove_label` /
-//! `remove_edge` / `isolate_node` churn, build a new cursor.
+//! and does not see contacts added later. After adding some, build a new
+//! cursor.
 //!
 //! # Examples
 //!

@@ -299,6 +299,22 @@ pub fn trim_arcs(eg: &TimeEvolvingGraph, priority: &[u64], opts: TrimOptions) ->
     report
 }
 
+/// `eg` without the contacts of the `removed` nodes: every temporal edge
+/// touching no removed node, its labels replayed through `add_contact` in
+/// `edges()` order and orientation. An `EG` only grows, so node trimming
+/// builds the trimmed one anew; the removed ids stay, isolated.
+fn without_nodes(eg: &TimeEvolvingGraph, removed: &[NodeId]) -> TimeEvolvingGraph {
+    let mut kept = TimeEvolvingGraph::new(eg.node_count(), eg.horizon());
+    for e in eg.edges() {
+        if !removed.contains(&e.u) && !removed.contains(&e.v) {
+            for &t in &e.labels {
+                kept.add_contact(e.u, e.v, t);
+            }
+        }
+    }
+    kept
+}
+
 /// Trims all replaceable nodes sequentially (lowest priority first),
 /// revalidating after each removal. Removed nodes become isolated.
 pub fn trim_nodes(eg: &mut TimeEvolvingGraph, priority: &[u64], opts: TrimOptions) -> TrimReport {
@@ -310,7 +326,7 @@ pub fn trim_nodes(eg: &mut TimeEvolvingGraph, priority: &[u64], opts: TrimOption
         let mut removed_any = false;
         for u in nodes {
             if eg.neighbors(u).count() > 0 && node_replaceable(eg, u, priority, opts) {
-                eg.isolate_node(u);
+                *eg = without_nodes(eg, &[u]);
                 report.removed_nodes.push(u);
                 removed_any = true;
             }
@@ -335,15 +351,11 @@ pub fn trim_nodes_localized(
     opts: TrimOptions,
 ) -> TrimReport {
     let mut report = TrimReport { contacts_before: eg.contact_count(), ..Default::default() };
-    let snapshot = eg.clone();
-    let victims: Vec<NodeId> = (0..eg.node_count())
-        .filter(|&u| snapshot.neighbors(u).count() > 0)
-        .filter(|&u| node_replaceable(&snapshot, u, priority, opts))
+    report.removed_nodes = (0..eg.node_count())
+        .filter(|&u| eg.neighbors(u).count() > 0)
+        .filter(|&u| node_replaceable(eg, u, priority, opts))
         .collect();
-    for &u in &victims {
-        eg.isolate_node(u);
-        report.removed_nodes.push(u);
-    }
+    *eg = without_nodes(eg, &report.removed_nodes);
     report.contacts_after = eg.contact_count();
     report
 }
@@ -366,9 +378,6 @@ mod tests {
         let eg = fig2_example();
         let (n, out) = (eg.node_count(), eg.node_count() + 5);
         assert_eq!(eg.neighbors(out).count(), 0);
-        let mut isolated = eg.clone();
-        assert_eq!(isolated.isolate_node(out), 0);
-        assert_eq!(isolated, eg, "isolating an outside id changes nothing");
         assert!(node_replaceable(&eg, out, &fig2_priorities(), TrimOptions::default()));
         // A source outside the EG keeps its one copy.
         let kept = DtnOutcome { delivered_at: None, copies: 1, hops: 0 };
@@ -530,6 +539,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn node_trimming_keeps_exactly_the_survivors_contacts() {
+        type Trim = fn(&mut TimeEvolvingGraph, &[u64], TrimOptions) -> TrimReport;
+        // The random EGs of the two ECT tests above, and two leaves joined
+        // by one contact, which one localized pass removes together.
+        let mut cases: Vec<(Trim, TimeEvolvingGraph)> = (0..10)
+            .flat_map(|trial| {
+                [
+                    (trim_nodes as Trim, random_eg(7, 10, 0.6, 900 + trial)),
+                    (trim_nodes_localized, random_eg(7, 10, 0.7, 1300 + trial)),
+                ]
+            })
+            .collect();
+        let mut pair = TimeEvolvingGraph::new(7, 10);
+        pair.add_contact(0, 1, 2);
+        cases.push((trim_nodes_localized, pair));
+        let priority: Vec<u64> = (0..7u64).collect();
+        let (mut removed_total, mut kept_total) = (0, 0);
+        for (case, (trim, eg0)) in cases.into_iter().enumerate() {
+            let mut trimmed = eg0.clone();
+            let report = trim(&mut trimmed, &priority, TrimOptions::default());
+            let gone = |u: NodeId| report.removed_nodes.contains(&u);
+            let mut expected = TimeEvolvingGraph::new(7, 10);
+            for c in eg0.contacts().into_iter().filter(|c| !gone(c.u) && !gone(c.v)) {
+                expected.add_contact(c.u, c.v, c.t);
+            }
+            assert_eq!(trimmed.freeze(), expected.freeze(), "case {case}: {report:?}");
+            assert_eq!(report.contacts_after, expected.contact_count(), "case {case}");
+            removed_total += report.removed_nodes.len();
+            kept_total += report.contacts_after;
+        }
+        assert!(removed_total > 0 && kept_total > 0, "the cases trim some nodes and keep some");
     }
 
     #[test]
